@@ -19,8 +19,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import constrained, mirrorprox, problems, smoothing, subgradient
-from .geometry import FeasibleSet, ProxSetup, entropy_setup, euclidean_setup
-from .oracles import FunctionOracle, ProblemInstance
+from .geometry import (FeasibleSet, ProductSetup, ProxSetup, entropy_setup,
+                       euclidean_setup)
+from .oracles import (FunctionOracle, LinearMaxBundle, LinearOracle,
+                      ProblemInstance, SaddleOperator)
 from .report import TRACE_COLUMNS
 
 BOUND_SLACK = 1e-9
@@ -85,6 +87,22 @@ def fit_rate(k, values):
 # problem builders
 # ---------------------------------------------------------------------------
 
+# generator name -> builder(params, seed) returning (problem, kind), with
+# kind "convex", "constrained" or "vi".  _PROBLEM_KINDS keeps the kinds, so
+# a method is matched to its problem before the (LP-certified) build runs.
+PROBLEMS = {}
+_PROBLEM_KINDS = {}
+
+
+def _problem(name, kind):
+    def register(build):
+        _PROBLEM_KINDS[name] = kind
+        PROBLEMS[name] = lambda params, seed: (build(params, seed), kind)
+        return build
+    return register
+
+
+@_problem("abs_value", "convex")
 def _build_abs_value(params, seed):
     n = int(params.get("dim", 1))
     oracle = FunctionOracle(lambda x: np.abs(x).sum(), np.sign)
@@ -92,9 +110,10 @@ def _build_abs_value(params, seed):
         objective=oracle, set=FeasibleSet.all_space(n),
         lipschitz_f=float(np.sqrt(n)), f_star=0.0, x_star=np.zeros(n),
         meta={"holder": (0.0, 2.0 * math.sqrt(n))})
-    return prob, "convex"
+    return prob
 
 
+@_problem("quadratic_box", "convex")
 def _build_quadratic_box(params, seed):
     n = int(params.get("dim", 4))
     rng = np.random.default_rng(seed)
@@ -106,9 +125,10 @@ def _build_quadratic_box(params, seed):
         set=FeasibleSet.box(np.full(n, -1.0), np.full(n, 1.0)),
         f_star=0.0, x_star=t.copy(),
         meta={"holder": (1.0, 1.0), "L": 1.0, "mu": 1.0})
-    return prob, "convex"
+    return prob
 
 
+@_problem("simplex_linear", "convex")
 def _build_simplex_linear(params, seed):
     n = int(params.get("dim", 10))
     rng = np.random.default_rng(seed)
@@ -121,9 +141,10 @@ def _build_simplex_linear(params, seed):
         objective=oracle, set=FeasibleSet.simplex(n),
         lipschitz_f=float(np.abs(c).max()), f_star=float(c[i]), x_star=x_star,
         meta={"c": c})
-    return prob, "convex"
+    return prob
 
 
+@_problem("toy_lp", "constrained")
 def _build_toy_lp(params, seed):
     """Linear objective over a box with linear inequality constraints and a
     Slater point at the origin; f_star from an LP oracle."""
@@ -137,7 +158,6 @@ def _build_toy_lp(params, seed):
     res = linprog(c, A_ub=A, b_ub=-b, bounds=list(zip(lo, hi)), method="highs")
     if not res.success:
         raise ConfigError(f"toy LP infeasible: {res.message}")
-    from .oracles import LinearMaxBundle, LinearOracle
     prob = ProblemInstance(
         objective=LinearOracle(c),
         set=FeasibleSet.box(lo, hi),
@@ -146,9 +166,10 @@ def _build_toy_lp(params, seed):
         lipschitz_g=float(max(np.linalg.norm(A[i]) for i in range(m))),
         f_star=float(res.fun), x_star=np.asarray(res.x, dtype=float),
         meta={"c": c, "A": A, "b": b})
-    return prob, "constrained"
+    return prob
 
 
+@_problem("max_residual", "convex")
 def _build_max_residual(params, seed):
     """f(x) = ||A x - b||_inf over the box [-1, 1]^n with f_star from an LP."""
     m = int(params.get("rows", 8))
@@ -178,9 +199,10 @@ def _build_max_residual(params, seed):
         set=FeasibleSet.box(np.full(n, -1.0), np.full(n, 1.0)),
         f_star=float(res.fun), x_star=np.asarray(res.x[:n], dtype=float),
         meta={"A": A, "b": b})
-    return prob, "convex"
+    return prob
 
 
+@_problem("matrix_game", "vi")
 def _build_matrix_game(params, seed):
     if "A" in params:
         A = np.asarray(params["A"], dtype=float)
@@ -188,14 +210,12 @@ def _build_matrix_game(params, seed):
         m = int(params.get("rows", 4))
         n = int(params.get("cols", 4))
         A = np.random.default_rng(seed).uniform(0.0, 1.0, size=(m, n))
-    op = problems.gen_matrix_game(A, params.get("setup", "entropy"))
-    return op, "vi"
+    return problems.gen_matrix_game(A, params.get("setup", "entropy"))
 
 
+@_problem("bilinear_box", "vi")
 def _build_bilinear_box(params, seed):
     """Phi(x, u) = (u, -x) for the scalar game f(x, u) = x*u on [-1, 1]^2."""
-    from .oracles import SaddleOperator
-    from .geometry import ProductSetup
     half = float(params.get("half_width", 1.0))
     box = FeasibleSet.box(np.array([-half]), np.array([half]))
     domain = ProductSetup(euclidean_setup(box), euclidean_setup(box))
@@ -204,32 +224,19 @@ def _build_bilinear_box(params, seed):
                         holder_nu=1.0, holder_l=1.0, linear_part=G,
                         affine_part=np.zeros(2),
                         meta={"A": np.array([[1.0]]), "value": 0.0})
-    return op, "vi"
+    return op
 
 
+@_problem("transport_dual", "convex")
 def _build_transport_dual(params, seed):
-    prob = problems.gen_transport_dual(int(params.get("rows", 3)),
+    return problems.gen_transport_dual(int(params.get("rows", 3)),
                                        int(params.get("cols", 3)), seed)
-    return prob, "convex"
 
 
+@_problem("ttd_dual", "constrained")
 def _build_ttd_dual(params, seed):
-    prob = problems.gen_ttd_dual(int(params.get("nodes", 5)),
+    return problems.gen_ttd_dual(int(params.get("nodes", 5)),
                                  int(params.get("bars", 6)), seed)
-    return prob, "constrained"
-
-
-PROBLEMS = {
-    "abs_value": _build_abs_value,
-    "quadratic_box": _build_quadratic_box,
-    "simplex_linear": _build_simplex_linear,
-    "toy_lp": _build_toy_lp,
-    "max_residual": _build_max_residual,
-    "matrix_game": _build_matrix_game,
-    "bilinear_box": _build_bilinear_box,
-    "transport_dual": _build_transport_dual,
-    "ttd_dual": _build_ttd_dual,
-}
 
 
 def _make_setup(problem, setup_cfg):
@@ -244,10 +251,7 @@ def _make_setup(problem, setup_cfg):
                              theta0_sq=setup_cfg.get("theta0_sq"))
     if kind != "euclidean":
         raise ConfigError(f"unknown setup kind '{kind}'")
-    origin = setup_cfg.get("origin")
-    if origin is not None:
-        origin = np.asarray(origin, dtype=float)
-    setup = euclidean_setup(problem.set, origin=origin,
+    setup = euclidean_setup(problem.set, origin=setup_cfg.get("origin"),
                             theta0_sq=setup_cfg.get("theta0_sq"))
     if setup.theta0_sq is None and problem.set.kind in ("box", "ball", "simplex"):
         setup = ProxSetup(problem.set, "euclidean", origin=setup.origin,
@@ -256,77 +260,85 @@ def _make_setup(problem, setup_cfg):
 
 
 # ---------------------------------------------------------------------------
-# method dispatch
+# method table
 # ---------------------------------------------------------------------------
 
-def _need(params, *names):
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ConfigError(f"missing method parameter(s): {', '.join(missing)}")
-    return [params[n] for n in names]
+def _saddle_gap(op):
+    def gap(w):
+        x_hat, u_hat = op.domain.split(w)
+        return mirrorprox.saddle_gap(op, x_hat, u_hat)
+    return gap
 
 
-def _run_method(name, params, problem, setup, kind):
-    if kind == "vi":
-        op = problem
-        def gap(w):
-            x_hat, u_hat = op.domain.split(w)
-            return mirrorprox.saddle_gap(op, x_hat, u_hat)
-        if name == "mirror_prox":
-            L = params.get("L", op.lipschitz)
-            (N,) = _need(params, "N")
-            return mirrorprox.mirror_prox_solve(op, op.domain, L, int(N),
-                                                gap_fn=gap)
-        if name == "universal_mirror_prox":
-            eps, M_init, N = _need(params, "eps", "M_init", "N")
-            return mirrorprox.universal_mirror_prox_solve(
-                op, op.domain, float(eps), float(M_init), int(N), gap_fn=gap)
-        raise ConfigError(f"method '{name}' does not apply to VI problems")
-
-    if name == "shor":
-        lam, N = _need(params, "lam", "N")
-        x0 = np.asarray(params.get("x0", setup.prox_center()), dtype=float)
-        return subgradient.run_shor(problem, x0, float(lam), int(N))
-    if name == "fixed_md":
-        R, M, N = _need(params, "R", "M", "N")
-        return subgradient.run_fixed_md(problem, setup, float(R), float(M), int(N))
-    if name == "adaptive_md":
-        eps, N = _need(params, "eps", "N")
-        return subgradient.run_adaptive_md(problem, setup, float(eps), int(N))
-    if name == "normalized_md":
-        R, N = _need(params, "R", "N")
-        return subgradient.run_normalized_md(problem, setup, float(R), int(N))
-    if name == "strongly_convex_md":
-        mu, N = _need(params, "mu", "N")
-        return subgradient.run_strongly_convex_md(problem, setup, float(mu),
-                                                  int(N), M=params.get("M"))
-    if name == "constrained_nonsmooth":
-        (eps,) = _need(params, "eps")
-        return constrained.solve_constrained_nonsmooth(problem, setup, float(eps))
-    if name == "constrained_general":
-        (eps,) = _need(params, "eps")
-        return constrained.solve_constrained_general(problem, setup, float(eps))
-    if name == "agm":
-        N = int(_need(params, "N")[0])
-        L = params.get("L", (problem.meta or {}).get("L"))
-        if L is None:
-            raise ConfigError("agm needs L")
-        return smoothing.agm_solve(problem, setup, float(L), N)
-    if name == "universal_agm":
-        eps, L0, N = _need(params, "eps", "L0", "N")
-        return smoothing.universal_agm(problem, setup, float(eps), float(L0),
-                                       int(N))
-    raise ConfigError(f"unknown method '{name}'; available: "
-                      + ", ".join(sorted(METHODS)))
+def _agm(problem, setup, a):
+    L = a.get("L", (problem.meta or {}).get("L"))
+    if L is None:
+        raise ConfigError("agm needs L")
+    return smoothing.agm_solve(problem, setup, float(L), a["N"])
 
 
-METHODS = {"shor", "fixed_md", "adaptive_md", "normalized_md",
-           "strongly_convex_md", "constrained_nonsmooth",
-           "constrained_general", "agm", "universal_agm", "mirror_prox",
-           "universal_mirror_prox"}
+# minimize the objective; any constraints of the problem are not used
+_MINIMIZE = ("convex", "constrained")
 
-# methods whose trace f_value column is itself the certified error quantity
-_PER_ROW_CERTIFIED = {"mirror_prox", "universal_mirror_prox"}
+# method name -> (problem kinds it solves, required parameters with their
+# coercion, call(problem, setup, params)).  The calls look their solver up
+# on its module at call time, so a solver wrapped there is the one that runs.
+_METHODS = {
+    "shor": (
+        _MINIMIZE, {"lam": float, "N": int},
+        lambda p, s, a: subgradient.run_shor(
+            p, np.asarray(a.get("x0", s.prox_center()), dtype=float),
+            a["lam"], a["N"])),
+    "fixed_md": (
+        _MINIMIZE, {"R": float, "M": float, "N": int},
+        lambda p, s, a: subgradient.run_fixed_md(p, s, a["R"], a["M"], a["N"])),
+    "adaptive_md": (
+        _MINIMIZE, {"eps": float, "N": int},
+        lambda p, s, a: subgradient.run_adaptive_md(p, s, a["eps"], a["N"])),
+    "normalized_md": (
+        _MINIMIZE, {"R": float, "N": int},
+        lambda p, s, a: subgradient.run_normalized_md(p, s, a["R"], a["N"])),
+    "strongly_convex_md": (
+        _MINIMIZE, {"mu": float, "N": int},
+        lambda p, s, a: subgradient.run_strongly_convex_md(
+            p, s, a["mu"], a["N"], M=a.get("M"))),
+    "constrained_nonsmooth": (
+        ("constrained",), {"eps": float},
+        lambda p, s, a: constrained.solve_constrained_nonsmooth(p, s, a["eps"])),
+    "constrained_general": (
+        ("constrained",), {"eps": float},
+        lambda p, s, a: constrained.solve_constrained_general(p, s, a["eps"])),
+    "agm": (_MINIMIZE, {"N": int}, _agm),
+    "universal_agm": (
+        _MINIMIZE, {"eps": float, "L0": float, "N": int},
+        lambda p, s, a: smoothing.universal_agm(p, s, a["eps"], a["L0"],
+                                                a["N"])),
+    "mirror_prox": (
+        ("vi",), {"N": int},
+        lambda op, s, a: mirrorprox.mirror_prox_solve(
+            op, op.domain, a.get("L", op.lipschitz), a["N"],
+            gap_fn=_saddle_gap(op))),
+    "universal_mirror_prox": (
+        ("vi",), {"eps": float, "M_init": float, "N": int},
+        lambda op, s, a: mirrorprox.universal_mirror_prox_solve(
+            op, op.domain, a["eps"], a["M_init"], a["N"],
+            gap_fn=_saddle_gap(op))),
+}
+METHODS = frozenset(_METHODS)
+
+
+def _coerce(params, required):
+    """``params`` with each required entry present and coerced."""
+    out = dict(params)
+    for name, convert in required.items():
+        if name not in params:
+            raise ConfigError(f"missing parameter '{name}'")
+        try:
+            out[name] = convert(params[name])
+        except (TypeError, ValueError):
+            raise ConfigError(f"parameter '{name}' must be {convert.__name__}, "
+                              f"got {params[name]!r}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,76 +346,77 @@ _PER_ROW_CERTIFIED = {"mirror_prox", "universal_mirror_prox"}
 # ---------------------------------------------------------------------------
 
 def _validate(config):
+    """Names, kinds and seed of a config, checked before anything is built."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    for key in ("seed", "problem", "method"):
-        if key not in config:
-            raise ConfigError(f"config missing '{key}'")
+    for key in ("problem", "method"):
+        if not isinstance(config.get(key), dict):
+            raise ConfigError(f"config needs a '{key}' object")
+    if not isinstance(config.get("setup", {}), dict):
+        raise ConfigError("'setup' must be a JSON object")
     pname = config["problem"].get("generator")
-    if pname not in PROBLEMS:
+    if not isinstance(pname, str) or pname not in PROBLEMS:
         raise ConfigError(f"unknown problem '{pname}'; available: "
                           + ", ".join(sorted(PROBLEMS)))
     mname = config["method"].get("name")
-    if mname not in METHODS:
+    if not isinstance(mname, str) or mname not in METHODS:
         raise ConfigError(f"unknown method '{mname}'; available: "
                           + ", ".join(sorted(METHODS)))
-    return pname, mname
+    pkind = _PROBLEM_KINDS[pname]
+    if pkind not in _METHODS[mname][0]:
+        raise ConfigError(f"method '{mname}' does not apply to '{pname}', "
+                          f"a {pkind} problem")
+    return pname, mname, _coerce(config, {"seed": int})["seed"]
 
 
 def _check_bounds(report, mname, problem, kind, eps=None):
     """Collect (error, bound) comparisons the run certifies."""
     verdicts = []
+
+    def check(k, error, bound):
+        verdicts.append({"k": k, "error": error, "bound": bound,
+                         "ok": error <= bound + BOUND_SLACK})
+
     if kind == "vi":
         for row in report.trace:
             if math.isfinite(row.bound_value) and math.isfinite(row.f_value):
-                verdicts.append({"k": row.k, "error": row.f_value,
-                                 "bound": row.bound_value,
-                                 "ok": row.f_value <= row.bound_value + BOUND_SLACK})
+                check(row.k, row.f_value, row.bound_value)
         return verdicts
-    f_star = getattr(problem, "f_star", None)
-    gap = getattr(report, "gap", None)
-    bound = getattr(report, "bound", None)
+    f_star, gap, bound = problem.f_star, report.gap, report.bound
+    n = report.iterations
     if gap is not None and bound is not None and math.isfinite(bound):
-        verdicts.append({"k": report.iterations, "error": gap, "bound": bound,
-                         "ok": gap <= bound + BOUND_SLACK})
+        check(n, gap, bound)
     if mname.startswith("constrained") and eps is not None:
-        f_bar, g_bar = report.f_bar, report.g_bar
+        f_bar, g_bar = report.f_out, report.g_bar
         if mname == "constrained_nonsmooth" and f_star is not None \
                 and math.isfinite(f_bar):
-            verdicts.append({"k": report.iterations, "error": f_bar - f_star,
-                             "bound": eps,
-                             "ok": f_bar - f_star <= eps + BOUND_SLACK})
+            check(n, f_bar - f_star, eps)
         if math.isfinite(g_bar):
-            verdicts.append({"k": report.iterations, "error": g_bar,
-                             "bound": eps, "ok": g_bar <= eps + BOUND_SLACK})
+            check(n, g_bar, eps)
         if report.iteration_bound is not None:
-            verdicts.append({"k": report.iterations,
-                             "error": float(report.iterations),
-                             "bound": float(report.iteration_bound),
-                             "ok": report.iterations <= report.iteration_bound})
+            check(n, float(n), float(report.iteration_bound))
     if f_star is not None and mname in ("agm", "universal_agm"):
         for row in report.trace:
             if math.isfinite(row.bound_value):
-                err = row.f_value - f_star
-                verdicts.append({"k": row.k, "error": err,
-                                 "bound": row.bound_value,
-                                 "ok": err <= row.bound_value + BOUND_SLACK})
+                check(row.k, row.f_value - f_star, row.bound_value)
     return verdicts
 
 
 def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
-    """Run one experiment.  Returns (exit_code, summary dict)."""
-    pname, mname = _validate(config)
-    seed = int(config["seed"])
+    """Run one experiment.  Returns (exit_code, summary dict).
+
+    A malformed config raises ConfigError before anything is built.
+    """
+    pname, mname, seed = _validate(config)
+    _, required, call = _METHODS[mname]
+    mparams = _coerce({k: v for k, v in config["method"].items()
+                       if k != "name"}, required)
     pparams = {k: v for k, v in config["problem"].items() if k != "generator"}
     problem, kind = PROBLEMS[pname](pparams, seed)
-    setup = None
-    if kind != "vi":
-        setup = _make_setup(problem, config.get("setup"))
-    mparams = {k: v for k, v in config["method"].items() if k != "name"}
+    setup = None if kind == "vi" else _make_setup(problem, config.get("setup"))
 
     t0 = time.perf_counter_ns()
-    report = _run_method(mname, mparams, problem, setup, kind)
+    report = call(problem, setup, mparams)
     elapsed = time.perf_counter_ns() - t0
 
     trace = report.trace
@@ -418,7 +431,7 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
         "problem": pname,
         "method": mname,
         "seed": seed,
-        "iterations": int(getattr(report, "iterations", len(trace))),
+        "iterations": int(report.iterations),
         "oracle_calls": int(report.oracle_calls),
         "trace_rows": len(trace),
         "trace_sha256": trace_hash(trace),
@@ -426,26 +439,17 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
         "bounds_ok": bool(all_ok),
     }
     if kind == "vi":
-        last_gap = trace.rows[-1].f_value if len(trace) else float("nan")
-        summary["final_gap"] = last_gap
+        summary["final_gap"] = report.f_out
     else:
-        f_out = getattr(report, "f_out", getattr(report, "f_bar", None))
-        if f_out is not None:
-            summary["f_out"] = float(f_out)
-        if getattr(problem, "f_star", None) is not None:
+        summary["f_out"] = float(report.f_out)
+        if problem.f_star is not None:
             summary["f_star"] = float(problem.f_star)
-        gap = getattr(report, "gap", None)
-        if gap is None and getattr(problem, "f_star", None) is not None \
-                and f_out is not None:
-            gap = f_out - problem.f_star
-        if gap is not None:
-            summary["gap"] = float(gap)
-        bound = getattr(report, "bound", None)
-        if bound is not None and bound == bound:
-            summary["bound"] = float(bound)
-        g_bar = getattr(report, "g_bar", None)
-        if g_bar is not None:
-            summary["g_bar"] = float(g_bar)
+        if report.gap is not None:
+            summary["gap"] = float(report.gap)
+        if report.bound is not None and report.bound == report.bound:
+            summary["bound"] = float(report.bound)
+        if report.g_bar is not None:
+            summary["g_bar"] = float(report.g_bar)
     if verdicts:
         summary["worst_margin"] = min(v["bound"] - v["error"] for v in verdicts)
 

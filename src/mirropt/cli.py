@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError, fit_rate, run_experiment
+from .bench import fit_rate, run_experiment
 from .report import TRACE_COLUMNS
 
 EXIT_OK = 0
@@ -43,7 +43,8 @@ def _cmd_solve(args):
         code, summary = run_experiment(config, out_dir=out_dir,
                                        check_bounds=args.check_bounds,
                                        stem=path.stem)
-    except ConfigError as exc:
+    except ValueError as exc:
+        # a ConfigError, or a size or parameter a generator or solver rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

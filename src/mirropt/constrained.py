@@ -11,32 +11,27 @@ subgradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .oracles import aggregate_max
-from .report import RunTrace, TraceRow
+from .report import Report, RunTrace, TraceRow
 
 
 class InfeasibleAtEpsError(RuntimeError):
     pass
 
 
-@dataclass
-class ConstrainedReport:
-    x_bar: np.ndarray
-    f_bar: float
-    g_bar: float
-    iterations: int
-    productive: int
-    oracle_calls: int
-    trace: RunTrace
-    lambda_bar: np.ndarray | None = None
-    iteration_bound: int | None = None
-    theta0_sq_used: float = float("nan")
-    no_productive_steps: bool = False   # infeasibility-at-eps diagnostic
-    extras: dict = field(default_factory=dict)
+def _theta0_sq(problem, setup, eps):
+    """Validate a switching run's inputs; returns the setup's Theta_0^2."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if problem.constraints is None:
+        raise ValueError("problem has no constraint bundle")
+    if setup.theta0_sq is None:
+        raise ValueError("setup.theta0_sq is required")
+    return setup.theta0_sq
 
 
 def _iteration_bound(m_f, m_g, theta0_sq, eps):
@@ -54,13 +49,7 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
     the productive-step average and the approximate dual multipliers grouped
     by active constraint index.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if problem.constraints is None:
-        raise ValueError("problem has no constraint bundle")
-    theta0_sq = setup.theta0_sq
-    if theta0_sq is None:
-        raise ValueError("setup.theta0_sq is required")
+    theta0_sq = _theta0_sq(problem, setup, eps)
     m = len(problem.constraints)
     x = setup.prox_center()
     trace = RunTrace()
@@ -80,22 +69,17 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
             f_resp = problem.objective(x)
             calls += 1
             m_k = setup.dual_norm(f_resp.subgradient)
+            h_k = eps / m_k**2 if m_k != 0.0 else 1.0
+            weighted += h_k * x
+            h_prod_sum += h_k
+            n_prod += 1
             if m_k == 0.0:
                 # current productive point is optimal among feasible-at-eps
-                h_k = 1.0
-                weighted += h_k * x
-                h_prod_sum += h_k
-                n_prod += 1
-                stop_sum = stop_target
                 trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
                                       step=h_k, M_k=0.0, oracle_calls=calls))
                 k += 1
                 break
-            h_k = eps / m_k**2
             step_grad = f_resp.subgradient
-            weighted += h_k * x
-            h_prod_sum += h_k
-            n_prod += 1
             f_val = f_resp.value
         else:
             m_k = setup.dual_norm(g_resp.subgradient)
@@ -117,25 +101,24 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
             break
         if k >= max_iter:
             raise RuntimeError("iteration cap reached before the stop rule")
-    if n_prod == 0:
-        return ConstrainedReport(
-            x_bar=x, f_bar=float("nan"), g_bar=float("nan"), iterations=k,
-            productive=0, oracle_calls=calls, trace=trace,
-            no_productive_steps=True, theta0_sq_used=theta0_sq,
-            iteration_bound=_iteration_bound(problem.lipschitz_f,
-                                             problem.lipschitz_g,
-                                             theta0_sq, eps))
+    it_bound = _iteration_bound(problem.lipschitz_f, problem.lipschitz_g,
+                                theta0_sq, eps)
+    if n_prod == 0:     # never feasible at level eps: no output value
+        nan = float("nan")
+        return Report(method="constrained_nonsmooth", x_out=x, f_out=nan,
+                      iterations=k, oracle_calls=calls, trace=trace,
+                      gap=None if problem.f_star is None else nan, g_bar=nan,
+                      productive=0, iteration_bound=it_bound)
     x_bar = weighted / h_prod_sum
-    lambda_bar = lam_raw / h_prod_sum
     f_bar = problem.objective(x_bar).value
     g_bar = aggregate_max(problem.constraints, x_bar).value
     calls += 2
-    return ConstrainedReport(
-        x_bar=x_bar, f_bar=f_bar, g_bar=g_bar, iterations=k,
-        productive=n_prod, oracle_calls=calls, trace=trace,
-        lambda_bar=lambda_bar, theta0_sq_used=theta0_sq,
-        iteration_bound=_iteration_bound(problem.lipschitz_f,
-                                         problem.lipschitz_g, theta0_sq, eps),
+    return Report(
+        method="constrained_nonsmooth", x_out=x_bar, f_out=f_bar,
+        iterations=k, oracle_calls=calls, trace=trace,
+        gap=None if problem.f_star is None else f_bar - problem.f_star,
+        g_bar=g_bar, productive=n_prod,
+        lambda_bar=lam_raw / h_prod_sum, iteration_bound=it_bound,
         extras={"iterates": iterates, "h_prod_sum": h_prod_sum},
     )
 
@@ -148,13 +131,7 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7,
     h_k = eps/||grad g||_*^2; stops once |I| + sum_{j in J} 1/||grad g||_*^2
     >= 2 Theta_0^2 / eps^2.  Returns the best productive iterate.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if problem.constraints is None:
-        raise ValueError("problem has no constraint bundle")
-    theta0_sq = setup.theta0_sq
-    if theta0_sq is None:
-        raise ValueError("setup.theta0_sq is required")
+    theta0_sq = _theta0_sq(problem, setup, eps)
     x = setup.prox_center()
     trace = RunTrace()
     iterates = [] if keep_iterates else None
@@ -207,20 +184,22 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7,
             break
         if k >= max_iter:
             raise RuntimeError("iteration cap reached before the stop rule")
-    if n_prod == 0:
-        return ConstrainedReport(
-            x_bar=x, f_bar=float("nan"), g_bar=float("nan"), iterations=k,
-            productive=0, oracle_calls=calls, trace=trace,
-            no_productive_steps=True, theta0_sq_used=theta0_sq)
+    if n_prod == 0:     # never feasible at level eps: no output value
+        nan = float("nan")
+        return Report(method="constrained_general", x_out=x, f_out=nan,
+                      iterations=k, oracle_calls=calls, trace=trace,
+                      gap=None if problem.f_star is None else nan, g_bar=nan,
+                      productive=0)
     g_best = aggregate_max(problem.constraints, best_x).value
     calls += 1
     m_g = problem.lipschitz_g
     it_bound = None if m_g is None else \
         math.ceil(2.0 * max(1.0, m_g**2) * theta0_sq / eps**2)
-    rep = ConstrainedReport(
-        x_bar=best_x, f_bar=best_f, g_bar=g_best, iterations=k,
-        productive=n_prod, oracle_calls=calls, trace=trace,
-        theta0_sq_used=theta0_sq, iteration_bound=it_bound,
+    rep = Report(
+        method="constrained_general", x_out=best_x, f_out=best_f,
+        iterations=k, oracle_calls=calls, trace=trace,
+        gap=None if problem.f_star is None else best_f - problem.f_star,
+        g_bar=g_best, productive=n_prod, iteration_bound=it_bound,
         extras={"iterates": iterates, "productive_points": productive_points},
     )
     if problem.x_star is not None:
@@ -251,7 +230,7 @@ class Certificates:
 
 def certify(problem, report, lagrangian_minimizer, eps=None,
             grad_norms_at_opt=None, lipschitz_grads=None):
-    """Primal-dual certificates for a ConstrainedReport.
+    """Primal-dual certificates for a switching-method Report.
 
     ``lagrangian_minimizer(lambda)`` must return
     min_{x in X} f(x) + sum_i lambda_i g_i(x) exactly for the instance family.
@@ -265,11 +244,11 @@ def certify(problem, report, lagrangian_minimizer, eps=None,
     if np.any(lam < 0):
         raise ValueError("negative multiplier in lambda_bar")
     phi = float(lagrangian_minimizer(lam))
-    gap = report.f_bar - phi
+    gap = report.f_out - phi
     eps_tilde = None
     if eps is not None and grad_norms_at_opt is not None and lipschitz_grads is not None:
         eps_tilde = max(eps, eps * max(grad_norms_at_opt)
                         + eps**2 * max(lipschitz_grads) / 2.0)
-    return Certificates(f_bar=report.f_bar, g_bar=report.g_bar,
+    return Certificates(f_bar=report.f_out, g_bar=report.g_bar,
                         phi_lambda=phi, duality_gap=float(gap),
                         eps_tilde=eps_tilde)

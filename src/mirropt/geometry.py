@@ -10,7 +10,7 @@ domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class ProxSetup:
             origin = self.origin
             if origin is None:
                 origin = np.zeros(self.set.dim)
-            object.__setattr__(self, "origin", np.asarray(origin, dtype=float))
+            object.__setattr__(self, "origin", _check_dim(self.set.dim, origin))
         elif self.kind == "entropy":
             if self.set.kind != "simplex":
                 raise ValueError("entropy setup requires a simplex feasible set")
@@ -147,21 +147,17 @@ class ProxSetup:
     def dim(self):
         return self.set.dim
 
-    @property
-    def norm_tag(self):
-        return "l2" if self.kind == "euclidean" else "l1"
-
     # -- norms ------------------------------------------------------------
 
     def norm(self, x):
         x = _check_dim(self.dim, x)
-        if self.norm_tag == "l2":
+        if self.kind == "euclidean":
             return float(np.linalg.norm(x))
         return float(np.abs(x).sum())
 
     def dual_norm(self, p):
         p = _check_dim(self.dim, p)
-        if self.norm_tag == "l2":
+        if self.kind == "euclidean":
             return float(np.linalg.norm(p))
         return float(np.abs(p).max()) if p.size else 0.0
 
@@ -355,17 +351,3 @@ def entropy_l1_ball_setup(dim, radius=1.0):
     fs = FeasibleSet.l1_ball(dim, radius)
     return ProxSetup(fs, "entropy", theta0_sq=float(np.log(fs.dim)))
 
-
-# -- free-function conveniences -------------------------------------------
-
-def dual_norm(setup, p):
-    return setup.dual_norm(p)
-
-def bregman_divergence(setup, x, y):
-    return setup.bregman(x, y)
-
-def mirror_step(setup, x, p):
-    return setup.mirror_step(x, p)
-
-def prox_center(setup):
-    return setup.prox_center()

@@ -188,14 +188,3 @@ class MaxStructure:
                 best, best_i = zi, i
         return best, best_i + 1
 
-
-def build_max_structure(A, y0):
-    return MaxStructure(A, y0)
-
-
-def apply_sparse_update(s, delta):
-    return s.apply_sparse_update(delta)
-
-
-def current_subgradient(s):
-    return s.current_subgradient()

@@ -3,27 +3,11 @@ monotone variational inequalities and convex-concave saddle points."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .report import RunTrace, TraceRow
+from .report import Report, RunTrace, TraceRow
 
 MAX_INNER_TRIALS = 64
-
-
-@dataclass
-class VIReport:
-    w_hat: np.ndarray
-    iterations: int
-    oracle_calls: int
-    trace: RunTrace
-    m_ks: list = field(default_factory=list)
-    inner_trials: list = field(default_factory=list)
-    residual: float | None = None
-    gap: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def mirror_prox_solve(op, setup, L, N, gap_fn=None, keep_iterates=False):
@@ -57,9 +41,10 @@ def mirror_prox_solve(op, setup, L, N, gap_fn=None, keep_iterates=False):
                               oracle_calls=calls,
                               bound_value=L * max_v / (k + 1)))
     w_hat = total / max(N, 1) if N > 0 else z
-    return VIReport(w_hat=w_hat, iterations=N, oracle_calls=calls,
-                    trace=trace, m_ks=[L] * N,
-                    extras={"iterates": iterates, "max_v": max_v, "z_last": z})
+    f_out = trace.rows[-1].f_value if N > 0 else float("nan")
+    return Report(method="mirror_prox", x_out=w_hat, f_out=f_out,
+                  iterations=N, oracle_calls=calls, trace=trace, m_ks=[L] * N,
+                  extras={"iterates": iterates, "max_v": max_v, "z_last": z})
 
 
 def universal_mirror_prox_solve(op, setup, eps, M_init, N, gap_fn=None,
@@ -121,31 +106,21 @@ def universal_mirror_prox_solve(op, setup, eps, M_init, N, gap_fn=None,
             stopped_adaptive = True
             break
     w_hat = weighted / wsum if wsum > 0 else z
-    return VIReport(w_hat=w_hat, iterations=k, oracle_calls=calls,
-                    trace=trace, m_ks=m_ks, inner_trials=inner_trials,
-                    extras={"iterates": iterates, "max_v": d_max,
-                            "stopped_adaptive": stopped_adaptive,
-                            "weight_sum": wsum, "M_init": M_init})
+    f_out = trace.rows[-1].f_value if k > 0 else float("nan")
+    return Report(method="universal_mirror_prox", x_out=w_hat, f_out=f_out,
+                  iterations=k, oracle_calls=calls, trace=trace, m_ks=m_ks,
+                  inner_trials=inner_trials,
+                  extras={"iterates": iterates, "max_v": d_max,
+                          "stopped_adaptive": stopped_adaptive,
+                          "weight_sum": wsum, "M_init": M_init})
 
 
-def ump_rate_bound(nu, l_nu, eps, k, max_v):
+def ump_rate_bound(nu, *, l_nu, eps, k, max_v):
     """Residual guarantee of Universal Mirror Prox for a Hoelder operator."""
     if k < 1:
         return float("inf")
     return (2.0 * l_nu) ** (2.0 / (1 + nu)) / (k * eps ** ((1 - nu) / (1 + nu))) \
         * max_v + eps / 2.0
-
-
-def ump_call_bound(nu, l_nu, eps, k, m_init):
-    """Oracle-call budget 4k + 2 log2(2 L(eps/2)) - 2 log2(M_init).
-
-    The algorithm doubles from M_{k-1}/2, so the per-iteration exponent in
-    the printed count is off by one; this audit uses the algorithm's own
-    doubling rule, which only enlarges the budget by the documented +1 per
-    iteration already absorbed in the 4k term.
-    """
-    l_half = (2.0 / eps) ** ((1 - nu) / (1 + nu)) * l_nu ** (2.0 / (1 + nu))
-    return 4.0 * k + 2.0 * math.log2(2.0 * l_half) - 2.0 * math.log2(m_init)
 
 
 def _max_linear(feasible_set, t):
@@ -159,10 +134,6 @@ def _max_linear(feasible_set, t):
     if s.kind == "ball":
         return float(t @ s.center + s.radius * np.linalg.norm(t))
     raise ValueError(f"cannot maximize a linear form over '{s.kind}'")
-
-
-def _min_linear(feasible_set, t):
-    return -_max_linear(feasible_set, -np.asarray(t, dtype=float))
 
 
 def vi_residual(op, w_hat):
@@ -195,5 +166,5 @@ def saddle_gap(op, x_hat, u_hat):
     x_hat = np.asarray(x_hat, dtype=float)
     u_hat = np.asarray(u_hat, dtype=float)
     hi = _max_linear(part_u.set, A @ x_hat)
-    lo = _min_linear(part_x.set, A.T @ u_hat)
+    lo = -_max_linear(part_x.set, -(A.T @ u_hat))     # min over x
     return float(hi - lo)

@@ -8,6 +8,7 @@ An oracle is any callable ``x -> OracleResponse``.  ``FunctionOracle`` wraps a
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ class InexactOracle:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        rng = np.random.default_rng([self.seed, abs(hash(x.tobytes())) % (2**32)])
+        # crc32 rather than hash(): bytes hashes are salted per process
+        rng = np.random.default_rng([self.seed, zlib.crc32(x.tobytes())])
         shift = rng.standard_normal(x.size)
         nrm = np.linalg.norm(shift)
         if nrm > 0 and self.lipschitz > 0:
@@ -112,7 +114,11 @@ class LinearMaxBundle(ConstraintBundle):
     def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        super().__init__([LinearOracle(a, bb) for a, bb in zip(self.A, self.b)])
+        if self.A.shape[0] == 0:
+            raise ValueError("empty constraint bundle")
+
+    def __len__(self):
+        return self.A.shape[0]
 
     def evaluate(self, x):
         vals = self.A @ x + self.b

@@ -13,8 +13,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .geometry import FeasibleSet, ProductSetup, entropy_setup, euclidean_setup
-from .oracles import (AbsLinearOracle, ConstraintBundle, FunctionOracle,
-                      LinearMaxBundle, LinearOracle, OracleResponse,
+from .oracles import (LinearMaxBundle, LinearOracle, OracleResponse,
                       ProblemInstance, SaddleOperator)
 
 
@@ -192,26 +191,7 @@ def gen_ttd_dual(nodes, bars, seed, box_half_width=2.0):
     f_bar[dof[node][0]] = np.cos(angle)
     f_bar[dof[node][1]] = np.sin(angle)
 
-    lo = np.full(dim, -box_half_width)
-    hi = np.full(dim, box_half_width)
-    res = linprog(-f_bar, A_ub=np.vstack([rows, -rows]),
-                  b_ub=np.ones(2 * len(rows)), bounds=list(zip(lo, hi)),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"TTD dual LP failed: {res.message}")
-
-    signed = np.vstack([rows, -rows])
-    lip_g = float(max(np.linalg.norm(a) for a in rows))
-    return ProblemInstance(
-        objective=LinearOracle(-f_bar),
-        set=FeasibleSet.box(lo, hi),
-        constraints=LinearMaxBundle(signed, np.full(2 * len(rows), -1.0)),
-        lipschitz_f=float(np.linalg.norm(f_bar)),
-        lipschitz_g=lip_g,
-        f_star=float(res.fun),
-        x_star=np.asarray(res.x, dtype=float),
-        meta={"rows": rows, "f_bar": f_bar, "n_bars": len(rows)},
-    )
+    return make_ttd_instance(rows, f_bar, box_half_width)
 
 
 def make_ttd_instance(rows, f_bar, box_half_width=2.0):

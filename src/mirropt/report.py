@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-
-TRACE_COLUMNS = ("k", "f_value", "g_value", "step", "M_k", "oracle_calls",
-                 "elapsed_ns", "bound_value")
 
 
 @dataclass
@@ -20,6 +17,9 @@ class TraceRow:
     oracle_calls: int = 0
     elapsed_ns: int = 0
     bound_value: float = float("nan")
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 class RunTrace:
@@ -44,7 +44,11 @@ class RunTrace:
 
 
 @dataclass
-class SolverReport:
+class Report:
+    """What every solver returns.  For a VI, ``x_out`` is the averaged point
+    and ``f_out`` its certified gap; optional fields stay None or empty for
+    the methods they do not describe."""
+
     method: str
     x_out: np.ndarray
     f_out: float
@@ -53,7 +57,13 @@ class SolverReport:
     trace: RunTrace
     bound: float | None = None          # headline theorem bound, if computable
     gap: float | None = None            # f_out - f_star when f_star known
-    min_dist: float | None = None       # min over iterates of ||x^k - x_star||
+    g_bar: float | None = None          # constraint value at x_out
+    productive: int | None = None       # productive (objective-driven) steps
+    lambda_bar: np.ndarray | None = None    # approximate dual multipliers
+    iteration_bound: int | None = None
+    m_ks: list = field(default_factory=list)            # accepted constants
+    inner_trials: list = field(default_factory=list)    # line-search trials
     stopped_exact: bool = False
     violations: list = field(default_factory=list)
+    min_dist: float | None = None       # min over iterates of ||x^k - x_star||
     extras: dict = field(default_factory=dict)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .oracles import OracleResponse
-from .report import RunTrace, SolverReport, TraceRow
+from .report import Report, RunTrace, TraceRow
 
 MAX_BACKTRACKS = 64
 
@@ -28,8 +28,8 @@ def agm_solve(problem, setup, L, N, keep_iterates=False):
 
     Guarantee: f(y^k) - f* <= 4 L V[z^0](x*) / (k+1)^2 for all k.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if L <= 0 or N < 0:
+        raise ValueError("L must be positive and N >= 0")
     x0 = setup.prox_center()
     y = x0.copy()
     z = x0.copy()
@@ -59,7 +59,7 @@ def agm_solve(problem, setup, L, N, keep_iterates=False):
     f_out = problem.objective(y).value if N == 0 else trace.rows[-1].f_value
     if N == 0:
         calls += 1
-    return SolverReport(
+    return Report(
         method="agm", x_out=y, f_out=f_out, iterations=N, oracle_calls=calls,
         trace=trace,
         bound=None if v0 is None else 4.0 * L * v0 / (N + 1) ** 2,
@@ -123,10 +123,6 @@ class SmoothedMaxResidual:
         return OracleResponse(value, grad)
 
 
-def build_smoothed_oracle(A, b, mu, h_oracle=None, L_h=0.0):
-    return SmoothedMaxResidual(A, b, mu, h_oracle=h_oracle, L_h=L_h)
-
-
 def choose_mu(a_norm, D1, D2, N):
     """Smoothing level 2||A||/(N+1) * sqrt(D1/D2) for an N-iteration budget."""
     if D1 <= 0 or D2 <= 0 or N < 0:
@@ -134,7 +130,7 @@ def choose_mu(a_norm, D1, D2, N):
     return 2.0 * a_norm / (N + 1) * math.sqrt(D1 / D2)
 
 
-def universal_conv_bound(nu, l_nu, eps, k, v0):
+def universal_conv_bound(nu, *, l_nu, eps, k, v0):
     """Accuracy guarantee of the universal method after k iterations for a
     Hoelder-smooth objective with exponent nu and constant l_nu."""
     if k < 1:
@@ -143,7 +139,7 @@ def universal_conv_bound(nu, l_nu, eps, k, v0):
     return base ** (1.0 / (1 + nu)) * v0 + eps / 2.0
 
 
-def universal_call_bound(nu, l_nu, eps, k, v0):
+def universal_call_bound(nu, *, l_nu, eps, k, v0):
     """Oracle-call budget of the universal method (known nu, l_nu)."""
     arg = (2.0 * v0) ** ((1 - nu) / (1 + 3 * nu)) \
         * (1.0 / eps) ** (3.0 * (1 - nu) / (1 + 3 * nu)) \
@@ -159,8 +155,8 @@ def universal_agm(problem, setup, eps, L0, N, keep_iterates=False):
     descent condition with slack alpha*eps/(2C) holds, and sets
     L_{k+1} = M_k / 2.
     """
-    if eps <= 0 or L0 <= 0:
-        raise ValueError("eps and L0 must be positive")
+    if eps <= 0 or L0 <= 0 or N < 0:
+        raise ValueError("eps and L0 must be positive and N >= 0")
     x0 = setup.prox_center()
     y = x0.copy()
     z = x0.copy()
@@ -209,16 +205,17 @@ def universal_agm(problem, setup, eps, L0, N, keep_iterates=False):
         bound = float("nan")
         if v0 is not None and problem.meta and "holder" in (problem.meta or {}):
             nu, l_nu = problem.meta["holder"]
-            bound = universal_conv_bound(nu, l_nu, eps, k + 1, v0)
+            bound = universal_conv_bound(nu, l_nu=l_nu, eps=eps, k=k + 1,
+                                         v0=v0)
         trace.append(TraceRow(k + 1, fy, step=alpha, M_k=M,
                               oracle_calls=calls, bound_value=bound))
     f_out = problem.objective(y).value if N == 0 else trace.rows[-1].f_value
     if N == 0:
         calls += 1
-    return SolverReport(
+    return Report(
         method="universal_agm", x_out=y, f_out=f_out, iterations=N,
         oracle_calls=calls, trace=trace,
         gap=None if problem.f_star is None else f_out - problem.f_star,
-        extras={"iterates": iterates, "V0": v0, "inner_trials": inner_trials,
-                "M_ks": m_ks, "C": C},
+        m_ks=m_ks, inner_trials=inner_trials,
+        extras={"iterates": iterates, "V0": v0, "C": C},
     )

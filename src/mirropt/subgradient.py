@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .report import RunTrace, SolverReport, TraceRow
+from .report import Report, RunTrace, TraceRow
 
 
 def _maybe_dist(x, x_star):
@@ -52,7 +52,7 @@ def run_shor(problem, x0, lam, N, keep_iterates=False):
             min_dist = d if min_dist is None else min(min_dist, d)
     f_out = problem.objective(x).value
     calls += 1
-    return SolverReport(
+    return Report(
         method="shor", x_out=x, f_out=f_out, iterations=len(trace),
         oracle_calls=calls, trace=trace, min_dist=min_dist,
         stopped_exact=stopped_exact,
@@ -96,7 +96,7 @@ def run_fixed_md(problem, setup, R, M, N, keep_iterates=False):
     x_bar = total / N
     f_bar = problem.objective(x_bar).value
     calls += 1
-    return SolverReport(
+    return Report(
         method="fixed_md", x_out=x_bar, f_out=f_bar, iterations=N,
         oracle_calls=calls, trace=trace, bound=bound, violations=violations,
         gap=None if problem.f_star is None else f_bar - problem.f_star,
@@ -107,8 +107,8 @@ def run_fixed_md(problem, setup, R, M, N, keep_iterates=False):
 def run_adaptive_md(problem, setup, eps, N, keep_iterates=False):
     """Adaptive-norm Mirror Descent: h_k = eps / ||g^k||_*^2 with step-weighted
     averaging.  A zero subgradient stops the run at an exact optimum."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if eps <= 0 or N < 1:
+        raise ValueError("eps must be positive and N >= 1")
     x = setup.prox_center()
     trace = RunTrace()
     iterates = [] if keep_iterates else None
@@ -145,7 +145,7 @@ def run_adaptive_md(problem, setup, eps, N, keep_iterates=False):
         r_sq = setup.bregman(setup.prox_center(), problem.x_star)
     realized_bound = None if (r_sq is None or stopped_exact) \
         else r_sq / h_sum + eps / 2.0
-    return SolverReport(
+    return Report(
         method="adaptive_md", x_out=x_bar, f_out=f_bar, iterations=len(trace),
         oracle_calls=calls, trace=trace, bound=realized_bound,
         stopped_exact=stopped_exact,
@@ -163,6 +163,8 @@ def run_normalized_md(problem, setup, R, N, keep_iterates=False):
     """
     if setup.kind != "euclidean":
         raise ValueError("normalized method requires the Euclidean setup")
+    if R <= 0 or N < 1:
+        raise ValueError("R must be positive and N >= 1")
     x = setup.prox_center()
     trace = RunTrace()
     iterates = [] if keep_iterates else None
@@ -188,7 +190,7 @@ def run_normalized_md(problem, setup, R, N, keep_iterates=False):
         trace.append(TraceRow(k, resp.value, step=h, M_k=gn, oracle_calls=calls))
         x = setup.mirror_step(x, h * resp.subgradient)
     bound = m_obs * R / math.sqrt(N)
-    return SolverReport(
+    return Report(
         method="normalized_md", x_out=best_x, f_out=best_f,
         iterations=len(trace), oracle_calls=calls, trace=trace, bound=bound,
         stopped_exact=stopped_exact,
@@ -230,7 +232,7 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None, keep_iterates=False):
     bound = 2.0 * m_eff**2 / (mu * (N + 1))
     f_bar = problem.objective(weighted).value
     calls += 1
-    return SolverReport(
+    return Report(
         method="strongly_convex_md", x_out=weighted, f_out=f_bar,
         iterations=N, oracle_calls=calls, trace=trace, bound=bound,
         gap=None if problem.f_star is None else f_bar - problem.f_star,

@@ -16,7 +16,7 @@ from mirropt.bench import PROBLEMS, _make_setup, fit_rate, run_experiment
 from mirropt.constrained import (certify, solve_constrained_general,
                                  solve_constrained_nonsmooth)
 from mirropt.geometry import FeasibleSet, entropy_setup, euclidean_setup
-from mirropt.maxstruct import SparseVector, build_max_structure
+from mirropt.maxstruct import MaxStructure, SparseVector
 from mirropt.mirrorprox import (mirror_prox_solve, saddle_gap, ump_rate_bound,
                                 universal_mirror_prox_solve)
 from mirropt.oracles import (ConstraintBundle, FunctionOracle, InexactOracle,
@@ -24,7 +24,7 @@ from mirropt.oracles import (ConstraintBundle, FunctionOracle, InexactOracle,
 from mirropt.problems import (gen_matrix_game, gen_ttd_dual,
                               reconstruct_ttd_primal,
                               ttd_multipliers_from_dual)
-from mirropt.smoothing import (agm_solve, build_smoothed_oracle, choose_mu,
+from mirropt.smoothing import (SmoothedMaxResidual, agm_solve, choose_mu,
                                universal_agm, universal_call_bound,
                                universal_conv_bound)
 from mirropt.subgradient import (run_fixed_md, run_shor,
@@ -156,7 +156,7 @@ def test_criterion_05_switching_md_toy_lps(capsys):
                 rep = solve_constrained_nonsmooth(prob, setup, eps=eps)
                 cert = certify(prob, rep, toy_lp_phi(prob))
                 assert rep.iterations <= rep.iteration_bound
-                assert rep.f_bar - prob.f_star <= eps + 1e-9
+                assert rep.f_out - prob.f_star <= eps + 1e-9
                 assert rep.g_bar <= eps + 1e-9
                 assert cert.duality_gap <= eps + 1e-9
 
@@ -210,7 +210,7 @@ def test_criterion_07_inexact_oracle_gap(capsys):
                                            seed=seed)
             setup = _make_setup(prob, {})
             rep = solve_constrained_nonsmooth(prob, setup, eps=eps)
-            f_bar_exact = exact(rep.x_bar).value
+            f_bar_exact = exact(rep.x_out).value
             assert f_bar_exact - prob.f_star <= eps + delta + 1e-9
 
 
@@ -245,7 +245,7 @@ def test_criterion_09_smoothing(capsys):
         A = rng.standard_normal((m, n))
         b = A @ rng.uniform(-0.5, 0.5, size=n)
         # finite-difference agreement of the smoothed gradient
-        oracle = build_smoothed_oracle(A, b, mu=0.05)
+        oracle = SmoothedMaxResidual(A, b, mu=0.05)
         h = 1e-7
         for _ in range(50):
             x = rng.uniform(-1, 1, size=n)
@@ -267,7 +267,7 @@ def test_criterion_09_smoothing(capsys):
         D2 = math.log(2 * m)
         a_norm = float(np.max(np.linalg.norm(A, axis=1)))
         mu = choose_mu(a_norm, D1, D2, N)
-        smoothed = build_smoothed_oracle(A, b, mu)
+        smoothed = SmoothedMaxResidual(A, b, mu)
         prob = ProblemInstance(
             smoothed, FeasibleSet.box(np.full(n, -1.0), np.full(n, 1.0)))
         rep = agm_solve(prob, euclidean_setup(prob.set), L=smoothed.l_mu, N=N)
@@ -302,9 +302,11 @@ def test_criterion_10_universal_agm(capsys):
         ks = rep.trace.column("k")
         errs = rep.trace.column("f_value") - prob.f_star
         for k, err in zip(ks, errs):
-            assert err <= universal_conv_bound(1.0, 1.0, eps, int(k), v0) \
+            assert err <= universal_conv_bound(1.0, l_nu=1.0, eps=eps,
+                                             k=int(k), v0=v0) \
                 + 1e-12
-        assert rep.oracle_calls <= universal_call_bound(1.0, 1.0, eps, N, v0)
+        assert rep.oracle_calls <= universal_call_bound(
+            1.0, l_nu=1.0, eps=eps, k=N, v0=v0)
         mask = errs > 1e-13
         assert mask.sum() >= 10
         assert fit_rate(ks[mask], errs[mask]) <= -1.8
@@ -326,9 +328,11 @@ def test_criterion_10_universal_agm(capsys):
         ks = rep.trace.column("k")
         errs = rep.trace.column("f_value") - prob.f_star
         for k, err in zip(ks, errs):
-            assert err <= universal_conv_bound(0.0, l0, eps, int(k), v0) \
+            assert err <= universal_conv_bound(0.0, l_nu=l0, eps=eps,
+                                             k=int(k), v0=v0) \
                 + 1e-12
-        assert rep.oracle_calls <= universal_call_bound(0.0, l0, eps, N, v0)
+        assert rep.oracle_calls <= universal_call_bound(
+            0.0, l_nu=l0, eps=eps, k=N, v0=v0)
         dk, derr = decay_phase(ks, errs)
         assert len(dk) >= 10
         assert fit_rate(dk, derr) <= -0.4
@@ -373,22 +377,28 @@ def test_criterion_11_mirror_prox(capsys):
 
 def test_criterion_12_universal_mirror_prox(capsys):
     with verdict(capsys, 12, "adaptive extragradient constants and calls"):
-        op = bilinear_box_operator()
-        eps, m_init = 0.001, 4.0
-        rep = universal_mirror_prox_solve(op, op.domain, eps=eps,
-                                          M_init=m_init, N=5000,
-                                          gap_fn=game_gap_fn(op))
-        assert max(rep.m_ks) <= 2.0 * op.holder_l + 1e-12
-        for row in rep.trace:
-            assert row.f_value <= row.bound_value + 1e-9
-            rate = ump_rate_bound(op.holder_l, op.holder_nu, eps, row.k,
-                                  rep.extras["max_v"])
-            assert row.f_value <= rate + 1e-9
-        # the line search doubles from half the previous constant, so with
-        # t_k trials M_k = 2^{t_k - 2} M_{k-1} and the trial total telescopes
-        assert rep.oracle_calls == 2 * sum(rep.inner_trials)
-        assert sum(rep.inner_trials) == pytest.approx(
-            2 * rep.iterations + math.log2(rep.m_ks[-1] / m_init))
+        eps = 0.001
+        # max|A| != 1 on the game, so the Hoelder constant and exponent of
+        # the rate bound cannot be swapped unnoticed
+        A = 3.0 * np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 4))
+        cases = [(bilinear_box_operator(), 4.0),
+                 (gen_matrix_game(A, "euclidean"), 1.0)]
+        for op, m_init in cases:
+            rep = universal_mirror_prox_solve(op, op.domain, eps=eps,
+                                              M_init=m_init, N=5000,
+                                              gap_fn=game_gap_fn(op))
+            assert max(rep.m_ks) <= 2.0 * op.holder_l + 1e-12
+            for row in rep.trace:
+                assert row.f_value <= row.bound_value + 1e-9
+                rate = ump_rate_bound(op.holder_nu, l_nu=op.holder_l, eps=eps,
+                                      k=row.k, max_v=rep.extras["max_v"])
+                assert row.f_value <= rate + 1e-9
+            # the line search doubles from half the previous constant, so
+            # with t_k trials M_k = 2^{t_k - 2} M_{k-1} and the trial total
+            # telescopes
+            assert rep.oracle_calls == 2 * sum(rep.inner_trials)
+            assert sum(rep.inner_trials) == pytest.approx(
+                2 * rep.iterations + math.log2(rep.m_ks[-1] / m_init))
 
 
 def test_criterion_13_sparse_max_structure(capsys):
@@ -402,7 +412,7 @@ def test_criterion_13_sparse_max_structure(capsys):
                 k = int(rng.integers(1, 6))
                 idx = np.sort(rng.choice(n, size=k, replace=False))
                 rows.append((idx, rng.standard_normal(k)))
-            s = build_max_structure(rows, rng.standard_normal(n))
+            s = MaxStructure(rows, rng.standard_normal(n))
             ks = rng.integers(1, 4, size=updates)
             order = rng.random((updates, n)).argsort(axis=1)
             vals = rng.standard_normal((updates, 3))
@@ -429,7 +439,7 @@ def test_criterion_14_ttd_pipeline(capsys):
             setup = euclidean_setup(prob.set, theta0_sq=theta0_sq)
             rep = solve_constrained_nonsmooth(prob, setup, eps=eps)
             lam = ttd_multipliers_from_dual(prob, rep.lambda_bar)
-            rec = reconstruct_ttd_primal(prob, lam, rep.x_bar, T=T)
+            rec = reconstruct_ttd_primal(prob, lam, rep.x_out, T=T)
             assert rec.w.sum() == T      # exact, no tolerance
             assert rec.residual_inf <= 10.0 * eps
 

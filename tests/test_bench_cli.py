@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mirropt.bench import ConfigError, fit_rate, run_experiment
+import mirropt
+from mirropt import bench
+from mirropt.bench import METHODS, ConfigError, fit_rate, run_experiment
 from mirropt.cli import main
 
 
@@ -17,6 +23,64 @@ def fixed_md_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# one small config per method, each on a different generator where one fits
+METHOD_CONFIGS = {
+    "shor": {"seed": 1, "problem": {"generator": "abs_value", "dim": 2},
+             "setup": {"origin": [1.0, -0.5]},
+             "method": {"name": "shor", "lam": 0.05, "N": 60}},
+    "fixed_md": {"seed": 2,                     # R = sqrt(ln 10), entropy
+                 "problem": {"generator": "simplex_linear", "dim": 10},
+                 "method": {"name": "fixed_md", "R": 1.5174271293851465,
+                            "M": 1.0, "N": 100}},
+    "adaptive_md": {"seed": 3,
+                    "problem": {"generator": "quadratic_box", "dim": 4},
+                    "method": {"name": "adaptive_md", "eps": 0.01, "N": 200}},
+    "normalized_md": {"seed": 4, "problem": {"generator": "max_residual",
+                                             "rows": 6, "cols": 8},
+                      "method": {"name": "normalized_md", "R": 2.0, "N": 100}},
+    "strongly_convex_md": {"seed": 5, "problem": {"generator": "quadratic_box",
+                                                  "dim": 4},
+                           "method": {"name": "strongly_convex_md", "mu": 1.0,
+                                      "N": 100}},
+    "constrained_nonsmooth": {"seed": 6, "problem": {"generator": "ttd_dual",
+                                                     "nodes": 6, "bars": 8},
+                              "method": {"name": "constrained_nonsmooth",
+                                         "eps": 0.2}},
+    "constrained_general": {"seed": 7, "problem": {"generator": "toy_lp",
+                                                   "dim": 3, "pieces": 3},
+                            "method": {"name": "constrained_general",
+                                       "eps": 0.1}},
+    "agm": {"seed": 8, "problem": {"generator": "quadratic_box", "dim": 3},
+            "method": {"name": "agm", "N": 64}},
+    "universal_agm": {"seed": 9, "problem": {"generator": "transport_dual",
+                                             "rows": 2, "cols": 3},
+                      "method": {"name": "universal_agm", "eps": 0.1,
+                                 "L0": 1.0, "N": 50}},
+    "mirror_prox": {"seed": 10, "problem": {"generator": "matrix_game",
+                                            "rows": 3, "cols": 4},
+                    "method": {"name": "mirror_prox", "N": 100}},
+    "universal_mirror_prox": {"seed": 11,
+                              "problem": {"generator": "bilinear_box"},
+                              "method": {"name": "universal_mirror_prox",
+                                         "eps": 0.01, "M_init": 1.0,
+                                         "N": 200}},
+}
+
+# prints one InexactOracle value and every method config's trace hash
+_PROCESS_RUN = """
+import json, sys
+import numpy as np
+from mirropt.bench import run_experiment
+from mirropt.oracles import FunctionOracle, InexactOracle
+exact = FunctionOracle(lambda x: float(x @ x), lambda x: 2.0 * x)
+value = InexactOracle(exact, 0.5, lipschitz=2.0, seed=3)(np.array([0.3, -0.7]))
+hashes = {name: run_experiment(cfg)[1]["trace_sha256"]
+          for name, cfg in json.loads(sys.argv[1]).items()}
+print(json.dumps({"value": value.value, "subgradient":
+                  value.subgradient.tolist(), "hashes": hashes}))
+"""
 
 
 def strip_elapsed(path):
@@ -78,6 +142,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="missing"):
             run_experiment(cfg)
 
+    def test_method_kind_checked_before_build(self, monkeypatch):
+        monkeypatch.setitem(bench.PROBLEMS, "matrix_game",
+                            lambda *args: pytest.fail("generator ran"))
+        cfg = {"seed": 1, "problem": {"generator": "matrix_game"},
+               "method": {"name": "fixed_md", "R": 1.0, "M": 1.0, "N": 4}}
+        with pytest.raises(ConfigError, match="does not apply"):
+            run_experiment(cfg)
+
     def test_bound_violation_exit(self, tmp_path):
         # M below the true subgradient norm understates the guarantee
         cfg = fixed_md_config(method={"name": "fixed_md", "R": 1.0,
@@ -97,6 +169,20 @@ class TestRunExperiment:
                                        check_bounds=True)
         assert code == 0
         assert summary["final_gap"] <= 0.2
+
+
+def test_same_bytes_in_every_process():
+    """Same config, same numbers, whatever the per-process hash salt."""
+    assert set(METHOD_CONFIGS) == METHODS
+    src = str(Path(mirropt.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-c", _PROCESS_RUN, json.dumps(METHOD_CONFIGS)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
 
 
 class TestCli:
@@ -151,6 +237,24 @@ class TestCli:
         capsys.readouterr()
         assert main(["rates", "--trace", str(tmp_path / "cfg_trace.csv"),
                      "--column", "nonexistent"]) == 2
+
+    @pytest.mark.parametrize("cfg", [
+        fixed_md_config(problem=[1]),
+        fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
+                                "N": "ten"}),
+        fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
+                                "N": -5}),
+        fixed_md_config(method={"name": "adaptive_md", "eps": 0.1, "N": 0}),
+        {"seed": 1, "problem": {"generator": "ttd_dual", "nodes": 1},
+         "method": {"name": "constrained_nonsmooth", "eps": 0.1}},
+        fixed_md_config(setup={"origin": [1.0, 2.0]}),
+    ], ids=["problem-not-object", "N-not-int", "N-negative",
+            "adaptive-N-zero", "ttd-one-node", "origin-wrong-length"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg):
+        p = self.write(tmp_path, cfg)
+        assert main(["solve", "--config", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_rates_missing_file(self, tmp_path):
         assert main(["rates", "--trace", str(tmp_path / "none.csv"),

@@ -47,8 +47,8 @@ class TestAlgorithmTwo:
         setup = euclidean_setup(prob.set, theta0_sq=0.25)
         rep = solve_constrained_nonsmooth(prob, setup, eps=0.1)
         assert rep.iterations <= 100
-        assert rep.f_bar - prob.f_star <= 0.1 + 1e-9
-        assert rep.f_bar <= -0.9 + 1e-9
+        assert rep.f_out - prob.f_star <= 0.1 + 1e-9
+        assert rep.f_out <= -0.9 + 1e-9
         assert rep.g_bar <= 0.1 + 1e-9
         assert np.all(rep.lambda_bar >= 0.0)
 
@@ -60,7 +60,7 @@ class TestAlgorithmTwo:
         setup = euclidean_setup(prob.set, theta0_sq=0.5)
         rep = solve_constrained_nonsmooth(prob, setup, eps=0.1)
         assert rep.productive == 1
-        assert np.allclose(rep.x_bar, setup.prox_center())
+        assert np.allclose(rep.x_out, setup.prox_center())
         assert rep.g_bar <= 0.1
 
     def test_productive_iterates_feasible_at_eps(self):
@@ -110,7 +110,7 @@ class TestInexactOracle:
                                        seed=0)
         setup = euclidean_setup(prob.set, theta0_sq=0.25)
         rep = solve_constrained_nonsmooth(prob, setup, eps=eps)
-        f_bar_exact = exact(rep.x_bar).value
+        f_bar_exact = exact(rep.x_out).value
         assert f_bar_exact - prob.f_star <= eps + delta + 1e-9
 
 
@@ -158,8 +158,8 @@ class TestAlgorithmThree:
         prob = self.quad_problem()
         setup = euclidean_setup(prob.set, origin=np.zeros(1), theta0_sq=2.0)
         rep = solve_constrained_general(prob, setup, eps=0.1)
-        assert rep.f_bar == 0.0
-        assert np.allclose(rep.x_bar, 0.0)
+        assert rep.f_out == 0.0
+        assert np.allclose(rep.x_out, 0.0)
 
     def test_merit_modulus_consistency(self):
         """f(x) - f(x*) <= omega(v_f[x*](x)) with omega from a grid max."""

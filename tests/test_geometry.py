@@ -4,9 +4,8 @@ import pytest
 from mirropt.geometry import (FEASIBILITY_TOL, NORMALIZATION_TOL,
                               OPTIMALITY_TOL, DimensionMismatchError,
                               FeasibleSet, GeometryDomainError, ProductSetup,
-                              bregman_divergence, doubled_to_signed,
-                              dual_norm, entropy_l1_ball_setup, entropy_setup,
-                              euclidean_setup, mirror_step, prox_center,
+                              doubled_to_signed, entropy_l1_ball_setup,
+                              entropy_setup, euclidean_setup,
                               signed_to_doubled)
 
 
@@ -39,32 +38,32 @@ def sample_interior(setup, rng):
 class TestDualNorm:
     def test_euclidean_self_dual(self):
         setup = euclidean_setup(FeasibleSet.all_space(2))
-        assert dual_norm(setup, np.array([3.0, 4.0])) == 5.0
+        assert setup.dual_norm(np.array([3.0, 4.0])) == 5.0
 
     def test_l1_dual_is_linf(self):
         setup = entropy_setup(2)
-        assert dual_norm(setup, np.array([1.0, -2.0])) == 2.0
+        assert setup.dual_norm(np.array([1.0, -2.0])) == 2.0
 
     def test_zero(self):
         for setup in sample_setups():
-            assert dual_norm(setup, np.zeros(setup.dim)) == 0.0
+            assert setup.dual_norm(np.zeros(setup.dim)) == 0.0
 
     def test_dimension_mismatch(self):
         setup = euclidean_setup(FeasibleSet.all_space(2))
         with pytest.raises(DimensionMismatchError):
-            dual_norm(setup, np.zeros(3))
+            setup.dual_norm(np.zeros(3))
 
 
 class TestBregman:
     def test_euclidean_half_square(self):
         setup = euclidean_setup(FeasibleSet.all_space(2))
-        assert bregman_divergence(setup, np.zeros(2), np.array([3.0, 4.0])) == 12.5
+        assert setup.bregman(np.zeros(2), np.array([3.0, 4.0])) == 12.5
 
     def test_entropy_kl_to_vertex(self):
         setup = entropy_setup(2)
         x = np.array([0.5, 0.5])
         y = np.array([1.0, 0.0])
-        v = bregman_divergence(setup, x, y)
+        v = setup.bregman(x, y)
         assert v == pytest.approx(np.log(2.0), abs=1e-12)
         # cross-check against d(y) - d(x) - <grad d(x), y - x> with y clamped
         yc = np.array([1.0 - 1e-12, 1e-12])
@@ -75,28 +74,27 @@ class TestBregman:
         rng = np.random.default_rng(0)
         for setup in sample_setups():
             x = sample_interior(setup, rng)
-            assert bregman_divergence(setup, x, x) == pytest.approx(0.0, abs=1e-12)
+            assert setup.bregman(x, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_domain_error(self):
         setup = entropy_setup(3)
         with pytest.raises(GeometryDomainError):
             setup.grad_d(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(GeometryDomainError):
-            bregman_divergence(setup, np.array([1.0, 0.0, 0.0]),
-                               np.full(3, 1 / 3))
+            setup.bregman(np.array([1.0, 0.0, 0.0]), np.full(3, 1 / 3))
 
 
 class TestMirrorStep:
     def test_euclidean_all_space_is_gradient_step(self):
         setup = euclidean_setup(FeasibleSet.all_space(2))
-        out = mirror_step(setup, np.array([1.0, 2.0]), np.array([0.5, -1.0]))
+        out = setup.mirror_step(np.array([1.0, 2.0]), np.array([0.5, -1.0]))
         assert np.allclose(out, [0.5, 3.0], atol=1e-15)
 
     def test_entropy_multiplicative_update(self):
         setup = entropy_setup(2)
         x = np.array([0.5, 0.5])
         p = np.array([np.log(2.0), 0.0])
-        out = mirror_step(setup, x, p)
+        out = setup.mirror_step(x, p)
         assert np.allclose(out, [1 / 3, 2 / 3], atol=1e-12)
         # independent check: grid-minimize <p,z> + V[x](z) over the simplex
         ts = np.linspace(1e-6, 1 - 1e-6, 20001)
@@ -106,7 +104,7 @@ class TestMirrorStep:
 
     def test_ball_radial_projection(self):
         setup = euclidean_setup(FeasibleSet.ball(np.zeros(2), 1.0))
-        out = mirror_step(setup, np.zeros(2), np.array([-2.0, 0.0]))
+        out = setup.mirror_step(np.zeros(2), np.array([-2.0, 0.0]))
         assert np.allclose(out, [1.0, 0.0], atol=1e-15)
 
     def test_optimality_and_feasibility(self):
@@ -136,15 +134,15 @@ class TestMirrorStep:
 
 class TestProxCenter:
     def test_entropy_uniform(self):
-        assert np.allclose(prox_center(entropy_setup(4)), np.full(4, 0.25))
+        assert np.allclose(entropy_setup(4).prox_center(), np.full(4, 0.25))
 
     def test_ball_center(self):
         setup = euclidean_setup(FeasibleSet.ball(np.zeros(3), 2.0))
-        assert np.allclose(prox_center(setup), np.zeros(3))
+        assert np.allclose(setup.prox_center(), np.zeros(3))
 
     def test_box_projection_of_origin(self):
         setup = euclidean_setup(FeasibleSet.box(np.full(2, 1.0), np.full(2, 2.0)))
-        assert np.allclose(prox_center(setup), [1.0, 1.0])
+        assert np.allclose(setup.prox_center(), [1.0, 1.0])
 
     def test_minimizes_d(self):
         rng = np.random.default_rng(3)

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mirropt.maxstruct import (MaxStructure, SparseVector,
-                               apply_sparse_update, build_max_structure,
-                               current_subgradient)
+from mirropt.maxstruct import MaxStructure, SparseVector
 from mirropt.problems import gen_ttd_dual
 
 
@@ -36,49 +34,49 @@ class TestSparseVector:
 class TestBuild:
     def test_tie_to_lowest_index(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        s = build_max_structure(A, np.zeros(2))
+        s = MaxStructure(A, np.zeros(2))
         assert s.value == 0.0
         assert s.argmax == 1
 
     def test_single_row(self):
-        s = build_max_structure(np.array([[2.0, -1.0]]), np.array([1.0, 1.0]))
+        s = MaxStructure(np.array([[2.0, -1.0]]), np.array([1.0, 1.0]))
         assert s.value == 1.0
         assert s.argmax == 1
 
     def test_zero_matrix(self):
-        s = build_max_structure(np.zeros((4, 3)), np.array([5.0, -2.0, 1.0]))
+        s = MaxStructure(np.zeros((4, 3)), np.array([5.0, -2.0, 1.0]))
         assert s.value == 0.0
         assert s.argmax == 1
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            build_max_structure([(np.array([5]), np.array([1.0]))], np.zeros(2))
+            MaxStructure([(np.array([5]), np.array([1.0]))], np.zeros(2))
 
 
 class TestUpdate:
     def test_worked_example(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        s = build_max_structure(A, np.zeros(2))
-        value, argmax, touched = apply_sparse_update(s, {0: 0.5})
+        s = MaxStructure(A, np.zeros(2))
+        value, argmax, touched = s.apply_sparse_update({0: 0.5})
         assert value == 0.5
         assert argmax == 1          # tie with row 3, lowest wins
         assert np.array_equal(s.z, [0.5, 0.0, 0.5])
-        g = current_subgradient(s)
+        g = s.current_subgradient()
         assert list(g.indices) == [0] and list(g.values) == [1.0]
 
     def test_empty_delta(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0]])
-        s = build_max_structure(A, np.array([1.0, 2.0]))
+        s = MaxStructure(A, np.array([1.0, 2.0]))
         v0, a0 = s.query()
-        value, argmax, touched = apply_sparse_update(
-            s, SparseVector(np.array([], dtype=np.int64), np.array([])))
+        value, argmax, touched = s.apply_sparse_update(
+            SparseVector(np.array([], dtype=np.int64), np.array([])))
         assert (value, argmax, touched) == (v0, a0, 0)
 
     def test_exact_equality_with_brute_force(self):
         rng = np.random.default_rng(25)
         m, n = 64, 32
         rows = random_sparse_rows(rng, m, n, 5)
-        s = build_max_structure(rows, rng.standard_normal(n))
+        s = MaxStructure(rows, rng.standard_normal(n))
         for _ in range(1000):
             k = rng.integers(1, 4)
             idx = np.sort(rng.choice(n, size=k, replace=False))
@@ -92,7 +90,7 @@ class TestUpdate:
         rng = np.random.default_rng(26)
         m, n = 100, 40
         rows = random_sparse_rows(rng, m, n, 4)
-        s = build_max_structure(rows, np.zeros(n))
+        s = MaxStructure(rows, np.zeros(n))
         cap = math.ceil(math.log2(m)) + 1
         for _ in range(500):
             k = rng.integers(1, 5)
@@ -107,7 +105,7 @@ class TestUpdate:
         m, n = 30, 10
         rows = random_sparse_rows(rng, m, n, 4)
         y = rng.standard_normal(n)
-        s = build_max_structure(rows, y)
+        s = MaxStructure(rows, y)
         g = s.current_subgradient().to_dense(n)
         f_y = s.value
         for _ in range(200):
@@ -123,7 +121,7 @@ class TestTtdRows:
         rows = prob.meta["rows"]
         signed = np.vstack([rows, -rows])
         y0 = np.zeros(rows.shape[1])
-        s = build_max_structure(signed, y0)
+        s = MaxStructure(signed, y0)
         s.apply_sparse_update({0: 0.3})
-        g = current_subgradient(s)
+        g = s.current_subgradient()
         assert len(g) <= 4

@@ -77,7 +77,7 @@ class TestMirrorProx:
         rng = np.random.default_rng(22)
         op = gen_matrix_game(rng.uniform(0, 1, size=(3, 3)))
         rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=200)
-        res = vi_residual(op, rep.w_hat)
+        res = vi_residual(op, rep.x_out)
         assert res >= -1e-9
         assert res <= op.lipschitz * rep.extras["max_v"] / rep.iterations + 1e-9
 
@@ -122,16 +122,18 @@ class TestUniversalMirrorProx:
         eps = 0.01
         rep = universal_mirror_prox_solve(op, op.domain, eps=eps, M_init=1.0,
                                           N=5000, gap_fn=gap_fn(op))
-        gap = gap_fn(op)(rep.w_hat)
+        gap = gap_fn(op)(rep.x_out)
         for row in rep.trace:
             assert row.f_value <= row.bound_value + 1e-9
-            rate = ump_rate_bound(1.0, 1.0, eps, row.k, rep.extras["max_v"])
+            rate = ump_rate_bound(1.0, l_nu=1.0, eps=eps, k=row.k,
+                                  max_v=rep.extras["max_v"])
             assert row.f_value <= rate + 1e-9
         assert rep.extras["stopped_adaptive"]
         assert gap <= eps + 1e-9
 
     def test_rate_arithmetic(self):
-        assert ump_rate_bound(1.0, 1.0, 0.01, 100, 1.0) == pytest.approx(0.025)
+        assert ump_rate_bound(1.0, l_nu=1.0, eps=0.01, k=100, max_v=1.0) \
+            == pytest.approx(0.025)
 
     def test_oracle_call_telescoping(self):
         op = bilinear_box_op()
@@ -148,7 +150,7 @@ class TestUniversalMirrorProx:
         eps = 0.01
         rep = universal_mirror_prox_solve(op, op.domain, eps=eps, M_init=1.0,
                                           N=10000, gap_fn=gap_fn(op))
-        assert gap_fn(op)(rep.w_hat) <= eps + 1e-9
+        assert gap_fn(op)(rep.x_out) <= eps + 1e-9
 
     def test_skew_required_for_residual(self):
         op = bilinear_box_op()

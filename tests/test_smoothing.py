@@ -6,8 +6,7 @@ import pytest
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import FunctionOracle, ProblemInstance
 from mirropt.smoothing import (SmoothedMaxResidual, agm_solve, alpha_root,
-                               build_smoothed_oracle, choose_mu,
-                               universal_agm, universal_call_bound,
+                               choose_mu, universal_agm, universal_call_bound,
                                universal_conv_bound)
 
 
@@ -150,7 +149,7 @@ class TestSmoothedOracle:
         a_norm = float(np.max(np.linalg.norm(A, axis=1)))
         D2 = math.log(2 * m)
         mu = choose_mu(a_norm, D1, D2, N)
-        oracle = build_smoothed_oracle(A, b, mu)
+        oracle = SmoothedMaxResidual(A, b, mu)
         prob = ProblemInstance(
             oracle, FeasibleSet.box(np.full(n, -1.0), np.full(n, 1.0)))
         setup = euclidean_setup(prob.set)
@@ -168,7 +167,8 @@ class TestUniversalAgm:
         rep = universal_agm(prob, setup, eps=eps, L0=1.0, N=60)
         v0 = 0.5
         for row in rep.trace:
-            bound = universal_conv_bound(1.0, 1.0, eps, row.k, v0)
+            bound = universal_conv_bound(1.0, l_nu=1.0, eps=eps, k=row.k,
+                                         v0=v0)
             assert row.f_value - prob.f_star <= bound + 1e-12
             assert bound == pytest.approx(8.0 * v0 / row.k ** 2 + eps / 2.0)
 
@@ -183,7 +183,8 @@ class TestUniversalAgm:
         v0 = 0.5
         l0 = 2.0
         for row in rep.trace:
-            bound = universal_conv_bound(0.0, l0, eps, row.k, v0)
+            bound = universal_conv_bound(0.0, l_nu=l0, eps=eps, k=row.k,
+                                         v0=v0)
             assert row.f_value - prob.f_star <= bound + 1e-12
             assert bound == pytest.approx(4.0 * l0 ** 2 * v0 / (eps * row.k)
                                           + eps / 2.0)
@@ -192,7 +193,7 @@ class TestUniversalAgm:
         prob = quad_problem()
         setup = euclidean_setup(prob.set, origin=np.array([1.0, 0.0]))
         rep = universal_agm(prob, setup, eps=1e-8, L0=1.0, N=50)
-        assert max(rep.extras["M_ks"]) <= 2.0 + 1e-12
+        assert max(rep.m_ks) <= 2.0 + 1e-12
 
     def test_oracle_call_audit(self):
         prob = quad_problem()
@@ -200,7 +201,7 @@ class TestUniversalAgm:
         eps = 1e-6
         N = 50
         rep = universal_agm(prob, setup, eps=eps, L0=1.0, N=N)
-        budget = universal_call_bound(1.0, 1.0, eps, N, 0.5)
+        budget = universal_call_bound(1.0, l_nu=1.0, eps=eps, k=N, v0=0.5)
         assert rep.oracle_calls <= budget
 
     def test_nonfinite_raises(self):
