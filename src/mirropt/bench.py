@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import time
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,38 +38,42 @@ class ConfigError(ValueError):
 # trace serialization
 # ---------------------------------------------------------------------------
 
-_INT_COLUMNS = {"k", "oracle_calls", "elapsed_ns"}
+# One row template serves the whole trace: "%d" for the integer columns and
+# "%.17g" for the floats, which also prints nan, inf, -inf and -0.
+_TEMPLATE = {c: "%d" if c in ("k", "oracle_calls", "elapsed_ns") else "%.17g"
+             for c in TRACE_COLUMNS}
+_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+# stands in for every elapsed_ns cell while one run's body is formatted;
+# no formatted number contains it
+_ELAPSED_MARK = "\x00"
 
 
-def _fmt(col, x):
-    if col in _INT_COLUMNS:
-        return str(int(x))
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return format(xf, ".17g")
+def _csv(trace, elapsed_cell=None):
+    """Header plus every row, formatted by one ``%`` over a flat tuple of
+    cells.  With ``elapsed_cell`` every elapsed_ns cell is that string
+    instead of the row's value."""
+    template, cols = dict(_TEMPLATE), list(TRACE_COLUMNS)
+    if elapsed_cell is not None:
+        template["elapsed_ns"] = elapsed_cell
+        cols.remove("elapsed_ns")
+    row = ",".join(template.values()) + "\n"
+    cells = tuple(chain.from_iterable(map(attrgetter(*cols), trace)))
+    return _HEADER + (row * (len(cells) // len(cols))) % cells
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def trace_csv_text(trace, elapsed_ns=None):
-    """CSV body with the fixed header; LF endings, '.' decimal, 17 digits."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in trace:
-        vals = []
-        for col in TRACE_COLUMNS:
-            v = getattr(row, col)
-            if col == "elapsed_ns" and elapsed_ns is not None:
-                v = elapsed_ns
-            vals.append(_fmt(col, v))
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+    """CSV body with the fixed header; LF endings, '.' decimal, 17 digits.
+    ``elapsed_ns``, when given, fills every row's elapsed_ns cell."""
+    return _csv(trace, None if elapsed_ns is None else "%d" % elapsed_ns)
 
 
 def trace_hash(trace):
     """SHA-256 of the CSV serialization with elapsed_ns forced to zero."""
-    text = trace_csv_text(trace, elapsed_ns=0)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    return _sha256(trace_csv_text(trace, elapsed_ns=0))
 
 
 def fit_rate(k, values):
@@ -106,11 +112,10 @@ def _problem(name, kind):
 def _build_abs_value(params, seed):
     n = int(params.get("dim", 1))
     oracle = FunctionOracle(lambda x: np.abs(x).sum(), np.sign)
-    prob = ProblemInstance(
+    return ProblemInstance(
         objective=oracle, set=FeasibleSet.all_space(n),
         lipschitz_f=float(np.sqrt(n)), f_star=0.0, x_star=np.zeros(n),
         meta={"holder": (0.0, 2.0 * math.sqrt(n))})
-    return prob
 
 
 @_problem("quadratic_box", "convex")
@@ -120,12 +125,11 @@ def _build_quadratic_box(params, seed):
     t = rng.uniform(-1.0, 1.0, size=n)
     oracle = FunctionOracle(lambda x: 0.5 * np.sum((x - t) ** 2),
                             lambda x: x - t)
-    prob = ProblemInstance(
+    return ProblemInstance(
         objective=oracle,
         set=FeasibleSet.box(np.full(n, -1.0), np.full(n, 1.0)),
         f_star=0.0, x_star=t.copy(),
         meta={"holder": (1.0, 1.0), "L": 1.0, "mu": 1.0})
-    return prob
 
 
 @_problem("simplex_linear", "convex")
@@ -137,11 +141,10 @@ def _build_simplex_linear(params, seed):
     x_star = np.zeros(n)
     x_star[i] = 1.0
     oracle = FunctionOracle(lambda x: c @ x, lambda x: c.copy())
-    prob = ProblemInstance(
+    return ProblemInstance(
         objective=oracle, set=FeasibleSet.simplex(n),
         lipschitz_f=float(np.abs(c).max()), f_star=float(c[i]), x_star=x_star,
         meta={"c": c})
-    return prob
 
 
 @_problem("toy_lp", "constrained")
@@ -158,7 +161,7 @@ def _build_toy_lp(params, seed):
     res = linprog(c, A_ub=A, b_ub=-b, bounds=list(zip(lo, hi)), method="highs")
     if not res.success:
         raise ConfigError(f"toy LP infeasible: {res.message}")
-    prob = ProblemInstance(
+    return ProblemInstance(
         objective=LinearOracle(c),
         set=FeasibleSet.box(lo, hi),
         constraints=LinearMaxBundle(A, b),
@@ -166,7 +169,6 @@ def _build_toy_lp(params, seed):
         lipschitz_g=float(max(np.linalg.norm(A[i]) for i in range(m))),
         f_star=float(res.fun), x_star=np.asarray(res.x, dtype=float),
         meta={"c": c, "A": A, "b": b})
-    return prob
 
 
 @_problem("max_residual", "convex")
@@ -194,12 +196,11 @@ def _build_max_residual(params, seed):
         i = int(np.argmax(np.abs(r)))
         return math.copysign(1.0, r[i]) * A[i]
 
-    prob = ProblemInstance(
+    return ProblemInstance(
         objective=FunctionOracle(value, subgrad),
         set=FeasibleSet.box(np.full(n, -1.0), np.full(n, 1.0)),
         f_star=float(res.fun), x_star=np.asarray(res.x[:n], dtype=float),
         meta={"A": A, "b": b})
-    return prob
 
 
 @_problem("matrix_game", "vi")
@@ -277,49 +278,56 @@ def _agm(problem, setup, a):
     return smoothing.agm_solve(problem, setup, float(L), a["N"])
 
 
+def vector(value):
+    """A 1-D float array."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("not 1-D")
+    return v
+
+
 # minimize the objective; any constraints of the problem are not used
 _MINIMIZE = ("convex", "constrained")
 
-# method name -> (problem kinds it solves, required parameters with their
-# coercion, call(problem, setup, params)).  The calls look their solver up
-# on its module at call time, so a solver wrapped there is the one that runs.
+# method name -> (problem kinds it solves, required and optional parameters
+# with their coercions, call(problem, setup, params)).  The calls look their
+# solver up on its module at call time, so a solver wrapped there runs.
 _METHODS = {
     "shor": (
-        _MINIMIZE, {"lam": float, "N": int},
+        _MINIMIZE, {"lam": float, "N": int}, {"x0": vector},
         lambda p, s, a: subgradient.run_shor(
-            p, np.asarray(a.get("x0", s.prox_center()), dtype=float),
-            a["lam"], a["N"])),
+            p, a.get("x0", s.prox_center()), a["lam"], a["N"])),
     "fixed_md": (
-        _MINIMIZE, {"R": float, "M": float, "N": int},
+        _MINIMIZE, {"R": float, "M": float, "N": int}, {},
         lambda p, s, a: subgradient.run_fixed_md(p, s, a["R"], a["M"], a["N"])),
     "adaptive_md": (
-        _MINIMIZE, {"eps": float, "N": int},
+        _MINIMIZE, {"eps": float, "N": int}, {},
         lambda p, s, a: subgradient.run_adaptive_md(p, s, a["eps"], a["N"])),
     "normalized_md": (
-        _MINIMIZE, {"R": float, "N": int},
+        _MINIMIZE, {"R": float, "N": int}, {},
         lambda p, s, a: subgradient.run_normalized_md(p, s, a["R"], a["N"])),
     "strongly_convex_md": (
-        _MINIMIZE, {"mu": float, "N": int},
+        _MINIMIZE, {"mu": float, "N": int}, {"M": float},
         lambda p, s, a: subgradient.run_strongly_convex_md(
             p, s, a["mu"], a["N"], M=a.get("M"))),
     "constrained_nonsmooth": (
-        ("constrained",), {"eps": float},
+        ("constrained",), {"eps": float}, {},
         lambda p, s, a: constrained.solve_constrained_nonsmooth(p, s, a["eps"])),
     "constrained_general": (
-        ("constrained",), {"eps": float},
+        ("constrained",), {"eps": float}, {},
         lambda p, s, a: constrained.solve_constrained_general(p, s, a["eps"])),
-    "agm": (_MINIMIZE, {"N": int}, _agm),
+    "agm": (_MINIMIZE, {"N": int}, {"L": float}, _agm),
     "universal_agm": (
-        _MINIMIZE, {"eps": float, "L0": float, "N": int},
+        _MINIMIZE, {"eps": float, "L0": float, "N": int}, {},
         lambda p, s, a: smoothing.universal_agm(p, s, a["eps"], a["L0"],
                                                 a["N"])),
     "mirror_prox": (
-        ("vi",), {"N": int},
+        ("vi",), {"N": int}, {"L": float},
         lambda op, s, a: mirrorprox.mirror_prox_solve(
             op, op.domain, a.get("L", op.lipschitz), a["N"],
             gap_fn=_saddle_gap(op))),
     "universal_mirror_prox": (
-        ("vi",), {"eps": float, "M_init": float, "N": int},
+        ("vi",), {"eps": float, "M_init": float, "N": int}, {},
         lambda op, s, a: mirrorprox.universal_mirror_prox_solve(
             op, op.domain, a["eps"], a["M_init"], a["N"],
             gap_fn=_saddle_gap(op))),
@@ -327,12 +335,15 @@ _METHODS = {
 METHODS = frozenset(_METHODS)
 
 
-def _coerce(params, required):
-    """``params`` with each required entry present and coerced."""
+def _coerce(params, required, optional):
+    """``params`` with each required entry present, and each required or
+    optional entry that is present coerced."""
     out = dict(params)
-    for name, convert in required.items():
+    for name, convert in {**required, **optional}.items():
         if name not in params:
-            raise ConfigError(f"missing parameter '{name}'")
+            if name in required:
+                raise ConfigError(f"missing parameter '{name}'")
+            continue
         try:
             out[name] = convert(params[name])
         except (TypeError, ValueError):
@@ -366,7 +377,7 @@ def _validate(config):
     if pkind not in _METHODS[mname][0]:
         raise ConfigError(f"method '{mname}' does not apply to '{pname}', "
                           f"a {pkind} problem")
-    return pname, mname, _coerce(config, {"seed": int})["seed"]
+    return pname, mname, _coerce(config, {"seed": int}, {})["seed"]
 
 
 def _check_bounds(report, mname, problem, kind, eps=None):
@@ -408,9 +419,9 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     A malformed config raises ConfigError before anything is built.
     """
     pname, mname, seed = _validate(config)
-    _, required, call = _METHODS[mname]
+    _, required, optional, call = _METHODS[mname]
     mparams = _coerce({k: v for k, v in config["method"].items()
-                       if k != "name"}, required)
+                       if k != "name"}, required, optional)
     pparams = {k: v for k, v in config["problem"].items() if k != "generator"}
     problem, kind = PROBLEMS[pname](pparams, seed)
     setup = None if kind == "vi" else _make_setup(problem, config.get("setup"))
@@ -420,8 +431,8 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     elapsed = time.perf_counter_ns() - t0
 
     trace = report.trace
-    for row in trace:
-        row.elapsed_ns = elapsed
+    # one format pass serves the hashed text and the written one
+    text = _csv(trace, _ELAPSED_MARK)
 
     verdicts = _check_bounds(report, mname, problem, kind,
                              eps=mparams.get("eps")) if check_bounds else []
@@ -434,7 +445,7 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
         "iterations": int(report.iterations),
         "oracle_calls": int(report.oracle_calls),
         "trace_rows": len(trace),
-        "trace_sha256": trace_hash(trace),
+        "trace_sha256": _sha256(text.replace(_ELAPSED_MARK, "0")),
         "bounds_checked": len(verdicts),
         "bounds_ok": bool(all_ok),
     }
@@ -456,8 +467,8 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{stem}_trace.csv").write_text(trace_csv_text(trace),
-                                               newline="\n")
+        (out / f"{stem}_trace.csv").write_text(
+            text.replace(_ELAPSED_MARK, "%d" % elapsed), newline="\n")
         (out / f"{stem}_summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n", newline="\n")
 

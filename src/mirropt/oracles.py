@@ -122,7 +122,7 @@ class LinearMaxBundle(ConstraintBundle):
 
     def evaluate(self, x):
         vals = self.A @ x + self.b
-        i = int(np.argmax(vals))        # first maximum, lowest index
+        i = int(vals.argmax())          # first maximum, lowest index
         return OracleResponse(float(vals[i]), self.A[i].copy(),
                               active_index=i + 1)
 

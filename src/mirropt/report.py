@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     k: int
     f_value: float

@@ -102,7 +102,10 @@ class SmoothedMaxResidual:
 
     def inner_argmax(self, x):
         """u_mu(x) in the l1-ball (folded back from the doubled simplex)."""
-        r = self.residual(x)
+        return self._inner_argmax(self.residual(x))
+
+    def _inner_argmax(self, r):
+        """u_mu at the point whose residual is ``r``."""
         stacked = np.concatenate([r, -r]) / self.mu
         stacked -= stacked.max()
         v = np.exp(stacked)
@@ -114,7 +117,7 @@ class SmoothedMaxResidual:
         r = self.residual(x)
         stacked = np.concatenate([r, -r]) / self.mu
         value = self.mu * (float(logsumexp(stacked)) - np.log(2 * self.m))
-        u = self.inner_argmax(x)
+        u = self._inner_argmax(r)
         grad = self.A.T @ u
         if self.h_oracle is not None:
             hr = self.h_oracle(x)

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 import mirropt
-from mirropt import bench
-from mirropt.bench import METHODS, ConfigError, fit_rate, run_experiment
+from mirropt import bench, constrained
+from mirropt.bench import (METHODS, ConfigError, fit_rate, run_experiment,
+                           trace_csv_text, trace_hash)
 from mirropt.cli import main
+from mirropt.report import TRACE_COLUMNS, TraceRow
 
 
 def fixed_md_config(**overrides):
@@ -81,6 +85,67 @@ hashes = {name: run_experiment(cfg)[1]["trace_sha256"]
 print(json.dumps({"value": value.value, "subgradient":
                   value.subgradient.tolist(), "hashes": hashes}))
 """
+
+
+# trace_sha256 of every METHOD_CONFIGS entry and of a small switching run on
+# the truss dual, recorded with one BLAS thread (numpy 2.4.6, OpenBLAS
+# 0.3.31): any change to the numerics or to the CSV bytes moves one of them
+TTD_SWITCHING = {"seed": 1, "problem": {"generator": "ttd_dual", "nodes": 10,
+                                        "bars": 20},
+                 "method": {"name": "constrained_nonsmooth", "eps": 0.1}}
+GOLDEN_HASHES = {
+    "shor": "0845bebbd4b1986db7b7f9c116fabdfb588f74cd0597b57f4093c60ce767d5f4",
+    "fixed_md":
+        "512c1d9b9a62338cf28078aead6d2553f7daacce1e113923a91a7a7c969bd245",
+    "adaptive_md":
+        "25d183e75f1f79d67f0cc6802780cbc335d956d346a8a380462d7f3a6f43805b",
+    "normalized_md":
+        "cd785dc909ffb9377860304848949c7ec7e422504d3bad5b3dd411ec45906ea6",
+    "strongly_convex_md":
+        "a2f794e6bf81ef289761c1e6a233f1987e135959a017ec7dda048832ec59ea0c",
+    "constrained_nonsmooth":
+        "eafd3b8dc59d07a2fa48af8b2cd3193538e1d362c9716dbe5fbd8ceda9e89b68",
+    "constrained_general":
+        "792c1cfa1e7d83bc4766b9114f993fafe40374b8a99fe171006c4b7f5a8bfa63",
+    "agm": "3f88f050ad8c59d598f919976f8439413162ec38b5e450cc7bd6e8d7768ccfe0",
+    "universal_agm":
+        "8b6850a51d7785291e5c88048a3dd76bda11c86339352c2dae63a1ef5494a065",
+    "mirror_prox":
+        "e0522873122d9c3e6d5eddc744f95307108fce8d10a2ba3b89092d300dab5838",
+    "universal_mirror_prox":
+        "a693f300bf59fdb46df78532d8065e210e57a2db6da6bb26bcc3ee8f94d8910d",
+    "ttd_switching":
+        "998f46bc71a2f30374bddcffce970c43125eb50622cbdc1f0a52bddb6c1a1ac3",
+}
+
+
+def _run_in_process(configs, **env):
+    src = str(Path(mirropt.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _PROCESS_RUN, json.dumps(configs)],
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
+        text=True, timeout=300, check=True)
+    return json.loads(run.stdout)
+
+
+def reference_csv(trace, elapsed_ns=None):
+    """The per-cell formatter the one-pass row template replaced."""
+    def fmt(col, x):
+        if col in ("k", "oracle_calls", "elapsed_ns"):
+            return str(int(x))
+        xf = float(x)
+        if math.isnan(xf):
+            return "nan"
+        if math.isinf(xf):
+            return "inf" if xf > 0 else "-inf"
+        return format(xf, ".17g")
+
+    lines = [",".join(TRACE_COLUMNS)]
+    for row in trace:
+        lines.append(",".join(
+            fmt(col, elapsed_ns if col == "elapsed_ns" and elapsed_ns
+                is not None else getattr(row, col)) for col in TRACE_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def strip_elapsed(path):
@@ -174,15 +239,64 @@ class TestRunExperiment:
 def test_same_bytes_in_every_process():
     """Same config, same numbers, whatever the per-process hash salt."""
     assert set(METHOD_CONFIGS) == METHODS
-    src = str(Path(mirropt.__file__).resolve().parents[1])
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
-        run = subprocess.run(
-            [sys.executable, "-c", _PROCESS_RUN, json.dumps(METHOD_CONFIGS)],
-            env=env, capture_output=True, text=True, timeout=300, check=True)
-        outputs.append(json.loads(run.stdout))
+    outputs = [_run_in_process(METHOD_CONFIGS, PYTHONHASHSEED=hash_seed)
+               for hash_seed in ("1", "2")]
     assert outputs[0] == outputs[1]
+
+
+def test_golden_trace_hashes():
+    """Every method's trace hash is the recorded one, so a change that moves
+    the numerics the same way in every process is caught too."""
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+    out = _run_in_process({**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING},
+                          **threads)
+    assert out["hashes"] == GOLDEN_HASHES
+
+
+class TestTraceSerialization:
+    EDGE_ROWS = [
+        TraceRow(0, float("nan"), g_value=float("inf"), step=float("-inf"),
+                 M_k=-0.0, oracle_calls=1, elapsed_ns=7, bound_value=0.0),
+        TraceRow(1, 5e-324, g_value=1.7976931348623157e308, step=0.1,
+                 M_k=-1.7976931348623157e308, oracle_calls=2,
+                 bound_value=-5e-324),
+        TraceRow(np.int64(2), np.float64(1.0 / 3.0), g_value=np.float64(-0.0),
+                 step=np.float64("nan"), M_k=np.float64(1e-300),
+                 oracle_calls=np.int64(2**40), elapsed_ns=np.int64(123),
+                 bound_value=np.float64(2.5e15)),
+        TraceRow(3, 7, g_value=-12, step=2**53 + 1, M_k=np.int64(-3),
+                 oracle_calls=4.0, elapsed_ns=9.0, bound_value=True),
+        TraceRow(4.0, 1e16, g_value=123456789.125, step=1e-7,
+                 oracle_calls=np.float64(5.0), bound_value=np.float32(0.1)),
+    ]
+
+    @pytest.mark.parametrize("elapsed_ns", [None, 0, 987654321])
+    def test_edge_rows_match_reference(self, elapsed_ns):
+        assert trace_csv_text(self.EDGE_ROWS, elapsed_ns=elapsed_ns) == \
+            reference_csv(self.EDGE_ROWS, elapsed_ns)
+        assert trace_csv_text([]) == reference_csv([])
+
+    def test_ttd_trace_matches_reference(self, tmp_path):
+        cfg = METHOD_CONFIGS["constrained_nonsmooth"]
+        params = {k: v for k, v in cfg["problem"].items() if k != "generator"}
+        problem, _ = bench.PROBLEMS["ttd_dual"](params, cfg["seed"])
+        setup = bench._make_setup(problem, None)
+        trace = constrained.solve_constrained_nonsmooth(
+            problem, setup, cfg["method"]["eps"]).trace
+        zero = reference_csv(trace, 0)
+        for elapsed_ns in (None, 0, 123456789):
+            assert trace_csv_text(trace, elapsed_ns) == \
+                reference_csv(trace, elapsed_ns)
+        assert trace_hash(trace) == \
+            hashlib.sha256(zero.encode("ascii")).hexdigest()
+        # the runner's file and hash come from the same rows
+        _, summary = run_experiment(cfg, out_dir=tmp_path, stem="ttd")
+        written = (tmp_path / "ttd_trace.csv").read_text()
+        elapsed = int(written.splitlines()[1].split(",")[
+            TRACE_COLUMNS.index("elapsed_ns")])
+        assert written == reference_csv(trace, elapsed)
+        assert summary["trace_sha256"] == trace_hash(trace)
 
 
 class TestCli:
@@ -248,8 +362,16 @@ class TestCli:
         {"seed": 1, "problem": {"generator": "ttd_dual", "nodes": 1},
          "method": {"name": "constrained_nonsmooth", "eps": 0.1}},
         fixed_md_config(setup={"origin": [1.0, 2.0]}),
+        {"seed": 5, "problem": {"generator": "quadratic_box", "dim": 4},
+         "method": {"name": "strongly_convex_md", "mu": 1.0, "N": 10,
+                    "M": "abc"}},
+        {"seed": 5, "problem": {"generator": "matrix_game"},
+         "method": {"name": "mirror_prox", "N": 10, "L": "abc"}},
+        fixed_md_config(method={"name": "shor", "lam": 0.1, "N": 10,
+                                "x0": {"a": 1}}),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
-            "adaptive-N-zero", "ttd-one-node", "origin-wrong-length"])
+            "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
+            "M-not-float", "L-not-float", "x0-not-vector"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg):
         p = self.write(tmp_path, cfg)
         assert main(["solve", "--config", str(p)]) == 2

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mirropt.geometry import (FEASIBILITY_TOL, NORMALIZATION_TOL,
                               OPTIMALITY_TOL, DimensionMismatchError,
                               FeasibleSet, GeometryDomainError, ProductSetup,
-                              doubled_to_signed, entropy_l1_ball_setup,
-                              entropy_setup, euclidean_setup,
-                              signed_to_doubled)
+                              _check_dim, doubled_to_signed,
+                              entropy_l1_ball_setup, entropy_setup,
+                              euclidean_setup, signed_to_doubled)
 
 
 def sample_setups():
@@ -215,3 +218,86 @@ class TestProductSetup:
         out = prod.mirror_step(z, np.array([10.0, 1.0, -1.0]))
         assert prod.contains(out)
         assert out[0] == 0.0
+
+
+# -- the per-call fast paths equal the numpy reference formulas, bit for bit --
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def vectors(n, **floats):
+    return hnp.arrays(np.float64, n, elements=st.floats(width=64, **floats))
+
+
+@st.composite
+def euclidean_and_vector(draw):
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["all", "box", "ball"]))
+    if kind == "all":
+        fs = FeasibleSet.all_space(n)
+    elif kind == "box":
+        fs = FeasibleSet.box(np.full(n, -1.0), np.full(n, 1.0))
+    else:
+        fs = FeasibleSet.ball(np.zeros(n), 2.0)
+    return euclidean_setup(fs), draw(vectors(n))
+
+
+@st.composite
+def box_step(draw):
+    """A box (signed-zero bounds included), an origin, x and p."""
+    n = draw(st.integers(1, 40))
+    bounds = vectors(n, allow_nan=False)
+    a, b = draw(bounds), draw(bounds)
+    box = FeasibleSet.box(np.minimum(a, b), np.maximum(a, b))
+    setup = euclidean_setup(box, origin=draw(vectors(n, allow_nan=False)))
+    return setup, draw(vectors(n)), draw(vectors(n))
+
+
+class TestFastPaths:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan
+    @settings(max_examples=300, deadline=None)
+    @given(euclidean_and_vector())
+    def test_euclidean_norms_are_linalg_norm(self, case):
+        setup, p = case
+        ref = float(np.linalg.norm(p))
+        assert same_bits(setup.dual_norm(p), ref)
+        assert same_bits(setup.norm(p), ref)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(box_step())
+    def test_box_step_is_clip_and_mutates_nothing(self, case):
+        setup, x, p = case
+        before = x.copy(), p.copy(), setup.origin.copy()
+        out = setup.mirror_step(x, p)
+        assert same_bits(out, np.clip(x - p, setup.set.lower, setup.set.upper))
+        assert out is not x and out is not p
+        assert same_bits(setup.prox_center(),
+                         np.clip(setup.origin, setup.set.lower,
+                                 setup.set.upper))
+        for arr, old in zip((x, p, setup.origin), before):
+            assert same_bits(arr, old)
+
+    def test_box_step_signed_zeros(self):
+        lo = np.array([0.0, -0.0, -1.0, -1.0])
+        hi = np.array([1.0, 1.0, 0.0, -0.0])
+        setup = euclidean_setup(FeasibleSet.box(lo, hi))
+        x = np.array([-0.0, 0.0, -0.0, 0.0])
+        out = setup.mirror_step(x, np.zeros(4))
+        assert same_bits(out, np.clip(x - np.zeros(4), lo, hi))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30))
+    def test_check_dim_shapes_and_coercion(self, n):
+        x = np.arange(n, dtype=float)
+        assert _check_dim(n, x) is x
+        for bad in (x.reshape(n, 1), np.zeros(n + 1), x[:, None].tolist()):
+            with pytest.raises(DimensionMismatchError):
+                _check_dim(n, bad)
+        for ok in (list(range(n)), np.arange(n),
+                   np.arange(n, dtype=np.float32)):
+            got = _check_dim(n, ok)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert same_bits(got, x)

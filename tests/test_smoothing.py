@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from mirropt.bench import PROBLEMS
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import FunctionOracle, ProblemInstance
 from mirropt.smoothing import (SmoothedMaxResidual, agm_solve, alpha_root,
@@ -126,6 +128,30 @@ class TestSmoothedOracle:
                                 h_oracle=h, L_h=2.0)
         x = np.array([0.3, -0.4])
         assert o(x).value == pytest.approx(h(x).value, abs=1e-12)
+
+    def test_one_residual_per_call(self, monkeypatch):
+        """The oracle computes A x - b once and returns what the two-pass
+        formula (value, then inner_argmax from a fresh residual) gave."""
+        problem, _ = PROBLEMS["max_residual"]({"rows": 6, "cols": 8}, 4)
+        o = SmoothedMaxResidual(problem.meta["A"], problem.meta["b"], mu=0.05)
+        calls = []
+        residual = o.residual
+        monkeypatch.setattr(o, "residual",
+                            lambda x: calls.append(1) or residual(x))
+        rng = np.random.default_rng(21)
+        for k in range(1, 51):
+            x = rng.uniform(-1, 1, size=o.n)
+            resp = o(x)
+            assert len(calls) == k
+            r = o.A @ x - o.b
+            stacked = np.concatenate([r, -r]) / o.mu
+            value = o.mu * (float(logsumexp(stacked)) - np.log(2 * o.m))
+            stacked -= stacked.max()
+            v = np.exp(stacked)
+            v /= v.sum()
+            grad = o.A.T @ (v[:o.m] - v[o.m:])
+            assert resp.value == value
+            assert resp.subgradient.tobytes() == grad.tobytes()
 
     def test_choose_mu(self):
         assert choose_mu(2.0, 1.0, 4.0, 3) == pytest.approx(0.5)
