@@ -1,15 +1,22 @@
 """Incremental maintenance of f(y) = max_i <a_i, y> under sparse updates.
 
-A tournament tree over the products z = A y lets the maximum and its
-argmax be repaired in O(log m) per affected row, so a sparse change of y
-touching s rows costs O(s log m) instead of O(m n).
+A tournament tree over z = A y repairs the maximum and its argmax in
+O(log m) per affected row, stopping at the first node a repair leaves
+unchanged, so a sparse change of y touching s rows costs O(s log m)
+instead of O(m n).  The O(nnz) build computes z per group of equal-length
+rows with a stacked (1, k) @ (k, 1) ``matmul``: numpy runs each block
+through the same ``ddot`` as ``np.dot``, so z agrees to the bit with the
+per-row products of the repair and of ``brute_force``.  ``A @ y`` would
+not: scipy's CSR product sums in another order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -33,9 +40,19 @@ class SparseVector:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
+    @classmethod
+    def _trusted(cls, indices, values):
+        """Wrap arrays already known to satisfy the rules, unchecked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "indices", indices)
+        object.__setattr__(v, "values", values)
+        return v
+
     @staticmethod
     def from_dense(x, tol=0.0):
         x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("a dense vector must be 1-d")
         idx = np.flatnonzero(np.abs(x) > tol)
         return SparseVector(idx, x[idx])
 
@@ -63,128 +80,141 @@ def _as_sparse(delta):
     return SparseVector.from_dense(delta)
 
 
-class MaxStructure:
-    """Sparse rows of A, the current y and z = A y, and a tournament tree.
+def _csr_arrays(A):
+    """Fresh indptr, int64 indices, float data and column count (None for a
+    list) of A: scipy sparse, dense 2-d (zeros dropped) or row pairs."""
+    if isinstance(A, np.ndarray):
+        if A.ndim != 2:
+            raise ValueError("a dense A must be 2-d")
+        A = sp.csr_matrix(A, dtype=float)
+    if hasattr(A, "tocsr"):
+        A = A.tocsr()
+        return (np.array(A.indptr, dtype=np.int64), np.array(
+            A.indices, dtype=np.int64), np.array(A.data, dtype=float), A.shape[1])
+    rows = [(np.asarray(i, dtype=np.int64), np.asarray(v, dtype=float))
+            for i, v in A]
+    if any(i.ndim != 1 or i.shape != v.shape for i, v in rows):
+        raise ValueError("a row needs 1-d indices and values of one length")
+    sizes = [i.size for i, _ in rows]
+    return (np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            np.concatenate([np.empty(0, np.int64)] + [i for i, _ in rows]),
+            np.concatenate([np.empty(0)] + [v for _, v in rows]), None)
 
-    Row indices reported by ``argmax`` are 1-based with ties broken to the
-    lowest index.  Affected z_i are recomputed from the full sparse row so
-    the result is bit-identical to a from-scratch evaluation.
-    """
+
+class MaxStructure:
+    """Read-only CSR and CSC copies of A, y, z = A y and a tournament tree.
+
+    ``argmax`` is 1-based with ties broken to the lowest index.  Affected
+    z_i are recomputed from the full sparse row, bit-identical to
+    ``brute_force``."""
 
     def __init__(self, A, y0):
-        rows = self._normalize_rows(A)
-        y0 = np.asarray(y0, dtype=float).copy()
-        self.n = y0.size
-        self.m = len(rows)
-        if self.m < 1:
-            raise ValueError("need at least one row")
-        self.row_idx = []
-        self.row_val = []
-        cols = [[] for _ in range(self.n)]
-        for i, (idx, val) in enumerate(rows):
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=float)
-            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-                raise ValueError("row index out of range")
-            self.row_idx.append(idx)
-            self.row_val.append(val)
-            for j in idx:
-                cols[j].append(i)
-        self.col_rows = [np.array(c, dtype=np.int64) for c in cols]
-        self.y = y0
-        self.z = np.array([self._row_product(i) for i in range(self.m)])
-        # complete binary tournament tree over the next power of two; plain
-        # lists keep the hot repair path free of numpy scalar overhead
-        size = 1
-        while size < self.m:
-            size *= 2
-        self.leaf_base = size
-        self.depth = size.bit_length()      # path length leaf -> root in nodes
-        self.tree_val = [-np.inf] * (2 * size)
-        self.tree_arg = [self.m] * (2 * size)
-        for i in range(self.m):
-            self.tree_val[self.leaf_base + i] = float(self.z[i])
-            self.tree_arg[self.leaf_base + i] = i
-        for node in range(size - 1, 0, -1):
-            self._pull(node)
+        self.y = y0 = np.array(y0, dtype=float)
+        indptr, indices, data, cols = _csr_arrays(A)
+        self.n, self.m = y0.size, indptr.size - 1
+        # the SparseVector rules, checked once for every row
+        if y0.ndim != 1 or cols not in (None, self.n) or self.m < 1:
+            raise ValueError("need a 1-d y0 and A of >= 1 row, len(y0) columns")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n):
+            raise ValueError("row index out of range")
+        if not (np.isfinite(data).all() and np.isfinite(y0).all()):
+            raise ValueError("A and y0 must be finite")
+        if np.any(data == 0.0):
+            raise ValueError("explicit zeros are not stored")
+        csr = sp.csr_matrix((data, indices, indptr), shape=(self.m, self.n))
+        if not csr.has_canonical_format:
+            raise ValueError("row indices must be strictly increasing")
+        csc = csr.tocsc()          # each column's rows in ascending order
+        self._csr = indptr, indices, data
+        self._csc = csc.indptr, csc.indices
+        for a in self._csr + self._csc:
+            a.setflags(write=False)
+        self.z = np.zeros(self.m)            # empty rows: np.dot gives 0.0
+        counts = np.diff(indptr)
+        for k in np.unique(counts[counts > 0]).tolist():
+            rows = np.flatnonzero(counts == k)
+            pos = indptr[rows, None] + np.arange(k)
+            a, b = data[pos][:, None, :], y0[indices[pos]][:, :, None]
+            # 1-element np.dot is the bare product (-0.0 kept); matmul adds +0.0
+            self.z[rows] = (a * b if k == 1 else a @ b)[:, 0, 0]
+        if not np.isfinite(self.z).all():
+            raise ValueError("A y0 overflows")
+        # complete tournament tree, built level by level; ties go left
+        self.leaf_base = size = 1 << (self.m - 1).bit_length()
+        val = np.full(2 * size, -np.inf)
+        arg = np.full(2 * size, self.m, dtype=np.int64)
+        val[size:size + self.m], arg[size:size + self.m] = self.z, range(self.m)
+        while size > 1:
+            lo, size = size, size // 2
+            take = val[lo + 1:2 * lo:2] > val[lo:2 * lo:2]
+            val[size:lo] = np.where(take, val[lo + 1:2 * lo:2], val[lo:2 * lo:2])
+            arg[size:lo] = np.where(take, arg[lo + 1:2 * lo:2], arg[lo:2 * lo:2])
+        # plain lists keep the hot repair path free of numpy scalar overhead
+        self.tree_val, self.tree_arg = val.tolist(), arg.tolist()
 
-    @staticmethod
-    def _normalize_rows(A):
-        if hasattr(A, "tocsr"):
-            A = A.tocsr()
-            return [(A.indices[A.indptr[i]:A.indptr[i + 1]],
-                     A.data[A.indptr[i]:A.indptr[i + 1]])
-                    for i in range(A.shape[0])]
-        if isinstance(A, np.ndarray):
-            out = []
-            for row in np.asarray(A, dtype=float):
-                idx = np.flatnonzero(row)
-                out.append((idx, row[idx]))
-            return out
-        # list of (indices, values) pairs
-        return [(np.asarray(i, dtype=np.int64), np.asarray(v, dtype=float))
-                for i, v in A]
+    def row(self, i):
+        """Row i (0-based) as a read-only sparse vector."""
+        indptr, indices, data = self._csr
+        a, b = indptr[i], indptr[i + 1]
+        return SparseVector._trusted(indices[a:b], data[a:b])
 
-    def _row_product(self, i):
-        # single np.dot keeps summation order identical to brute force
-        return float(np.dot(self.row_val[i], self.y[self.row_idx[i]]))
+    def col_rows(self, j):
+        """The rows (0-based, ascending) with a nonzero in column j."""
+        ptr, rows = self._csc
+        return rows[ptr[j]:ptr[j + 1]]
 
-    def _pull(self, node):
-        left = 2 * node
-        val, arg = self.tree_val, self.tree_arg
-        if val[left + 1] > val[left]:
-            val[node] = val[left + 1]
-            arg[node] = arg[left + 1]
-        else:
-            val[node] = val[left]
-            arg[node] = arg[left]
-
-    @property
-    def value(self):
-        return float(self.tree_val[1])
-
-    @property
-    def argmax(self):
-        return int(self.tree_arg[1]) + 1
+    value = property(lambda self: self.tree_val[1])
+    argmax = property(lambda self: self.tree_arg[1] + 1)    # 1-based
 
     def query(self):
         return self.value, self.argmax
 
     def apply_sparse_update(self, delta):
-        """y <- y + delta; returns (new_value, new_argmax, touched_count)."""
+        """y <- y + delta; returns (new_value, new_argmax, touched_count).
+        An update making y or A y non-finite raises and changes nothing."""
         delta = _as_sparse(delta)
-        if delta.indices.size and (delta.indices.min() < 0
-                                   or delta.indices.max() >= self.n):
+        idx = delta.indices
+        if not idx.size:
+            return self.value, self.argmax, 0
+        if idx[0] < 0 or idx[-1] >= self.n:
             raise ValueError("delta index out of range")
-        self.y[delta.indices] += delta.values
-        affected = np.unique(np.concatenate(
-            [self.col_rows[j] for j in delta.indices])) \
-            if delta.indices.size else np.array([], dtype=np.int64)
-        touched = 0
-        for i in affected.tolist():
-            zi = self._row_product(i)
-            self.z[i] = zi
-            node = self.leaf_base + i
-            self.tree_val[node] = zi
-            touched += 1
-            while node > 1:
-                node //= 2
-                self._pull(node)
+        (indptr, indices, data), (ptr, rows) = self._csr, self._csc
+        y, old = self.y, self.y[idx]
+        y[idx] = new = old + delta.values
+        aff = np.unique(np.concatenate(
+            [rows[ptr[j]:ptr[j + 1]] for j in idx.tolist()]))
+        zs = [float(np.dot(data[a:b], y[indices[a:b]]))
+              for a, b in zip(indptr[aff].tolist(), indptr[aff + 1].tolist())]
+        if not (np.isfinite(new).all() and all(map(math.isfinite, zs))):
+            y[idx] = old
+            raise ValueError("the update makes y or A y non-finite")
+        self.z[aff] = zs
+        val, arg, touched = self.tree_val, self.tree_arg, 0
+        for i, v in zip(aff.tolist(), zs):
+            node, w = self.leaf_base + i, i
+            while node:      # up to the root; node 0 is an unused slot
+                # stop at the first node left as it was, sign of zero too
                 touched += 1
+                prev = val[node]
+                if w == arg[node] and v == prev and (
+                        v or math.copysign(1.0, v) == math.copysign(1.0, prev)):
+                    break
+                val[node], arg[node] = v, w
+                node //= 2
+                pick = 2 * node + (val[2 * node + 1] > val[2 * node])
+                v, w = val[pick], arg[pick]
         return self.value, self.argmax, touched
 
     def current_subgradient(self):
-        """The attaining row a_{argmax} as a sparse vector."""
-        i = self.tree_arg[1]
-        return SparseVector(self.row_idx[i], self.row_val[i])
+        """The attaining row a_{argmax} as a read-only sparse vector."""
+        return self.row(self.tree_arg[1])
 
     def brute_force(self):
         """From-scratch (value, argmax) with the same per-row summation."""
-        best = -np.inf
-        best_i = 0
-        for i in range(self.m):
-            zi = float(np.dot(self.row_val[i], self.y[self.row_idx[i]]))
+        indptr, indices, data = self._csr
+        ptr, y_at, best, best_i = indptr.tolist(), self.y[indices], -np.inf, 0
+        for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
+            zi = float(np.dot(data[a:b], y_at[a:b]))
             if zi > best:        # strict: ties keep the lowest index
                 best, best_i = zi, i
         return best, best_i + 1
-

@@ -420,7 +420,7 @@ def test_criterion_13_sparse_max_structure(capsys):
                 k = int(ks[u])
                 delta = SparseVector(np.sort(order[u, :k]), vals[u, :k])
                 affected = len({i for j in delta.indices
-                                for i in s.col_rows[j]})
+                                for i in s.col_rows(j)})
                 value, argmax, touched = s.apply_sparse_update(delta)
                 bv, ba = s.brute_force()
                 assert value == bv       # exact, no tolerance

@@ -119,10 +119,48 @@ GOLDEN_HASHES = {
 }
 
 
-def _run_in_process(configs, **env):
+# a MaxStructure built like the maxstruct_stream workload (4 nonzeros per
+# row, nonzero normal entries) fed 3-sparse updates with a read after each;
+# prints the SHA-256 of the reads (values, then 1-based argmaxes) and of
+# the final z
+_STREAM_RUN = """
+import hashlib, json, sys
+import numpy as np
+import scipy.sparse as sp
+from mirropt.maxstruct import MaxStructure, SparseVector
+cfg = json.loads(sys.argv[1])
+m, n, updates = cfg["m"], cfg["n"], cfg["updates"]
+rng = np.random.default_rng(cfg["seed"])
+def distinct_sorted(count, k):
+    idx = np.sort(rng.integers(0, n, size=(count, k)), axis=1)
+    while True:
+        dup = np.flatnonzero((np.diff(idx, axis=1) == 0).any(axis=1))
+        if dup.size == 0:
+            return idx
+        idx[dup] = np.sort(rng.integers(0, n, size=(dup.size, k)), axis=1)
+def nonzero_normals(shape):
+    vals = rng.standard_normal(shape)
+    vals[vals == 0.0] = 1.0
+    return vals
+cols = distinct_sorted(m, 4)
+A = sp.csr_matrix((nonzero_normals((m, 4)).ravel(), cols.ravel(),
+                   np.arange(0, 4 * m + 1, 4)), shape=(m, n))
+s = MaxStructure(A, rng.standard_normal(n))
+idx, delta = distinct_sorted(updates, 3), nonzero_normals((updates, 3))
+values, argmaxes = np.zeros(updates), np.zeros(updates, dtype=np.int64)
+for u in range(updates):
+    s.apply_sparse_update(SparseVector(idx[u], delta[u]))
+    values[u], argmaxes[u] = s.query()
+print(json.dumps({
+    "reads": hashlib.sha256(values.tobytes() + argmaxes.tobytes()).hexdigest(),
+    "z": hashlib.sha256(s.z.tobytes()).hexdigest()}))
+"""
+
+
+def _run_in_process(configs, script=_PROCESS_RUN, **env):
     src = str(Path(mirropt.__file__).resolve().parents[1])
     run = subprocess.run(
-        [sys.executable, "-c", _PROCESS_RUN, json.dumps(configs)],
+        [sys.executable, "-c", script, json.dumps(configs)],
         env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
         text=True, timeout=300, check=True)
     return json.loads(run.stdout)
@@ -252,6 +290,21 @@ def test_golden_trace_hashes():
     out = _run_in_process({**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING},
                           **threads)
     assert out["hashes"] == GOLDEN_HASHES
+
+
+def test_golden_stream_hash():
+    """The reads and the final z of a seeded MaxStructure stream are the
+    recorded ones (one BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31).  The
+    other tests compare the structure with its own brute force, which a
+    change moving the bits of both would pass."""
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+    out = _run_in_process({"seed": 2024, "m": 5000, "n": 5000,
+                           "updates": 2000}, script=_STREAM_RUN, **threads)
+    assert out == {
+        "reads":
+            "75d35444d9f63b40bc0eecad4c78f2a6e2702b20a0e8941e2dbd2981d68ec22e",
+        "z": "bedac3e263b90eb44e6c75153a5e2eb30a99c5ea3dba7f653a0ae9674c631f05"}
 
 
 class TestTraceSerialization:
