@@ -19,6 +19,19 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def _int_indices(indices):
+    """The indices as int64; a value that is not an integer raises instead
+    of being truncated."""
+    raw = np.asarray(indices)
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):          # nan and inf fail below
+        idx = raw.astype(np.int64)
+    if not np.array_equal(idx, raw):
+        raise ValueError("indices must be integers")
+    return idx
+
+
 @dataclass(frozen=True)
 class SparseVector:
     """Sorted (index, value) pairs with strictly increasing indices."""
@@ -27,7 +40,7 @@ class SparseVector:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = _int_indices(self.indices)
         val = np.asarray(self.values, dtype=float)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be 1-d and equal length")
@@ -59,9 +72,7 @@ class SparseVector:
     @staticmethod
     def from_dict(d):
         items = sorted(d.items())
-        idx = np.array([i for i, _ in items], dtype=np.int64)
-        val = np.array([v for _, v in items], dtype=float)
-        return SparseVector(idx, val)
+        return SparseVector([i for i, _ in items], [v for _, v in items])
 
     def to_dense(self, n):
         out = np.zeros(n)
@@ -72,11 +83,13 @@ class SparseVector:
         return int(self.indices.size)
 
 
-def _as_sparse(delta):
+def _as_sparse(delta, n):
     if isinstance(delta, SparseVector):
         return delta
     if isinstance(delta, dict):
         return SparseVector.from_dict(delta)
+    if np.shape(delta) != (n,):
+        raise ValueError(f"a dense delta must have shape ({n},)")
     return SparseVector.from_dense(delta)
 
 
@@ -91,7 +104,7 @@ def _csr_arrays(A):
         A = A.tocsr()
         return (np.array(A.indptr, dtype=np.int64), np.array(
             A.indices, dtype=np.int64), np.array(A.data, dtype=float), A.shape[1])
-    rows = [(np.asarray(i, dtype=np.int64), np.asarray(v, dtype=float))
+    rows = [(_int_indices(i), np.asarray(v, dtype=float))
             for i, v in A]
     if any(i.ndim != 1 or i.shape != v.shape for i, v in rows):
         raise ValueError("a row needs 1-d indices and values of one length")
@@ -171,8 +184,10 @@ class MaxStructure:
 
     def apply_sparse_update(self, delta):
         """y <- y + delta; returns (new_value, new_argmax, touched_count).
-        An update making y or A y non-finite raises and changes nothing."""
-        delta = _as_sparse(delta)
+        delta is a SparseVector, an {index: value} dict or a dense array of
+        shape (n,).  A malformed delta, or an update making y or A y
+        non-finite, raises and changes nothing."""
+        delta = _as_sparse(delta, self.n)
         idx = delta.indices
         if not idx.size:
             return self.value, self.argmax, 0

@@ -286,7 +286,14 @@ def _solve_matrix_game(A):
 
 
 def gen_matrix_game(A, setup_choice="entropy"):
-    """Saddle operator Phi(x, u) = (A^T u, -A x) over simplex x simplex."""
+    """Saddle operator Phi(x, u) = (A^T u, -A x) over simplex x simplex.
+
+    ``linear_part`` is the skew matrix G = [[0, A^T], [-A, 0]], but Phi
+    multiplies only views of G's two off-diagonal blocks (two gemv calls
+    of about m n each instead of one of (n + m)^2).  With one BLAS thread
+    its bytes equal those of ``G @ z``; a threaded OpenBLAS splits a large
+    product at other rows, so at several threads the two may differ.
+    """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("A must be finite")
@@ -306,8 +313,20 @@ def gen_matrix_game(A, setup_choice="entropy"):
     G[:n, n:] = A.T
     G[n:, :n] = -A
 
+    # OpenBLAS gemv groups rows and columns by 4, so a block cut at n would
+    # sum in other lanes than G @ z whenever n % 4 != 0: each view is widened
+    # with zero entries of G to 4-aligned bounds.  The lower view also starts
+    # one group of rows early, so it never has a single row (m = 1), which
+    # numpy computes as a dot product instead of a gemv.
+    lo4, hi4 = n - n % 4, min(n + m, -(-n // 4) * 4)
+    r0 = max(0, lo4 - 4)
+    top, bottom = G[:hi4, lo4:], G[r0:, :hi4]
+
     def phi(z):
-        return G @ z
+        out = np.empty(n + m)
+        out[:n] = (top @ z[lo4:])[:n]
+        out[n:] = (bottom @ z[:hi4])[n - r0:]
+        return out
 
     value, x_eq, u_eq = _solve_matrix_game(A)
     return SaddleOperator(

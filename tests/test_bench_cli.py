@@ -87,12 +87,23 @@ print(json.dumps({"value": value.value, "subgradient":
 """
 
 
-# trace_sha256 of every METHOD_CONFIGS entry and of a small switching run on
-# the truss dual, recorded with one BLAS thread (numpy 2.4.6, OpenBLAS
-# 0.3.31): any change to the numerics or to the CSV bytes moves one of them
+# trace_sha256 of every METHOD_CONFIGS entry, of a small switching run on
+# the truss dual and of two matrix games whose x has n % 4 != 0 columns,
+# recorded with one BLAS thread (numpy 2.4.6, OpenBLAS 0.3.31): any change
+# to the numerics or to the CSV bytes moves one of them
 TTD_SWITCHING = {"seed": 1, "problem": {"generator": "ttd_dual", "nodes": 10,
                                         "bars": 20},
                  "method": {"name": "constrained_nonsmooth", "eps": 0.1}}
+GAMES = {
+    "mirror_prox_5x7": {"seed": 12, "problem": {"generator": "matrix_game",
+                                                "rows": 5, "cols": 7},
+                        "method": {"name": "mirror_prox", "N": 100}},
+    "universal_mirror_prox_6x9": {
+        "seed": 13, "problem": {"generator": "matrix_game", "rows": 6,
+                                "cols": 9},
+        "method": {"name": "universal_mirror_prox", "eps": 0.01,
+                   "M_init": 1.0, "N": 500}},
+}
 GOLDEN_HASHES = {
     "shor": "0845bebbd4b1986db7b7f9c116fabdfb588f74cd0597b57f4093c60ce767d5f4",
     "fixed_md":
@@ -116,6 +127,10 @@ GOLDEN_HASHES = {
         "a693f300bf59fdb46df78532d8065e210e57a2db6da6bb26bcc3ee8f94d8910d",
     "ttd_switching":
         "998f46bc71a2f30374bddcffce970c43125eb50622cbdc1f0a52bddb6c1a1ac3",
+    "mirror_prox_5x7":
+        "213f67e9b03c9c94cd877bbd19f34ff47b280081e7d7f16e4072d5fee15c7ca1",
+    "universal_mirror_prox_6x9":
+        "127960fe37902f67ce3c8fff0743f6255413b4d742de8949e3fb3fca843a1bf0",
 }
 
 
@@ -287,8 +302,8 @@ def test_golden_trace_hashes():
     the numerics the same way in every process is caught too."""
     threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                     "MKL_NUM_THREADS")}
-    out = _run_in_process({**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING},
-                          **threads)
+    out = _run_in_process(
+        {**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING, **GAMES}, **threads)
     assert out["hashes"] == GOLDEN_HASHES
 
 

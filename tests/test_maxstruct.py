@@ -28,6 +28,21 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector(np.array([0]), np.array([np.inf]))
 
+    @pytest.mark.parametrize("indices", [[0.5, 1.7], [0.0, 1.5], [np.nan, 1],
+                                         [1e30, 2e30], ["0", "1"]])
+    def test_rejects_fractional_indices(self, indices):
+        """A non-integral index raises instead of being truncated."""
+        with pytest.raises(ValueError):
+            SparseVector(np.array(indices), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("indices", [
+        [0, 3], np.array([0, 3], dtype=np.int32),
+        np.array([0, 3], dtype=np.uint8), [0.0, 3.0], np.array([0.0, 3.0])])
+    def test_accepts_integral_indices(self, indices):
+        v = SparseVector(indices, np.array([1.0, 2.0]))
+        assert v.indices.dtype == np.int64
+        assert list(v.indices) == [0, 3]
+
     def test_from_dense_rejects_non_1d(self):
         with pytest.raises(ValueError):
             SparseVector.from_dense(np.ones((2, 3)))
@@ -107,6 +122,14 @@ class TestBuildValidation:
     def test_explicit_zeros(self, A):
         with pytest.raises(ValueError):
             MaxStructure(A, np.zeros(3))
+
+    def test_rejects_fractional_row_indices(self):
+        with pytest.raises(ValueError):
+            MaxStructure([(np.array([0.5, 1.7]), np.array([1.0, 1.0]))],
+                         np.zeros(3))
+        s = MaxStructure([(np.array([0.0, 2.0]), np.array([1.0, 1.0]))],
+                         np.ones(3))
+        assert s.query() == (2.0, 1)
 
     def test_row_shapes(self):
         with pytest.raises(ValueError):
@@ -196,6 +219,20 @@ class TestUpdate:
         s = MaxStructure(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
             s.apply_sparse_update(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("delta", [
+        {1.9: 1.0}, np.ones(2), np.ones(4), [1.0, 1.0], np.ones((3, 1)),
+        np.float64(1.0)])
+    def test_rejects_bad_delta_unchanged(self, delta):
+        """A fractional index or a dense delta whose shape is not (n,)
+        raises and leaves y, z and the tree as they were."""
+        s = MaxStructure(np.eye(3), np.array([0.5, -1.0, 0.25]))
+        before = (s.y.tobytes(), tree_bits(s), s.query())
+        with pytest.raises(ValueError):
+            s.apply_sparse_update(delta)
+        assert (s.y.tobytes(), tree_bits(s), s.query()) == before
+        assert s.apply_sparse_update(np.array([0.0, 2.0, 0.0]))[:2] == (1.0, 2)
+        assert s.apply_sparse_update({2.0: 1.0})[:2] == (1.25, 3)
 
     def test_exact_equality_with_brute_force(self):
         rng = np.random.default_rng(25)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import (AbsLinearOracle, ConstraintBundle,
@@ -132,6 +134,19 @@ class TestTtd:
             reconstruct_ttd_primal(prob, np.zeros(1), np.zeros(2), T=1.0)
 
 
+def _game(m, n, seed, simplex):
+    """An m x n payoff matrix and a point z = (x, u), either on the simplex
+    product or signed normals with some entries exactly (+-) zero."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, size=(m, n))
+    if simplex:
+        z = np.concatenate([rng.dirichlet(np.ones(n)),
+                            rng.dirichlet(np.ones(m))])
+    else:
+        z = rng.standard_normal(n + m) * (rng.random(n + m) < 0.7)
+    return A, z
+
+
 class TestMatrixGame:
     def test_2x2_antidiagonal(self):
         op = gen_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -156,6 +171,26 @@ class TestMatrixGame:
             z1 = rng.uniform(0.01, 1.0, size=7)
             z2 = rng.uniform(0.01, 1.0, size=7)
             assert (op(z1) - op(z2)) @ (z1 - z2) >= -1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(_game, st.integers(1, 64), st.integers(1, 64),
+                     st.integers(0, 2**32 - 1), st.booleans()))
+    @example(_game(1, 1, 0, True))
+    @example(_game(1, 2, 1, False))
+    @example(_game(1, 3, 2, True))
+    @example(_game(1, 64, 3, False))
+    @example(_game(7, 1, 4, False))
+    @example(_game(64, 5, 5, True))
+    @example(_game(2, 63, 6, False))
+    def test_block_operator_bytes_equal_full_product(self, case):
+        """Phi multiplies views of G's two nonzero blocks; its bytes are
+        those of G @ z for every n % 4 and for one-row games."""
+        A, z = case
+        op = gen_matrix_game(A)
+        z0 = z.copy()
+        out = op(z)
+        assert out.tobytes() == (op.linear_part @ z).tobytes()
+        assert z.tobytes() == z0.tobytes()
 
 
 class TestConvexityAndSubgradients:
