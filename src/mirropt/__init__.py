@@ -16,8 +16,9 @@ from .oracles import (AbsLinearOracle, ConstraintBundle, FunctionOracle,
                       OracleResponse, ProblemInstance, SaddleOperator,
                       aggregate_max)
 from .problems import (gen_matrix_game, gen_transport_dual, gen_ttd_dual,
-                       make_ttd_instance, reconstruct_ttd_primal,
-                       transport_dual_lp_optimum, ttd_multipliers_from_dual)
+                       make_ttd_instance, matrix_game_equilibrium,
+                       reconstruct_ttd_primal, transport_dual_lp_optimum,
+                       ttd_multipliers_from_dual)
 from .report import Report, RunTrace, TraceRow, TRACE_COLUMNS
 from .subgradient import (run_adaptive_md, run_fixed_md, run_normalized_md,
                           run_shor, run_strongly_convex_md)

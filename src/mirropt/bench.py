@@ -93,9 +93,35 @@ def fit_rate(k, values):
 # problem builders
 # ---------------------------------------------------------------------------
 
+def integer(value):
+    """An int from an int, an integral float or a decimal string.  Null,
+    bool and fractional values raise ValueError instead of truncating."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(value, (bool, np.bool_)) or \
+            (not isinstance(value, str) and n != value):
+        raise ValueError(f"not an integer: {value!r}")
+    return n
+
+
+def _size(params, name, default):
+    """Problem parameter ``name`` as an integer >= 1."""
+    value = params.get(name, default)
+    try:
+        n = integer(value)
+        if n < 1:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"parameter '{name}' must be an integer >= 1, "
+                          f"got {value!r}") from None
+    return n
+
+
 # generator name -> builder(params, seed) returning (problem, kind), with
 # kind "convex", "constrained" or "vi".  _PROBLEM_KINDS keeps the kinds, so
-# a method is matched to its problem before the (LP-certified) build runs.
+# a method is matched to its problem before the build, which may run an LP.
 PROBLEMS = {}
 _PROBLEM_KINDS = {}
 
@@ -110,7 +136,7 @@ def _problem(name, kind):
 
 @_problem("abs_value", "convex")
 def _build_abs_value(params, seed):
-    n = int(params.get("dim", 1))
+    n = _size(params, "dim", 1)
     oracle = FunctionOracle(lambda x: np.abs(x).sum(), np.sign)
     return ProblemInstance(
         objective=oracle, set=FeasibleSet.all_space(n),
@@ -120,7 +146,7 @@ def _build_abs_value(params, seed):
 
 @_problem("quadratic_box", "convex")
 def _build_quadratic_box(params, seed):
-    n = int(params.get("dim", 4))
+    n = _size(params, "dim", 4)
     rng = np.random.default_rng(seed)
     t = rng.uniform(-1.0, 1.0, size=n)
     oracle = FunctionOracle(lambda x: 0.5 * np.sum((x - t) ** 2),
@@ -134,7 +160,7 @@ def _build_quadratic_box(params, seed):
 
 @_problem("simplex_linear", "convex")
 def _build_simplex_linear(params, seed):
-    n = int(params.get("dim", 10))
+    n = _size(params, "dim", 10)
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.0, 1.0, size=n)
     i = int(np.argmin(c))
@@ -151,8 +177,8 @@ def _build_simplex_linear(params, seed):
 def _build_toy_lp(params, seed):
     """Linear objective over a box with linear inequality constraints and a
     Slater point at the origin; f_star from an LP oracle."""
-    n = int(params.get("dim", 2))
-    m = int(params.get("pieces", 2))
+    n = _size(params, "dim", 2)
+    m = _size(params, "pieces", 2)
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, size=n)
     A = rng.uniform(-1.0, 1.0, size=(m, n))
@@ -174,8 +200,8 @@ def _build_toy_lp(params, seed):
 @_problem("max_residual", "convex")
 def _build_max_residual(params, seed):
     """f(x) = ||A x - b||_inf over the box [-1, 1]^n with f_star from an LP."""
-    m = int(params.get("rows", 8))
-    n = int(params.get("cols", 16))
+    m = _size(params, "rows", 8)
+    n = _size(params, "cols", 16)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     b = A @ rng.uniform(-0.5, 0.5, size=n) + 0.1 * rng.standard_normal(m)
@@ -208,8 +234,8 @@ def _build_matrix_game(params, seed):
     if "A" in params:
         A = np.asarray(params["A"], dtype=float)
     else:
-        m = int(params.get("rows", 4))
-        n = int(params.get("cols", 4))
+        m = _size(params, "rows", 4)
+        n = _size(params, "cols", 4)
         A = np.random.default_rng(seed).uniform(0.0, 1.0, size=(m, n))
     return problems.gen_matrix_game(A, params.get("setup", "entropy"))
 
@@ -230,14 +256,14 @@ def _build_bilinear_box(params, seed):
 
 @_problem("transport_dual", "convex")
 def _build_transport_dual(params, seed):
-    return problems.gen_transport_dual(int(params.get("rows", 3)),
-                                       int(params.get("cols", 3)), seed)
+    return problems.gen_transport_dual(_size(params, "rows", 3),
+                                       _size(params, "cols", 3), seed)
 
 
 @_problem("ttd_dual", "constrained")
 def _build_ttd_dual(params, seed):
-    return problems.gen_ttd_dual(int(params.get("nodes", 5)),
-                                 int(params.get("bars", 6)), seed)
+    return problems.gen_ttd_dual(_size(params, "nodes", 5),
+                                 _size(params, "bars", 6), seed)
 
 
 def _make_setup(problem, setup_cfg):
@@ -294,20 +320,20 @@ _MINIMIZE = ("convex", "constrained")
 # solver up on its module at call time, so a solver wrapped there runs.
 _METHODS = {
     "shor": (
-        _MINIMIZE, {"lam": float, "N": int}, {"x0": vector},
+        _MINIMIZE, {"lam": float, "N": integer}, {"x0": vector},
         lambda p, s, a: subgradient.run_shor(
             p, a.get("x0", s.prox_center()), a["lam"], a["N"])),
     "fixed_md": (
-        _MINIMIZE, {"R": float, "M": float, "N": int}, {},
+        _MINIMIZE, {"R": float, "M": float, "N": integer}, {},
         lambda p, s, a: subgradient.run_fixed_md(p, s, a["R"], a["M"], a["N"])),
     "adaptive_md": (
-        _MINIMIZE, {"eps": float, "N": int}, {},
+        _MINIMIZE, {"eps": float, "N": integer}, {},
         lambda p, s, a: subgradient.run_adaptive_md(p, s, a["eps"], a["N"])),
     "normalized_md": (
-        _MINIMIZE, {"R": float, "N": int}, {},
+        _MINIMIZE, {"R": float, "N": integer}, {},
         lambda p, s, a: subgradient.run_normalized_md(p, s, a["R"], a["N"])),
     "strongly_convex_md": (
-        _MINIMIZE, {"mu": float, "N": int}, {"M": float},
+        _MINIMIZE, {"mu": float, "N": integer}, {"M": float},
         lambda p, s, a: subgradient.run_strongly_convex_md(
             p, s, a["mu"], a["N"], M=a.get("M"))),
     "constrained_nonsmooth": (
@@ -316,18 +342,18 @@ _METHODS = {
     "constrained_general": (
         ("constrained",), {"eps": float}, {},
         lambda p, s, a: constrained.solve_constrained_general(p, s, a["eps"])),
-    "agm": (_MINIMIZE, {"N": int}, {"L": float}, _agm),
+    "agm": (_MINIMIZE, {"N": integer}, {"L": float}, _agm),
     "universal_agm": (
-        _MINIMIZE, {"eps": float, "L0": float, "N": int}, {},
+        _MINIMIZE, {"eps": float, "L0": float, "N": integer}, {},
         lambda p, s, a: smoothing.universal_agm(p, s, a["eps"], a["L0"],
                                                 a["N"])),
     "mirror_prox": (
-        ("vi",), {"N": int}, {"L": float},
+        ("vi",), {"N": integer}, {"L": float},
         lambda op, s, a: mirrorprox.mirror_prox_solve(
             op, op.domain, a.get("L", op.lipschitz), a["N"],
             gap_fn=_saddle_gap(op))),
     "universal_mirror_prox": (
-        ("vi",), {"eps": float, "M_init": float, "N": int}, {},
+        ("vi",), {"eps": float, "M_init": float, "N": integer}, {},
         lambda op, s, a: mirrorprox.universal_mirror_prox_solve(
             op, op.domain, a["eps"], a["M_init"], a["N"],
             gap_fn=_saddle_gap(op))),
@@ -377,7 +403,7 @@ def _validate(config):
     if pkind not in _METHODS[mname][0]:
         raise ConfigError(f"method '{mname}' does not apply to '{pname}', "
                           f"a {pkind} problem")
-    return pname, mname, _coerce(config, {"seed": int}, {})["seed"]
+    return pname, mname, _coerce(config, {"seed": integer}, {})["seed"]
 
 
 def _check_bounds(report, mname, problem, kind, eps=None):

@@ -2,7 +2,10 @@
 
 All generators are deterministic functions of (sizes, seed).  Known-optimum
 metadata is computed by an independent LP oracle (scipy's HiGHS) at
-construction time, never from formulas alone.
+construction time, never from formulas alone.  A matrix game is the
+exception: its value and equilibrium come from ``matrix_game_equilibrium``
+on request, since Mirror Prox is certified by its saddle gap, which needs
+neither.
 """
 
 from __future__ import annotations
@@ -264,27 +267,6 @@ def ttd_multipliers_from_dual(instance, lambda_bar):
 # Bilinear matrix games
 # ---------------------------------------------------------------------------
 
-def _solve_matrix_game(A):
-    """LP oracle for value and equilibrium of min_x max_u u^T A x over
-    simplices (x is the minimizer)."""
-    m, n = A.shape
-    # min t s.t. (A x)_i <= t, sum x = 1, x >= 0
-    cost = np.concatenate([np.zeros(n), [1.0]])
-    A_ub = np.hstack([A, -np.ones((m, 1))])
-    A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    bounds = [(0, None)] * n + [(None, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"matrix game LP failed: {res.message}")
-    x = np.asarray(res.x[:n], dtype=float)
-    value = float(res.fun)
-    u = np.asarray(-res.ineqlin.marginals, dtype=float)
-    u = np.maximum(u, 0.0)
-    u = u / u.sum() if u.sum() > 0 else np.full(m, 1.0 / m)
-    return value, x, u
-
-
 def gen_matrix_game(A, setup_choice="entropy"):
     """Saddle operator Phi(x, u) = (A^T u, -A x) over simplex x simplex.
 
@@ -293,18 +275,24 @@ def gen_matrix_game(A, setup_choice="entropy"):
     of about m n each instead of one of (n + m)^2).  With one BLAS thread
     its bytes equal those of ``G @ z``; a threaded OpenBLAS splits a large
     product at other rows, so at several threads the two may differ.
+
+    No LP runs here: ``matrix_game_equilibrium(op)`` computes the game's
+    value and equilibrium on request.
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or 0 in A.shape:
+        raise ValueError(f"A must be a 2-D matrix with at least one row and "
+                         f"one column, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("A must be finite")
     m, n = A.shape
     if setup_choice == "entropy":
         sx, su = entropy_setup(n), entropy_setup(m)
-        lip = float(np.abs(A).max()) if A.size else 0.0
+        lip = float(np.abs(A).max())
     elif setup_choice == "euclidean":
         sx = euclidean_setup(FeasibleSet.simplex(n))
         su = euclidean_setup(FeasibleSet.simplex(m))
-        lip = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
+        lip = float(np.linalg.svd(A, compute_uv=False)[0])
     else:
         raise ValueError(setup_choice)
     domain = ProductSetup(sx, su)
@@ -328,10 +316,31 @@ def gen_matrix_game(A, setup_choice="entropy"):
         out[n:] = (bottom @ z[:hi4])[n - r0:]
         return out
 
-    value, x_eq, u_eq = _solve_matrix_game(A)
     return SaddleOperator(
         phi=phi, domain=domain, lipschitz=lip, holder_nu=1.0, holder_l=lip,
         linear_part=G, affine_part=np.zeros(n + m),
-        meta={"A": A, "value": value, "x_eq": x_eq, "u_eq": u_eq,
-              "setup_choice": setup_choice},
+        meta={"A": A, "setup_choice": setup_choice},
     )
+
+
+def matrix_game_equilibrium(op):
+    """Value and equilibrium (value, x, u) of min_x max_u u^T A x over
+    simplices for a game built by ``gen_matrix_game``, from an LP (HiGHS).
+    x is the minimizer."""
+    A = op.meta["A"]
+    m, n = A.shape
+    # min t s.t. (A x)_i <= t, sum x = 1, x >= 0
+    cost = np.concatenate([np.zeros(n), [1.0]])
+    A_ub = np.hstack([A, -np.ones((m, 1))])
+    A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
+    bounds = [(0, None)] * n + [(None, None)]
+    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"matrix game LP failed: {res.message}")
+    x = np.asarray(res.x[:n], dtype=float)
+    value = float(res.fun)
+    u = np.asarray(-res.ineqlin.marginals, dtype=float)
+    u = np.maximum(u, 0.0)
+    u = u / u.sum() if u.sum() > 0 else np.full(m, 1.0 / m)
+    return value, x, u

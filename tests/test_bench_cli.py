@@ -29,6 +29,12 @@ def fixed_md_config(**overrides):
     return cfg
 
 
+def game_config(seed=5, N=20, **problem):
+    """Mirror Prox on a matrix game with the given problem entries."""
+    return {"seed": seed, "problem": {"generator": "matrix_game", **problem},
+            "method": {"name": "mirror_prox", "N": N}}
+
+
 # one small config per method, each on a different generator where one fits
 METHOD_CONFIGS = {
     "shor": {"seed": 1, "problem": {"generator": "abs_value", "dim": 2},
@@ -420,31 +426,90 @@ class TestCli:
         assert main(["rates", "--trace", str(tmp_path / "cfg_trace.csv"),
                      "--column", "nonexistent"]) == 2
 
-    @pytest.mark.parametrize("cfg", [
-        fixed_md_config(problem=[1]),
-        fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
-                                "N": "ten"}),
-        fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
-                                "N": -5}),
-        fixed_md_config(method={"name": "adaptive_md", "eps": 0.1, "N": 0}),
-        {"seed": 1, "problem": {"generator": "ttd_dual", "nodes": 1},
-         "method": {"name": "constrained_nonsmooth", "eps": 0.1}},
-        fixed_md_config(setup={"origin": [1.0, 2.0]}),
-        {"seed": 5, "problem": {"generator": "quadratic_box", "dim": 4},
-         "method": {"name": "strongly_convex_md", "mu": 1.0, "N": 10,
-                    "M": "abc"}},
-        {"seed": 5, "problem": {"generator": "matrix_game"},
-         "method": {"name": "mirror_prox", "N": 10, "L": "abc"}},
-        fixed_md_config(method={"name": "shor", "lam": 0.1, "N": 10,
-                                "x0": {"a": 1}}),
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cfg, names", [
+        (fixed_md_config(problem=[1]), "'problem'"),
+        (fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
+                                 "N": "ten"}), "'N'"),
+        (fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
+                                 "N": -5}), "N >= 1"),
+        (fixed_md_config(method={"name": "adaptive_md", "eps": 0.1, "N": 0}),
+         "N >= 1"),
+        ({"seed": 1, "problem": {"generator": "ttd_dual", "nodes": 1},
+          "method": {"name": "constrained_nonsmooth", "eps": 0.1}},
+         "free node"),
+        (fixed_md_config(setup={"origin": [1.0, 2.0]}), "shape"),
+        ({"seed": 5, "problem": {"generator": "quadratic_box", "dim": 4},
+          "method": {"name": "strongly_convex_md", "mu": 1.0, "N": 10,
+                     "M": "abc"}}, "'M'"),
+        ({"seed": 5, "problem": {"generator": "matrix_game"},
+          "method": {"name": "mirror_prox", "N": 10, "L": "abc"}}, "'L'"),
+        (fixed_md_config(method={"name": "shor", "lam": 0.1, "N": 10,
+                                 "x0": {"a": 1}}), "'x0'"),
+        (game_config(rows=0, cols=3), "'rows'"),
+        (game_config(rows=3, cols=0), "'cols'"),
+        (game_config(A=[[]]), "shape (1, 0)"),
+        (game_config(A=[]), "shape (0,)"),
+        (game_config(A=[1.0, 2.0]), "shape (2,)"),
+        (game_config(rows=None), "'rows'"),
+        (game_config(rows=True), "'rows'"),
+        (game_config(cols=2.5), "'cols'"),
+        (game_config(N=1.5), "'N'"),
+        (game_config(N=True), "'N'"),
+        (game_config(N=None), "'N'"),
+        (game_config(seed=1.5), "'seed'"),
+        (game_config(seed=False), "'seed'"),
+        (game_config(seed=None), "'seed'"),
+        (fixed_md_config(problem={"generator": "abs_value", "dim": None}),
+         "'dim'"),
+        (fixed_md_config(problem={"generator": "abs_value", "dim": 0}),
+         "'dim'"),
+        (fixed_md_config(problem={"generator": "quadratic_box",
+                                  "dim": 1.5}), "'dim'"),
+        (fixed_md_config(problem={"generator": "max_residual", "cols": 0}),
+         "'cols'"),
+        ({"seed": 1, "problem": {"generator": "toy_lp", "pieces": -1},
+          "method": {"name": "constrained_general", "eps": 0.1}}, "'pieces'"),
+        ({"seed": 1, "problem": {"generator": "ttd_dual", "bars": "6.5"},
+          "method": {"name": "constrained_nonsmooth", "eps": 0.1}}, "'bars'"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
-            "M-not-float", "L-not-float", "x0-not-vector"])
-    def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg):
+            "M-not-float", "L-not-float", "x0-not-vector",
+            "game-rows-0", "game-cols-0", "game-A-1x0", "game-A-empty",
+            "game-A-1-D", "rows-null", "rows-bool", "cols-fractional",
+            "N-fractional", "N-bool", "N-null", "seed-fractional",
+            "seed-bool", "seed-null", "dim-null", "dim-0", "dim-fractional",
+            "residual-cols-0", "pieces-negative", "bars-fractional-string"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
+                                              names):
+        """A malformed config, an empty game included, and a null, bool,
+        fractional or too small size, N or seed end in one error line that
+        names the culprit and exit 2, not a traceback or a warning."""
         p = self.write(tmp_path, cfg)
         assert main(["solve", "--config", str(p)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert names in err
+
+    @pytest.mark.parametrize("exact, integral", [
+        (game_config(rows=3, cols=4), game_config(rows=3.0, cols=4.0)),
+        (game_config(N=20), game_config(N=20.0)),
+        (game_config(seed=3), game_config(seed=3.0)),
+        (game_config(seed=3), game_config(seed="3")),
+        (fixed_md_config(problem={"generator": "abs_value", "dim": 2},
+                         setup={"origin": [1.0, -1.0]}),
+         fixed_md_config(problem={"generator": "abs_value", "dim": 2.0},
+                         setup={"origin": [1.0, -1.0]})),
+    ], ids=["game-sizes", "N", "seed", "seed-string", "dim"])
+    def test_integral_values_keep_their_hash(self, tmp_path, capsys, exact,
+                                             integral):
+        hashes = []
+        for name, cfg in (("exact", exact), ("integral", integral)):
+            p = self.write(tmp_path, cfg, name=f"{name}.json")
+            assert main(["solve", "--config", str(p)]) == 0
+            hashes.append(json.loads(capsys.readouterr().out)["trace_sha256"])
+        assert hashes[0] == hashes[1]
 
     def test_rates_missing_file(self, tmp_path):
         assert main(["rates", "--trace", str(tmp_path / "none.csv"),

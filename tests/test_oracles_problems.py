@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,11 @@ from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import (AbsLinearOracle, ConstraintBundle,
                              FunctionOracle, InexactOracle, LinearOracle,
                              aggregate_max)
+from mirropt import problems
+from mirropt.mirrorprox import mirror_prox_solve, saddle_gap
 from mirropt.problems import (gen_matrix_game, gen_transport_dual,
                               gen_ttd_dual, make_ttd_instance,
+                              matrix_game_equilibrium,
                               reconstruct_ttd_primal,
                               transport_dual_lp_optimum)
 from mirropt.subgradient import run_adaptive_md
@@ -147,22 +152,70 @@ def _game(m, n, seed, simplex):
     return A, z
 
 
+# random games of every size in [1, 12]^2 that a seed picks, then the
+# hand-solved ones
+EQUILIBRIUM_GAMES = [
+    np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, n))
+    for seed, (m, n) in enumerate(
+        np.random.default_rng(99).integers(1, 13, size=(24, 2)))
+] + [np.ones((1, 1)), np.ones((1, 12)), np.ones((12, 1)),
+     np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 3)), np.eye(3)]
+
+
 class TestMatrixGame:
     def test_2x2_antidiagonal(self):
         op = gen_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert op.meta["value"] == pytest.approx(0.5)
-        assert np.allclose(op.meta["x_eq"], [0.5, 0.5])
-        assert np.allclose(op.meta["u_eq"], [0.5, 0.5])
+        value, x_eq, u_eq = matrix_game_equilibrium(op)
+        assert value == pytest.approx(0.5)
+        assert np.allclose(x_eq, [0.5, 0.5])
+        assert np.allclose(u_eq, [0.5, 0.5])
 
     def test_zero_matrix(self):
         op = gen_matrix_game(np.zeros((2, 3)))
-        assert op.meta["value"] == pytest.approx(0.0)
+        assert matrix_game_equilibrium(op)[0] == pytest.approx(0.0)
         z = op.domain.prox_center()
         assert np.allclose(op(z), 0.0)
 
     def test_identity(self):
         op = gen_matrix_game(np.eye(2))
-        assert op.meta["value"] == pytest.approx(0.5)
+        assert matrix_game_equilibrium(op)[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("A", [np.zeros((0, 3)), np.zeros((3, 0)),
+                                   np.zeros((1, 0)), np.zeros((0, 0)),
+                                   np.ones(3), np.ones((2, 2, 2)), 1.0],
+                             ids=["0x3", "3x0", "1x0", "0x0", "1-D", "3-D",
+                                  "scalar"])
+    @pytest.mark.parametrize("setup_choice", ["entropy", "euclidean"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_empty_or_non_matrix(self, A, setup_choice):
+        shape = str(np.shape(A))
+        with pytest.raises(ValueError, match=f"shape {re.escape(shape)}"):
+            gen_matrix_game(A, setup_choice)
+
+    @pytest.mark.parametrize("setup_choice", ["entropy", "euclidean"])
+    def test_build_runs_no_lp(self, monkeypatch, setup_choice):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+        monkeypatch.setattr(problems, "linprog", no_lp)
+        op = gen_matrix_game(np.random.default_rng(3).uniform(size=(4, 5)),
+                             setup_choice)
+        assert set(op.meta) == {"A", "setup_choice"}
+        with pytest.raises(AssertionError, match="linprog called"):
+            matrix_game_equilibrium(op)
+
+    @pytest.mark.parametrize("A", EQUILIBRIUM_GAMES,
+                             ids=lambda A: "x".join(map(str, A.shape)))
+    def test_equilibrium_agrees_with_gap_certificate(self, A):
+        """The LP's equilibrium has a zero saddle gap, and its value lies
+        between the bounds a Mirror Prox average certifies."""
+        op = gen_matrix_game(A)
+        value, x_eq, u_eq = matrix_game_equilibrium(op)
+        assert saddle_gap(op, x_eq, u_eq) <= 1e-7
+        rep = mirror_prox_solve(op, op.domain, op.lipschitz or 1.0, 30)
+        x_hat, u_hat = op.domain.split(rep.x_out)
+        lower = float((A.T @ u_hat).min())     # min_x f(x, u_hat)
+        upper = float((A @ x_hat).max())       # max_u f(x_hat, u)
+        assert lower - 1e-9 <= value <= upper + 1e-9
 
     def test_monotonicity(self):
         rng = np.random.default_rng(8)
