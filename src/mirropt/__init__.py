@@ -29,7 +29,7 @@ from .smoothing import (SmoothedMaxResidual, agm_solve, alpha_root,
                         choose_mu, universal_agm, universal_call_bound,
                         universal_conv_bound)
 from .mirrorprox import (mirror_prox_solve, saddle_gap,
-                         universal_mirror_prox_solve, vi_residual)
+                         universal_mirror_prox_solve)
 from .maxstruct import MaxStructure, SparseVector
 from .bench import fit_rate, run_experiment
 

@@ -290,13 +290,6 @@ def _make_setup(problem, setup_cfg):
 # method table
 # ---------------------------------------------------------------------------
 
-def _saddle_gap(op):
-    def gap(w):
-        x_hat, u_hat = op.domain.split(w)
-        return mirrorprox.saddle_gap(op, x_hat, u_hat)
-    return gap
-
-
 def _agm(problem, setup, a):
     L = a.get("L", (problem.meta or {}).get("L"))
     if L is None:
@@ -349,14 +342,13 @@ _METHODS = {
                                                 a["N"])),
     "mirror_prox": (
         ("vi",), {"N": integer}, {"L": float},
+        # Phi of an all-zero game is 0, so any L > 0 is valid for it
         lambda op, s, a: mirrorprox.mirror_prox_solve(
-            op, op.domain, a.get("L", op.lipschitz), a["N"],
-            gap_fn=_saddle_gap(op))),
+            op, op.domain, a.get("L", op.lipschitz or 1.0), a["N"])),
     "universal_mirror_prox": (
         ("vi",), {"eps": float, "M_init": float, "N": integer}, {},
         lambda op, s, a: mirrorprox.universal_mirror_prox_solve(
-            op, op.domain, a["eps"], a["M_init"], a["N"],
-            gap_fn=_saddle_gap(op))),
+            op, op.domain, a["eps"], a["M_init"], a["N"])),
 }
 METHODS = frozenset(_METHODS)
 
@@ -489,6 +481,9 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
             summary["g_bar"] = float(report.g_bar)
     if verdicts:
         summary["worst_margin"] = min(v["bound"] - v["error"] for v in verdicts)
+    # JSON has no nan or inf: a non-finite float is written as null
+    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in summary.items()}
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -496,7 +491,8 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
         (out / f"{stem}_trace.csv").write_text(
             text.replace(_ELAPSED_MARK, "%d" % elapsed), newline="\n")
         (out / f"{stem}_summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n", newline="\n")
+            json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+            + "\n", newline="\n")
 
     code = 0 if (not check_bounds or all_ok) else 3
     return code, summary

@@ -50,7 +50,7 @@ def _cmd_solve(args):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    print(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False))
     if code == EXIT_BOUND:
         print("error: theorem bound violated", file=sys.stderr)
     return code

@@ -1,5 +1,5 @@
 """Mirror Prox (extragradient) and its universal, adaptive variant for
-monotone variational inequalities and convex-concave saddle points."""
+monotone VIs and saddle points, with gap certificates for affine operators."""
 
 from __future__ import annotations
 
@@ -10,50 +10,62 @@ from .report import Report, RunTrace, TraceRow
 MAX_INNER_TRIALS = 64
 
 
-def mirror_prox_solve(op, setup, L, N, gap_fn=None, keep_iterates=False):
+def _row_gap(op, w_hat, phi_hat, last):
+    """A trace row's certified gap (nan without a linear part): from the
+    running Phi average, or on the last row from one uncounted Phi(w_hat)."""
+    if op.linear_part is None:
+        return float("nan")
+    return saddle_gap(op, w_hat, None if last else phi_hat)
+
+
+def mirror_prox_solve(op, setup, L, N, keep_iterates=False):
     """Fixed-constant Mirror Prox.
 
     Extragradient steps with step 1/L and uniform averaging of the w-points;
     the averaged point satisfies
-    max_z <Phi(z), w_hat - z> <= (L/k) max_z V[z^0](z).
+    max_z <Phi(z), w_hat - z> <= (L/k) max_z V[z^0](z), the gap each row's
+    f_value certifies by ``saddle_gap`` when ``op.linear_part`` is set.
     """
     if L <= 0:
         raise ValueError("L must be positive")
     z = setup.prox_center()
     total = np.zeros_like(z)
+    phi_total = np.zeros_like(z)
     trace = RunTrace()
     iterates = [] if keep_iterates else None
     calls = 0
     max_v = setup.max_bregman_from(z)
     for k in range(N):
-        phi_z = op(z)
-        calls += 1
-        w = setup.mirror_step(z, phi_z / L)
+        w = setup.mirror_step(z, op(z) / L)
         phi_w = op(w)
-        calls += 1
+        calls += 2
         z = setup.mirror_step(z, phi_w / L)
         total += w
+        phi_total += phi_w
         if keep_iterates:
             iterates.append(w.copy())
         w_hat = total / (k + 1)
-        gap = gap_fn(w_hat) if gap_fn is not None else float("nan")
+        gap = _row_gap(op, w_hat, phi_total / (k + 1), k == N - 1)
         trace.append(TraceRow(k + 1, gap, step=1.0 / L, M_k=L,
                               oracle_calls=calls,
                               bound_value=L * max_v / (k + 1)))
-    w_hat = total / max(N, 1) if N > 0 else z
+    w_hat = total / N if N > 0 else z
     f_out = trace.rows[-1].f_value if N > 0 else float("nan")
     return Report(method="mirror_prox", x_out=w_hat, f_out=f_out,
                   iterations=N, oracle_calls=calls, trace=trace, m_ks=[L] * N,
                   extras={"iterates": iterates, "max_v": max_v, "z_last": z})
 
 
-def universal_mirror_prox_solve(op, setup, eps, M_init, N, gap_fn=None,
+def universal_mirror_prox_solve(op, setup, eps, M_init, N,
                                 keep_iterates=False):
     """Universal Mirror Prox with per-iteration doubling of M_k.
 
     The first inner trial of iteration k uses M = M_{k-1}/2 and doubles until
-    the smoothed Lipschitz check holds with slack eps/2.  The output averages
-    the w-points with weights 1/M_i; the adaptive stop fires once
+    the smoothed Lipschitz check holds with slack eps/2.  Each iteration
+    calls Phi(z) once and Phi(w) once per trial, so ``oracle_calls`` is
+    k + sum of the trials = 3k + log2(M_k / M_init).  The output averages
+    the w-points with weights 1/M_i, and rows are certified as in
+    ``mirror_prox_solve``; the adaptive stop fires once
     D / sum_i 1/M_i <= eps/2 with D = max_z V[z^0](z).
     """
     if eps <= 0 or M_init <= 0:
@@ -61,6 +73,7 @@ def universal_mirror_prox_solve(op, setup, eps, M_init, N, gap_fn=None,
     z = setup.prox_center()
     d_max = setup.max_bregman_from(z)
     weighted = np.zeros_like(z)
+    phi_weighted = np.zeros_like(z)
     wsum = 0.0
     trace = RunTrace()
     iterates = [] if keep_iterates else None
@@ -70,40 +83,37 @@ def universal_mirror_prox_solve(op, setup, eps, M_init, N, gap_fn=None,
     inner_trials = []
     stopped_adaptive = False
     k = 0
-    for k_iter in range(N):
-        i_k = 0
-        while True:
-            M = 2.0 ** (i_k - 1) * m_prev
-            phi_z = op(z)
-            calls += 1
+    for k in range(1, N + 1):
+        phi_z = op(z)
+        for i_k in range(1, MAX_INNER_TRIALS + 2):
+            M = 2.0 ** (i_k - 2) * m_prev
             w = setup.mirror_step(z, phi_z / M)
             phi_w = op(w)
-            calls += 1
             z_next = setup.mirror_step(z, phi_w / M)
-            i_k += 1
             lhs = float((phi_w - phi_z) @ (w - z_next))
             rhs = 0.5 * M * (setup.norm(w - z) ** 2 + setup.norm(w - z_next) ** 2) \
                 + eps / 2.0
             if lhs <= rhs:
                 break
-            if i_k > MAX_INNER_TRIALS:
-                raise RuntimeError("inner doubling exceeded the cap; operator "
-                                   "likely non-Hoelder or oracle inconsistent")
+        else:
+            raise RuntimeError("inner doubling exceeded the cap; operator "
+                               "likely non-Hoelder or oracle inconsistent")
         z = z_next
+        calls += 1 + i_k
         m_prev = M
         m_ks.append(M)
         inner_trials.append(i_k)
         weighted += w / M
+        phi_weighted += phi_w / M
         wsum += 1.0 / M
         if keep_iterates:
             iterates.append(w.copy())
-        k = k_iter + 1
+        stopped_adaptive = d_max / wsum <= eps / 2.0
         w_hat = weighted / wsum
-        gap = gap_fn(w_hat) if gap_fn is not None else float("nan")
+        gap = _row_gap(op, w_hat, phi_weighted / wsum, stopped_adaptive or k == N)
         trace.append(TraceRow(k, gap, step=1.0 / M, M_k=M, oracle_calls=calls,
                               bound_value=d_max / wsum + eps / 2.0))
-        if d_max / wsum <= eps / 2.0:
-            stopped_adaptive = True
+        if stopped_adaptive:
             break
     w_hat = weighted / wsum if wsum > 0 else z
     f_out = trace.rows[-1].f_value if k > 0 else float("nan")
@@ -128,7 +138,7 @@ def _max_linear(feasible_set, t):
     t = np.asarray(t, dtype=float)
     s = feasible_set
     if s.kind == "simplex":
-        return float(s.scale * np.max(t))
+        return float(s.scale * t.max())
     if s.kind == "box":
         return float(np.sum(np.maximum(s.lower * t, s.upper * t)))
     if s.kind == "ball":
@@ -136,35 +146,27 @@ def _max_linear(feasible_set, t):
     raise ValueError(f"cannot maximize a linear form over '{s.kind}'")
 
 
-def vi_residual(op, w_hat):
-    """Exact max_z <Phi(z), w_hat - z> for affine Phi with skew linear part.
+def saddle_gap(op, w_hat, phi_hat=None):
+    """Exact max_z <Phi(z), w_hat - z> for affine Phi(z) = G z + c, G skew.
 
-    For skew G the quadratic term <G z, z> vanishes and the maximand is
-    linear in z, so the block-wise closed-form maximization over the product
-    domain is exact (equivalently, a vertex maximum).
+    <G z, z> vanishes, so the maximand <z, -Phi(w_hat)> + <c, w_hat> is
+    linear in z and the block-wise closed-form maximum is exact; for a
+    bilinear game it is max_u f(x_hat, u) - min_x f(x, u_hat).  The solvers
+    pass ``phi_hat``, the average of the Phi(w) they computed, which equals
+    Phi(w_hat) for affine Phi.  Without it G is checked for skewness and
+    Phi(w_hat) costs one operator call.
     """
-    if op.linear_part is None:
-        raise ValueError("residual certificate needs an affine operator")
     G = op.linear_part
-    c = op.affine_part if op.affine_part is not None else np.zeros(G.shape[0])
-    if not np.allclose(G, -G.T, atol=1e-12):
-        raise ValueError("residual certificate requires a skew linear part")
+    if G is None:
+        raise ValueError("gap certificate needs an affine operator")
     w_hat = np.asarray(w_hat, dtype=float)
-    # <G z + c, w - z> = <z, G^T w - c> + <c, w> for skew G
-    coeff = G.T @ w_hat - c
-    parts = op.domain.parts
-    blocks = op.domain.split(coeff)
-    best = sum(_max_linear(p.set, b) for p, b in zip(parts, blocks))
-    return float(best + c @ w_hat)
-
-
-def saddle_gap(op, x_hat, u_hat):
-    """max_u f(x_hat, u) - min_x f(x, u_hat) for the bilinear payoff
-    f(x, u) = <u, A x>, computed exactly by per-block linear maximization."""
-    A = op.meta["A"]
-    part_x, part_u = op.domain.parts
-    x_hat = np.asarray(x_hat, dtype=float)
-    u_hat = np.asarray(u_hat, dtype=float)
-    hi = _max_linear(part_u.set, A @ x_hat)
-    lo = -_max_linear(part_x.set, -(A.T @ u_hat))     # min over x
-    return float(hi - lo)
+    if phi_hat is None:
+        # in bands of 64 rows, so no temporary is the size of G
+        if not all(np.allclose(G[i:i + 64], -G[:, i:i + 64].T, atol=1e-12)
+                   for i in range(0, len(G), 64)):
+            raise ValueError("gap certificate requires a skew linear part")
+        phi_hat = op(w_hat)
+    blocks = op.domain.split(-phi_hat)
+    best = sum(_max_linear(p.set, b) for p, b in zip(op.domain.parts, blocks))
+    c = op.affine_part
+    return float(best if c is None else best + c @ w_hat)

@@ -294,7 +294,8 @@ def gen_matrix_game(A, setup_choice="entropy"):
         su = euclidean_setup(FeasibleSet.simplex(m))
         lip = float(np.linalg.svd(A, compute_uv=False)[0])
     else:
-        raise ValueError(setup_choice)
+        raise ValueError(f"unknown setup {setup_choice!r} for matrix_game; "
+                         "expected 'entropy' or 'euclidean'")
     domain = ProductSetup(sx, su)
 
     G = np.zeros((n + m, n + m))

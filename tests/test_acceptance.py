@@ -4,6 +4,7 @@ Every check is a theorem-bound or oracle-equivalence property at desk scale;
 nothing here needs more than one core or ~30 s per criterion.
 """
 
+import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -17,7 +18,7 @@ from mirropt.constrained import (certify, solve_constrained_general,
                                  solve_constrained_nonsmooth)
 from mirropt.geometry import FeasibleSet, entropy_setup, euclidean_setup
 from mirropt.maxstruct import MaxStructure, SparseVector
-from mirropt.mirrorprox import (mirror_prox_solve, saddle_gap, ump_rate_bound,
+from mirropt.mirrorprox import (mirror_prox_solve, ump_rate_bound,
                                 universal_mirror_prox_solve)
 from mirropt.oracles import (ConstraintBundle, FunctionOracle, InexactOracle,
                              LinearOracle, ProblemInstance)
@@ -338,13 +339,6 @@ def test_criterion_10_universal_agm(capsys):
         assert fit_rate(dk, derr) <= -0.4
 
 
-def game_gap_fn(op):
-    def gap(w):
-        x_hat, u_hat = op.domain.split(w)
-        return saddle_gap(op, x_hat, u_hat)
-    return gap
-
-
 def bilinear_box_operator():
     from mirropt.geometry import ProductSetup
     from mirropt.oracles import SaddleOperator
@@ -362,15 +356,13 @@ def test_criterion_11_mirror_prox(capsys):
         N = 10**4
         # Euclidean setup
         op = bilinear_box_operator()
-        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=N,
-                                gap_fn=game_gap_fn(op))
+        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=N)
         assert rep.iterations == N
         for row in rep.trace:
             assert row.f_value <= row.bound_value + 1e-9
         # entropy setup
         op = gen_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=N,
-                                gap_fn=game_gap_fn(op))
+        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=N)
         for row in rep.trace:
             assert row.f_value <= row.bound_value + 1e-9
 
@@ -384,21 +376,25 @@ def test_criterion_12_universal_mirror_prox(capsys):
         cases = [(bilinear_box_operator(), 4.0),
                  (gen_matrix_game(A, "euclidean"), 1.0)]
         for op, m_init in cases:
-            rep = universal_mirror_prox_solve(op, op.domain, eps=eps,
-                                              M_init=m_init, N=5000,
-                                              gap_fn=game_gap_fn(op))
+            calls = []
+            counted = dataclasses.replace(
+                op, phi=lambda z, phi=op.phi: calls.append(1) or phi(z))
+            rep = universal_mirror_prox_solve(counted, op.domain, eps=eps,
+                                              M_init=m_init, N=5000)
             assert max(rep.m_ks) <= 2.0 * op.holder_l + 1e-12
             for row in rep.trace:
                 assert row.f_value <= row.bound_value + 1e-9
                 rate = ump_rate_bound(op.holder_nu, l_nu=op.holder_l, eps=eps,
                                       k=row.k, max_v=rep.extras["max_v"])
                 assert row.f_value <= rate + 1e-9
-            # the line search doubles from half the previous constant, so
-            # with t_k trials M_k = 2^{t_k - 2} M_{k-1} and the trial total
-            # telescopes
-            assert rep.oracle_calls == 2 * sum(rep.inner_trials)
-            assert sum(rep.inner_trials) == pytest.approx(
-                2 * rep.iterations + math.log2(rep.m_ks[-1] / m_init))
+            # one Phi(z) per iteration and one Phi(w) per trial; the line
+            # search doubles from half the previous constant, so with t_k
+            # trials M_k = 2^{t_k - 2} M_{k-1} and the trial total telescopes
+            assert rep.oracle_calls == rep.iterations + sum(rep.inner_trials)
+            assert rep.oracle_calls == \
+                3 * rep.iterations + math.log2(rep.m_ks[-1] / m_init)
+            # every counted call ran, plus the one uncounted audit Phi(w_hat)
+            assert len(calls) == rep.oracle_calls + 1
 
 
 def test_criterion_13_sparse_max_structure(capsys):

@@ -128,16 +128,53 @@ GOLDEN_HASHES = {
     "universal_agm":
         "8b6850a51d7785291e5c88048a3dd76bda11c86339352c2dae63a1ef5494a065",
     "mirror_prox":
-        "e0522873122d9c3e6d5eddc744f95307108fce8d10a2ba3b89092d300dab5838",
+        "479c0f0afc82baa9df9dfb281d92371f05e88fc988f4528875d8424701b715df",
     "universal_mirror_prox":
         "a693f300bf59fdb46df78532d8065e210e57a2db6da6bb26bcc3ee8f94d8910d",
     "ttd_switching":
         "998f46bc71a2f30374bddcffce970c43125eb50622cbdc1f0a52bddb6c1a1ac3",
     "mirror_prox_5x7":
-        "213f67e9b03c9c94cd877bbd19f34ff47b280081e7d7f16e4072d5fee15c7ca1",
+        "bf148f3104b79f444751df57b7ec008de61d0911077878cd8bb6a35d4ecfd74a",
     "universal_mirror_prox_6x9":
-        "127960fe37902f67ce3c8fff0743f6255413b4d742de8949e3fb3fca843a1bf0",
+        "89ab4fe525f86a8890c2488f78fd9c93dcd1c30231645241e3cf7a9d06d98b2a",
 }
+
+# the trace hash of the four VI configs with the f_value and oracle_calls
+# cells zeroed too, recorded like GOLDEN_HASHES.  Certifying each row's gap
+# from a running average of Phi moves the last bits of f_value, and reusing
+# Phi(z) across the doubling trials lowers Universal Mirror Prox's
+# oracle_calls; these pin every other column to the bytes before that change
+VI_CONFIGS = ("mirror_prox", "universal_mirror_prox", *GAMES)
+MASKED_HASHES = {
+    "mirror_prox":
+        "006c529e8b47a82e5d8736f7330417b5c3860adddc35ca4890d2e0e0f648de16",
+    "universal_mirror_prox":
+        "e6932ba7296187b7cb5a178f4955797b4b2f5fbbd3794b97da45b78221ed7ea4",
+    "mirror_prox_5x7":
+        "bcee79f8748f02000124ad72b12342d0961958dd9086e60b50ada0ee83bc2897",
+    "universal_mirror_prox_6x9":
+        "7cf0b5d668c3550039324ae80ed71b3172a1aa530c29c87c603a153a2b4cda5b",
+}
+_MASKED_RUN = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from mirropt.bench import run_experiment
+masked = ("f_value", "oracle_calls", "elapsed_ns")
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, cfg in json.loads(sys.argv[1]).items():
+        run_experiment(cfg, out_dir=tmp, stem=name)
+        header, *rows = Path(tmp, name + "_trace.csv").read_text().splitlines()
+        drop = [header.split(",").index(c) for c in masked]
+        text = header + "\\n"
+        for row in rows:
+            cells = row.split(",")
+            for i in drop:
+                cells[i] = "0"
+            text += ",".join(cells) + "\\n"
+        out[name] = hashlib.sha256(text.encode("ascii")).hexdigest()
+print(json.dumps(out))
+"""
 
 
 # a MaxStructure built like the maxstruct_stream workload (4 nonzeros per
@@ -176,6 +213,10 @@ print(json.dumps({
     "reads": hashlib.sha256(values.tobytes() + argmaxes.tobytes()).hexdigest(),
     "z": hashlib.sha256(s.z.tobytes()).hexdigest()}))
 """
+
+
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS")}
 
 
 def _run_in_process(configs, script=_PROCESS_RUN, **env):
@@ -306,11 +347,18 @@ def test_same_bytes_in_every_process():
 def test_golden_trace_hashes():
     """Every method's trace hash is the recorded one, so a change that moves
     the numerics the same way in every process is caught too."""
-    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                    "MKL_NUM_THREADS")}
-    out = _run_in_process(
-        {**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING, **GAMES}, **threads)
+    out = _run_in_process({**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING,
+                           **GAMES}, **ONE_THREAD)
     assert out["hashes"] == GOLDEN_HASHES
+
+
+def test_masked_trace_hashes():
+    """Every trace column of the VI configs but f_value and oracle_calls
+    keeps its recorded bytes."""
+    configs = {**METHOD_CONFIGS, **GAMES}
+    out = _run_in_process({name: configs[name] for name in VI_CONFIGS},
+                          script=_MASKED_RUN, **ONE_THREAD)
+    assert out == MASKED_HASHES
 
 
 def test_golden_stream_hash():
@@ -318,10 +366,8 @@ def test_golden_stream_hash():
     recorded ones (one BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31).  The
     other tests compare the structure with its own brute force, which a
     change moving the bits of both would pass."""
-    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                    "MKL_NUM_THREADS")}
     out = _run_in_process({"seed": 2024, "m": 5000, "n": 5000,
-                           "updates": 2000}, script=_STREAM_RUN, **threads)
+                           "updates": 2000}, script=_STREAM_RUN, **ONE_THREAD)
     assert out == {
         "reads":
             "75d35444d9f63b40bc0eecad4c78f2a6e2702b20a0e8941e2dbd2981d68ec22e",
@@ -472,6 +518,11 @@ class TestCli:
           "method": {"name": "constrained_general", "eps": 0.1}}, "'pieces'"),
         ({"seed": 1, "problem": {"generator": "ttd_dual", "bars": "6.5"},
           "method": {"name": "constrained_nonsmooth", "eps": 0.1}}, "'bars'"),
+        (game_config(setup="simplex"), "unknown setup 'simplex' for "
+         "matrix_game; expected 'entropy' or 'euclidean'"),
+        ({**game_config(A=[[0, 0], [0, 0]]),
+          "method": {"name": "mirror_prox", "N": 20, "L": 0}},
+         "L must be positive"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
             "M-not-float", "L-not-float", "x0-not-vector",
@@ -479,7 +530,8 @@ class TestCli:
             "game-A-1-D", "rows-null", "rows-bool", "cols-fractional",
             "N-fractional", "N-bool", "N-null", "seed-fractional",
             "seed-bool", "seed-null", "dim-null", "dim-0", "dim-fractional",
-            "residual-cols-0", "pieces-negative", "bars-fractional-string"])
+            "residual-cols-0", "pieces-negative", "bars-fractional-string",
+            "game-setup-unknown", "zero-game-L-0"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
                                               names):
         """A malformed config, an empty game included, and a null, bool,
@@ -510,6 +562,33 @@ class TestCli:
             assert main(["solve", "--config", str(p)]) == 0
             hashes.append(json.loads(capsys.readouterr().out)["trace_sha256"])
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("setup", ["entropy", "euclidean"])
+    def test_zero_game_runs(self, tmp_path, capsys, setup):
+        """Phi of an all-zero game is 0, so the default L falls back to 1 and
+        every row certifies a gap of 0."""
+        p = self.write(tmp_path, game_config(A=[[0, 0], [0, 0]], setup=setup))
+        assert main(["solve", "--config", str(p), "--check-bounds"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["bounds_ok"] and out["bounds_checked"] == 20
+        assert out["final_gap"] == 0.0
+        with open(tmp_path / "cfg_trace.csv", newline="") as fh:
+            assert [float(r["f_value"]) for r in csv.DictReader(fh)] == \
+                [0.0] * 20
+
+    def test_summary_is_strict_json(self, tmp_path, capsys):
+        """A run without a gap (N = 0) writes null for it: the summary file
+        and stdout parse with nan, inf and -inf refused."""
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        p = self.write(tmp_path, game_config(N=0))
+        assert main(["solve", "--config", str(p), "--check-bounds"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        written = json.loads((tmp_path / "cfg_summary.json").read_text(),
+                             parse_constant=refuse)
+        assert out == written
+        assert out["final_gap"] is None
 
     def test_rates_missing_file(self, tmp_path):
         assert main(["rates", "--trace", str(tmp_path / "none.csv"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from mirropt.bench import fit_rate
 from mirropt.geometry import FeasibleSet, ProductSetup, euclidean_setup
+from mirropt import mirrorprox
 from mirropt.mirrorprox import (mirror_prox_solve, saddle_gap, ump_rate_bound,
-                                universal_mirror_prox_solve, vi_residual)
+                                universal_mirror_prox_solve)
 from mirropt.oracles import SaddleOperator
 from mirropt.problems import gen_matrix_game
 
@@ -22,25 +24,28 @@ def bilinear_box_op(half=1.0):
                           meta={"A": np.array([[1.0]]), "value": 0.0})
 
 
-def gap_fn(op):
-    def gap(w):
-        x_hat, u_hat = op.domain.split(w)
-        return saddle_gap(op, x_hat, u_hat)
-    return gap
+def counting(op):
+    """``op`` with a counter of its real operator invocations."""
+    calls = []
+
+    def phi(z):
+        calls.append(1)
+        return op.phi(z)
+    return dataclasses.replace(op, phi=phi), calls
 
 
 class TestSaddleGap:
     def test_exact_saddle(self):
         op = bilinear_box_op()
-        assert saddle_gap(op, np.array([0.0]), np.array([0.0])) == 0.0
+        assert saddle_gap(op, np.array([0.0, 0.0])) == 0.0
 
     def test_corner(self):
         op = bilinear_box_op()
-        assert saddle_gap(op, np.array([1.0]), np.array([1.0])) == 2.0
+        assert saddle_gap(op, np.array([1.0, 1.0])) == 2.0
 
     def test_uniform_equilibrium(self):
         op = gen_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert saddle_gap(op, np.array([0.5, 0.5]), np.array([0.5, 0.5])) == \
+        assert saddle_gap(op, np.array([0.5, 0.5, 0.5, 0.5])) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
@@ -49,13 +54,40 @@ class TestSaddleGap:
         for _ in range(100):
             x = rng.dirichlet(np.ones(4))
             u = rng.dirichlet(np.ones(3))
-            assert saddle_gap(op, x, u) >= -1e-9
+            assert saddle_gap(op, np.concatenate([x, u])) >= -1e-9
+
+    @pytest.mark.parametrize("method", ["mirror_prox",
+                                        "universal_mirror_prox"])
+    def test_running_gap_matches_exact(self, monkeypatch, method):
+        """On a game_mp-size game every row's gap, certified from the running
+        average of Phi, is the exact gap of its averaged point within
+        1e-12 max|A|; the last row is the exact one."""
+        A = np.random.default_rng(1).uniform(0.0, 1.0, size=(300, 300))
+        op = gen_matrix_game(A)
+        rows = []
+
+        def recording(op, w_hat, phi_hat=None):
+            rows.append((w_hat.copy(), phi_hat is None))
+            return saddle_gap(op, w_hat, phi_hat)
+        monkeypatch.setattr(mirrorprox, "saddle_gap", recording)
+        if method == "mirror_prox":
+            rep = mirror_prox_solve(op, op.domain, op.lipschitz, 2000)
+        else:
+            rep = universal_mirror_prox_solve(op, op.domain, 1e-3, 1.0, 20000)
+        assert len(rows) == len(rep.trace) == rep.iterations > 1000
+        assert [exact for _, exact in rows] == [False] * (len(rows) - 1) + [True]
+        tol = 1e-12 * np.abs(A).max()
+        for (w_hat, _), row in zip(rows, rep.trace):
+            x_hat, u_hat = op.domain.split(w_hat)
+            # max_u f(x_hat, u) - min_x f(x, u_hat) for f(x, u) = <u, A x>
+            exact = (A @ x_hat).max() - (A.T @ u_hat).min()
+            assert abs(row.f_value - exact) <= tol
 
 
 class TestMirrorProx:
     def test_bilinear_box_rate(self):
         op = bilinear_box_op()
-        rep = mirror_prox_solve(op, op.domain, L=1.0, N=200, gap_fn=gap_fn(op))
+        rep = mirror_prox_solve(op, op.domain, L=1.0, N=200)
         for row in rep.trace:
             assert row.f_value <= 1.0 / row.k + 1e-9
             assert row.bound_value == pytest.approx(1.0 / row.k)
@@ -68,8 +100,7 @@ class TestMirrorProx:
 
     def test_matrix_game_entropy_rate(self):
         op = gen_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=300,
-                                gap_fn=gap_fn(op))
+        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=300)
         for row in rep.trace:
             assert row.f_value <= row.bound_value + 1e-9
 
@@ -77,15 +108,14 @@ class TestMirrorProx:
         rng = np.random.default_rng(22)
         op = gen_matrix_game(rng.uniform(0, 1, size=(3, 3)))
         rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=200)
-        res = vi_residual(op, rep.x_out)
+        res = saddle_gap(op, rep.x_out)
         assert res >= -1e-9
         assert res <= op.lipschitz * rep.extras["max_v"] / rep.iterations + 1e-9
 
     def test_gap_decay_slope(self):
         rng = np.random.default_rng(23)
         op = gen_matrix_game(rng.uniform(0, 1, size=(4, 5)))
-        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=500,
-                                gap_fn=gap_fn(op))
+        rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=500)
         gaps = rep.trace.column("f_value")
         ks = rep.trace.column("k")
         for a, b in zip(gaps, gaps[1:]):
@@ -121,8 +151,8 @@ class TestUniversalMirrorProx:
         op = bilinear_box_op()
         eps = 0.01
         rep = universal_mirror_prox_solve(op, op.domain, eps=eps, M_init=1.0,
-                                          N=5000, gap_fn=gap_fn(op))
-        gap = gap_fn(op)(rep.x_out)
+                                          N=5000)
+        gap = saddle_gap(op, rep.x_out)
         for row in rep.trace:
             assert row.f_value <= row.bound_value + 1e-9
             rate = ump_rate_bound(1.0, l_nu=1.0, eps=eps, k=row.k,
@@ -137,24 +167,28 @@ class TestUniversalMirrorProx:
 
     def test_oracle_call_telescoping(self):
         op = bilinear_box_op()
+        op, calls = counting(bilinear_box_op())
         rep = universal_mirror_prox_solve(op, op.domain, eps=0.001, M_init=4.0,
                                           N=5000)
-        assert rep.oracle_calls == 2 * sum(rep.inner_trials)
+        # one Phi(z) per iteration and one Phi(w) per trial
+        assert rep.oracle_calls == rep.iterations + sum(rep.inner_trials)
         # with t_k trials the accepted constant is M_k = 2^{t_k - 2} M_{k-1},
         # which telescopes to sum t_k = 2k + log2(M_last / M_init)
-        assert sum(rep.inner_trials) == pytest.approx(
-            2 * rep.iterations + math.log2(rep.m_ks[-1] / 4.0))
+        assert rep.oracle_calls == \
+            3 * rep.iterations + math.log2(rep.m_ks[-1] / 4.0)
+        # every counted call ran, plus the one uncounted audit Phi(w_hat)
+        assert len(calls) == rep.oracle_calls + 1
 
     def test_entropy_game(self):
         op = gen_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
         eps = 0.01
         rep = universal_mirror_prox_solve(op, op.domain, eps=eps, M_init=1.0,
-                                          N=10000, gap_fn=gap_fn(op))
-        assert gap_fn(op)(rep.x_out) <= eps + 1e-9
+                                          N=10000)
+        assert saddle_gap(op, rep.x_out) <= eps + 1e-9
 
     def test_skew_required_for_residual(self):
         op = bilinear_box_op()
         bad = SaddleOperator(phi=op.phi, domain=op.domain,
                              linear_part=np.eye(2), affine_part=np.zeros(2))
         with pytest.raises(ValueError):
-            vi_residual(bad, np.zeros(2))
+            saddle_gap(bad, np.zeros(2))

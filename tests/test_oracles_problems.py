@@ -210,7 +210,7 @@ class TestMatrixGame:
         between the bounds a Mirror Prox average certifies."""
         op = gen_matrix_game(A)
         value, x_eq, u_eq = matrix_game_equilibrium(op)
-        assert saddle_gap(op, x_eq, u_eq) <= 1e-7
+        assert saddle_gap(op, np.concatenate([x_eq, u_eq])) <= 1e-7
         rep = mirror_prox_solve(op, op.domain, op.lipschitz or 1.0, 30)
         x_hat, u_hat = op.domain.split(rep.x_out)
         lower = float((A.T @ u_hat).min())     # min_x f(x, u_hat)
