@@ -25,7 +25,7 @@ from .geometry import (FeasibleSet, ProductSetup, ProxSetup, entropy_setup,
                        euclidean_setup)
 from .oracles import (FunctionOracle, LinearMaxBundle, LinearOracle,
                       ProblemInstance, SaddleOperator)
-from .report import TRACE_COLUMNS
+from .report import TRACE_COLUMNS, RepeatSpan
 
 BOUND_SLACK = 1e-9
 
@@ -51,14 +51,26 @@ _ELAPSED_MARK = "\x00"
 def _csv(trace, elapsed_cell=None):
     """Header plus every row, formatted by one ``%`` over a flat tuple of
     cells.  With ``elapsed_cell`` every elapsed_ns cell is that string
-    instead of the row's value."""
+    instead of the row's value.  A RunTrace's ``RepeatSpan`` has its shared
+    cells formatted once and only its counters per row."""
     template, cols = dict(_TEMPLATE), list(TRACE_COLUMNS)
     if elapsed_cell is not None:
         template["elapsed_ns"] = elapsed_cell
         cols.remove("elapsed_ns")
     row = ",".join(template.values()) + "\n"
-    cells = tuple(chain.from_iterable(map(attrgetter(*cols), trace)))
-    return _HEADER + (row * (len(cells) // len(cols))) % cells
+    parts = [_HEADER]
+    for part in getattr(trace, "parts", [trace]):
+        if isinstance(part, RepeatSpan):
+            shared = ",".join(
+                template[c] if c in ("k", "oracle_calls") or c not in cols
+                else template[c] % getattr(part.row, c)
+                for c in TRACE_COLUMNS) + "\n"
+            cells = tuple(chain.from_iterable(part.counters()))
+            parts.append((shared * part.count) % cells)
+        else:
+            cells = tuple(chain.from_iterable(map(attrgetter(*cols), part)))
+            parts.append((row * (len(cells) // len(cols))) % cells)
+    return "".join(parts)
 
 
 def _sha256(text):

@@ -5,7 +5,9 @@ reconstruction of approximate Lagrange multipliers) and one for general,
 possibly non-Lipschitz objectives.  Steps alternate between "productive"
 iterations driven by the objective subgradient (constraint satisfied at
 level eps) and "non-productive" iterations driven by the constraint
-subgradient.
+subgradient.  Once a step leaves x unchanged, every later iteration repeats
+the last one, and both solvers do the rest of the run in bulk (see
+``_step``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,57 @@ def _iteration_bound(m_f, m_g, theta0_sq, eps):
     return math.ceil(2.0 * max(m_f**2, m_g**2) * theta0_sq / eps**2)
 
 
+def _step(setup, x, p):
+    """The mirror step from x along p, and whether it moved x.
+
+    x is compared by raw bytes, so -0.0 against 0.0 counts as a move.  A
+    step that leaves x unchanged makes every later iteration query the
+    same point with the same eps: since an oracle is a deterministic
+    function of x, each of them gets the last answers, M_k and step again.
+    The solvers then stop calling the oracles and the step and do the
+    remaining iterations' bookkeeping in bulk (``_stop_count``,
+    ``_add_repeated``, ``RunTrace.repeat``): the same float operations in
+    the same order, so every trace value and output is unchanged.
+    """
+    x_next = setup.mirror_step(x, p)
+    return x_next, x_next.tobytes() != x.tobytes()
+
+
+_BLOCK = 1 << 16        # floats per block of the bulk sums
+
+
+def _stop_count(stop_sum, term, stop_target, limit):
+    """The first t <= limit at which stop_sum plus t terms, added one at a
+    time, reaches stop_target; None if none does."""
+    done = 0
+    while done < limit:
+        sums = np.full(min(_BLOCK, limit - done), term)
+        sums[0] += stop_sum
+        np.cumsum(sums, out=sums)
+        hit = int(np.argmax(sums >= stop_target))
+        if sums[hit] >= stop_target:
+            return done + hit + 1
+        stop_sum = sums[-1]
+        done += sums.size
+    return None
+
+
+def _add_repeated(acc, term, count):
+    """acc plus count terms, added one at a time as ``acc += term`` would;
+    acc and term are floats or arrays of one shape."""
+    term = np.asarray(term, dtype=float)
+    rows = max(1, min(count, _BLOCK // max(term.size, 1)))
+    buf = np.empty((rows + 1,) + term.shape)
+    buf[0] = acc
+    while count > 0:
+        n = min(rows, count)
+        buf[1:n + 1] = term
+        np.add.accumulate(buf[:n + 1], axis=0, out=buf[:n + 1])
+        buf[0] = buf[n]
+        count -= n
+    return buf[0].copy() if term.ndim else float(buf[0])
+
+
 def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
                                 keep_iterates=False):
     """Switching Mirror Descent for a Lipschitz objective and constraint.
@@ -62,10 +115,12 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
     lam_raw = np.zeros(m)
     calls = 0
     k = 0
+    stationary_at = None
     while True:
         g_resp = aggregate_max(problem.constraints, x)
         calls += 1
-        if g_resp.value <= eps:
+        productive = g_resp.value <= eps
+        if productive:
             f_resp = problem.objective(x)
             calls += 1
             m_k = setup.dual_norm(f_resp.subgradient)
@@ -94,13 +149,35 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
             iterates.append(x.copy())
         trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
                               M_k=m_k, oracle_calls=calls))
-        x = setup.mirror_step(x, h_k * step_grad)
+        x, moved = _step(setup, x, h_k * step_grad)
         stop_sum += 1.0 / m_k**2
         k += 1
         if stop_sum >= stop_target:
             break
         if k >= max_iter:
             raise RuntimeError("iteration cap reached before the stop rule")
+        if not moved:
+            stationary_at = k
+            break
+    if stationary_at is not None:
+        # the rest of the run repeats the last iteration t times
+        t = _stop_count(stop_sum, 1.0 / m_k**2, stop_target, max_iter - k)
+        if t is None:
+            raise RuntimeError("iteration cap reached before the stop rule")
+        per = 2 if productive else 1
+        trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
+                              M_k=m_k, oracle_calls=calls + per), t, per)
+        if keep_iterates:
+            iterates += [x.copy() for _ in range(t)]
+        if productive:
+            weighted = _add_repeated(weighted, h_k * x, t)
+            h_prod_sum = _add_repeated(h_prod_sum, h_k, t)
+            n_prod += t
+        else:
+            i = g_resp.active_index - 1
+            lam_raw[i] = _add_repeated(lam_raw[i], h_k, t)
+        calls += per * t
+        k += t
     it_bound = _iteration_bound(problem.lipschitz_f, problem.lipschitz_g,
                                 theta0_sq, eps)
     if n_prod == 0:     # never feasible at level eps: no output value
@@ -108,10 +185,13 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
         return Report(method="constrained_nonsmooth", x_out=x, f_out=nan,
                       iterations=k, oracle_calls=calls, trace=trace,
                       gap=None if problem.f_star is None else nan, g_bar=nan,
-                      productive=0, iteration_bound=it_bound)
+                      productive=0, iteration_bound=it_bound,
+                      extras={"stationary_at": stationary_at})
     x_bar = weighted / h_prod_sum
-    f_bar = problem.objective(x_bar).value
+    # g first: after a stretch without BLAS calls (the repeats) the first
+    # one pays a warm-up of tens of us, which also serves f's dot
     g_bar = aggregate_max(problem.constraints, x_bar).value
+    f_bar = problem.objective(x_bar).value
     calls += 2
     return Report(
         method="constrained_nonsmooth", x_out=x_bar, f_out=f_bar,
@@ -119,7 +199,8 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
         gap=None if problem.f_star is None else f_bar - problem.f_star,
         g_bar=g_bar, productive=n_prod,
         lambda_bar=lam_raw / h_prod_sum, iteration_bound=it_bound,
-        extras={"iterates": iterates, "h_prod_sum": h_prod_sum},
+        extras={"iterates": iterates, "h_prod_sum": h_prod_sum,
+                "stationary_at": stationary_at},
     )
 
 
@@ -142,54 +223,76 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7,
     n_prod = 0
     calls = 0
     k = 0
+    stationary_at = None
     while True:
         g_resp = aggregate_max(problem.constraints, x)
         calls += 1
-        if g_resp.value <= eps:
+        productive = g_resp.value <= eps
+        if productive:
             f_resp = problem.objective(x)
             calls += 1
-            nf = setup.dual_norm(f_resp.subgradient)
+            m_k = setup.dual_norm(f_resp.subgradient)
             if f_resp.value < best_f:
                 best_f, best_x = f_resp.value, x.copy()
             productive_points.append(x.copy())
             n_prod += 1
-            if nf == 0.0:
+            if m_k == 0.0:
                 trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
                                       step=float("inf"), M_k=0.0,
                                       oracle_calls=calls))
                 k += 1
                 break
-            h_k = eps / nf
+            h_k = eps / m_k
             step_grad = f_resp.subgradient
             stop_sum += 1.0
             f_val = f_resp.value
-            m_k = nf
         else:
-            ng = setup.dual_norm(g_resp.subgradient)
-            if ng == 0.0:
+            m_k = setup.dual_norm(g_resp.subgradient)
+            if m_k == 0.0:
                 raise InfeasibleAtEpsError(
                     "zero constraint subgradient on a non-productive step")
-            h_k = eps / ng**2
+            h_k = eps / m_k**2
             step_grad = g_resp.subgradient
-            stop_sum += 1.0 / ng**2
+            stop_sum += 1.0 / m_k**2
             f_val = float("nan")
-            m_k = ng
         if keep_iterates:
             iterates.append(x.copy())
         trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
                               M_k=m_k, oracle_calls=calls))
-        x = setup.mirror_step(x, h_k * step_grad)
+        x, moved = _step(setup, x, h_k * step_grad)
         k += 1
         if stop_sum >= stop_target:
             break
         if k >= max_iter:
             raise RuntimeError("iteration cap reached before the stop rule")
+        if not moved:
+            stationary_at = k
+            break
+    # productive points before the repeats: the repeated x is among them
+    distinct_points = len(productive_points)
+    if stationary_at is not None:
+        # the rest of the run repeats the last iteration t times; a
+        # productive x is productive_points' last entry, so best_f stays
+        t = _stop_count(stop_sum, 1.0 if productive else 1.0 / m_k**2,
+                        stop_target, max_iter - k)
+        if t is None:
+            raise RuntimeError("iteration cap reached before the stop rule")
+        per = 2 if productive else 1
+        trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
+                              M_k=m_k, oracle_calls=calls + per), t, per)
+        if keep_iterates:
+            iterates += [x.copy() for _ in range(t)]
+        if productive:
+            productive_points += [x.copy() for _ in range(t)]
+            n_prod += t
+        calls += per * t
+        k += t
     if n_prod == 0:     # never feasible at level eps: no output value
         nan = float("nan")
         return Report(method="constrained_general", x_out=x, f_out=nan,
                       iterations=k, oracle_calls=calls, trace=trace,
                       gap=None if problem.f_star is None else nan, g_bar=nan,
-                      productive=0)
+                      productive=0, extras={"stationary_at": stationary_at})
     g_best = aggregate_max(problem.constraints, best_x).value
     calls += 1
     m_g = problem.lipschitz_g
@@ -200,12 +303,13 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7,
         iterations=k, oracle_calls=calls, trace=trace,
         gap=None if problem.f_star is None else best_f - problem.f_star,
         g_bar=g_best, productive=n_prod, iteration_bound=it_bound,
-        extras={"iterates": iterates, "productive_points": productive_points},
+        extras={"iterates": iterates, "productive_points": productive_points,
+                "stationary_at": stationary_at},
     )
     if problem.x_star is not None:
         rep.extras["min_vf"] = min(
             directional_merit(problem, setup, problem.x_star, p)
-            for p in productive_points)
+            for p in productive_points[:distinct_points])
     return rep
 
 

@@ -1,9 +1,14 @@
 """First-order oracle abstraction with optional inexactness.
 
-An oracle is any callable ``x -> OracleResponse``.  ``FunctionOracle`` wraps a
-(value, subgradient) pair of callables, ``LinearOracle`` and
-``AbsLinearOracle`` cover the linear pieces used by the problem generators, and
-``InexactOracle`` produces delta-subgradients from an exact oracle.
+An oracle is any callable ``x -> OracleResponse`` and must be a
+deterministic function of x: the same x (the same bytes) gives the same
+response.  Reproducible traces need this, and the switching solvers rely on
+it to reuse their last answers once the iterate stops moving.
+``FunctionOracle`` wraps a (value, subgradient) pair of callables,
+``LinearOracle`` and ``AbsLinearOracle`` cover the linear pieces used by the
+problem generators, and ``InexactOracle`` produces delta-subgradients from
+an exact oracle, seeded from x's bytes.  A returned subgradient may be a
+read-only view of the oracle's own data.
 """
 
 from __future__ import annotations
@@ -14,12 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleResponse:
     value: float
     subgradient: np.ndarray
     delta: float = 0.0
     active_index: int | None = None
+
+
+def _read_only(a):
+    """A float copy of a that nobody can write to, the caller included."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 class FunctionOracle:
@@ -33,15 +45,15 @@ class FunctionOracle:
 
 
 class LinearOracle:
-    """g(x) = <a, x> + b."""
+    """g(x) = <a, x> + b; the subgradient is a read-only copy of a."""
 
     def __init__(self, a, b=0.0):
-        self.a = np.asarray(a, dtype=float)
+        self.a = _read_only(a)
         self.b = float(b)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return OracleResponse(float(self.a @ x + self.b), self.a.copy())
+        return OracleResponse(float(self.a @ x + self.b), self.a)
 
 
 class AbsLinearOracle:
@@ -109,11 +121,12 @@ class ConstraintBundle:
 
 class LinearMaxBundle(ConstraintBundle):
     """Bundle of linear pieces g_i(x) = <a_i, x> + b_i with a vectorized
-    max-aggregation; semantics identical to the piece-by-piece path."""
+    max-aggregation; semantics identical to the piece-by-piece path.  A and
+    b are read-only copies, and the subgradient is a view of row i."""
 
     def __init__(self, A, b):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        self.A = _read_only(A)
+        self.b = _read_only(b)
         if self.A.shape[0] == 0:
             raise ValueError("empty constraint bundle")
 
@@ -121,15 +134,16 @@ class LinearMaxBundle(ConstraintBundle):
         return self.A.shape[0]
 
     def evaluate(self, x):
-        vals = self.A @ x + self.b
+        vals = self.A @ x
+        vals += self.b
         i = int(vals.argmax())          # first maximum, lowest index
-        return OracleResponse(float(vals[i]), self.A[i].copy(),
-                              active_index=i + 1)
+        return OracleResponse(float(vals[i]), self.A[i], active_index=i + 1)
 
 
 def aggregate_max(bundle, x):
     """Max-aggregate the bundle, tie-broken to the lowest index (1-based)."""
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
     fast = getattr(bundle, "evaluate", None)
     if fast is not None:
         return fast(x)

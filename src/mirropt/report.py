@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,19 +23,76 @@ class TraceRow:
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
-class RunTrace:
-    """Append-only list of TraceRow with a non-decreasing oracle counter."""
+@dataclass(frozen=True)
+class RepeatSpan:
+    """``count`` rows that share ``row``'s cells except ``k`` and
+    ``oracle_calls``, which start at ``row``'s and go up by 1 and by
+    ``calls_step`` from one row to the next."""
 
-    def __init__(self):
-        self.rows = []
+    row: TraceRow
+    count: int
+    calls_step: int
 
-    def append(self, row):
-        if self.rows and row.oracle_calls < self.rows[-1].oracle_calls:
-            raise ValueError("oracle call counter must be non-decreasing")
-        self.rows.append(row)
+    def counters(self):
+        """(k, oracle_calls) of each row."""
+        return zip(itertools.count(self.row.k),
+                   itertools.islice(itertools.count(self.row.oracle_calls,
+                                                    self.calls_step),
+                                    self.count))
 
     def __len__(self):
-        return len(self.rows)
+        return self.count
+
+    def __iter__(self):
+        r = self.row
+        return (TraceRow(k, r.f_value, r.g_value, r.step, r.M_k, calls,
+                         r.elapsed_ns, r.bound_value)
+                for k, calls in self.counters())
+
+
+class RunTrace:
+    """Append-only list of TraceRow with a non-decreasing oracle counter.
+
+    Rows are not changed once added.  ``parts`` holds them in order as
+    lists of rows and as the ``RepeatSpan`` of each ``repeat``, whose rows
+    are built only when ``rows`` or iteration asks for them; a serializer
+    can format a span's shared cells once.
+    """
+
+    def __init__(self):
+        self._tail = []             # the list part that append extends
+        self.parts = [self._tail]
+        self._last_calls = None
+
+    def _advance(self, first_calls, last_calls):
+        if self._last_calls is not None and first_calls < self._last_calls:
+            raise ValueError("oracle call counter must be non-decreasing")
+        self._last_calls = last_calls
+
+    def append(self, row):
+        self._advance(row.oracle_calls, row.oracle_calls)
+        self._tail.append(row)
+
+    def repeat(self, row, count, calls_step):
+        """Append ``RepeatSpan(row, count, calls_step)``'s rows."""
+        if calls_step < 0:
+            raise ValueError("oracle call counter must be non-decreasing")
+        if count > 0:
+            self._advance(row.oracle_calls,
+                          row.oracle_calls + calls_step * (count - 1))
+            self._tail = []
+            self.parts += [RepeatSpan(row, count, calls_step), self._tail]
+
+    @property
+    def rows(self):
+        """Every row as one list (building the spans' rows once)."""
+        if len(self.parts) > 1:
+            self._tail = list(itertools.chain.from_iterable(self.parts))
+            self.parts = [self._tail]
+        return self._tail
+
+    def __len__(self):
+        return sum(map(len, self.parts))
 
     def __iter__(self):
         return iter(self.rows)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from mirropt import bench, constrained
 from mirropt.bench import (METHODS, ConfigError, fit_rate, run_experiment,
                            trace_csv_text, trace_hash)
 from mirropt.cli import main
-from mirropt.report import TRACE_COLUMNS, TraceRow
+from mirropt.report import TRACE_COLUMNS, RepeatSpan, RunTrace, TraceRow
 
 
 def fixed_md_config(**overrides):
@@ -94,9 +95,9 @@ print(json.dumps({"value": value.value, "subgradient":
 
 
 # trace_sha256 of every METHOD_CONFIGS entry, of a small switching run on
-# the truss dual and of two matrix games whose x has n % 4 != 0 columns,
-# recorded with one BLAS thread (numpy 2.4.6, OpenBLAS 0.3.31): any change
-# to the numerics or to the CSV bytes moves one of them
+# the truss dual, of two matrix games whose x has n % 4 != 0 columns and of
+# EXTRA_CONFIGS, recorded with one BLAS thread (numpy 2.4.6, OpenBLAS
+# 0.3.31): any change to the numerics or to the CSV bytes moves one of them
 TTD_SWITCHING = {"seed": 1, "problem": {"generator": "ttd_dual", "nodes": 10,
                                         "bars": 20},
                  "method": {"name": "constrained_nonsmooth", "eps": 0.1}}
@@ -107,6 +108,20 @@ GAMES = {
     "universal_mirror_prox_6x9": {
         "seed": 13, "problem": {"generator": "matrix_game", "rows": 6,
                                 "cols": 9},
+        "method": {"name": "universal_mirror_prox", "eps": 0.01,
+                   "M_init": 1.0, "N": 500}},
+}
+# the ttd_switch benchmark workload's config at seed 1 (its switching run
+# stops moving at step 524 of 121,714), and a Universal Mirror Prox run
+# beside METHOD_CONFIGS' bilinear_box one, which starts at the saddle point:
+# this one takes 1-3 doubling trials per iteration and ends with gap 0.0044
+EXTRA_CONFIGS = {
+    "ttd_switch": {"seed": 1, "problem": {"generator": "ttd_dual",
+                                          "nodes": 40, "bars": 120},
+                   "method": {"name": "constrained_nonsmooth", "eps": 0.05}},
+    "universal_mirror_prox_4x5": {
+        "seed": 14, "problem": {"generator": "matrix_game", "rows": 4,
+                                "cols": 5, "setup": "euclidean"},
         "method": {"name": "universal_mirror_prox", "eps": 0.01,
                    "M_init": 1.0, "N": 500}},
 }
@@ -137,6 +152,10 @@ GOLDEN_HASHES = {
         "bf148f3104b79f444751df57b7ec008de61d0911077878cd8bb6a35d4ecfd74a",
     "universal_mirror_prox_6x9":
         "89ab4fe525f86a8890c2488f78fd9c93dcd1c30231645241e3cf7a9d06d98b2a",
+    "ttd_switch":
+        "91d1dcc46ee7dba37d82ff07fa1d1347d657a5001ea133957a3c17aef2ccf689",
+    "universal_mirror_prox_4x5":
+        "2ac37ea5cf1122e213f64e7ad53b5dda6e23a8ef20c02ddb96be4c2be0e70ae6",
 }
 
 # the trace hash of the four VI configs with the f_value and oracle_calls
@@ -348,7 +367,7 @@ def test_golden_trace_hashes():
     """Every method's trace hash is the recorded one, so a change that moves
     the numerics the same way in every process is caught too."""
     out = _run_in_process({**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING,
-                           **GAMES}, **ONE_THREAD)
+                           **GAMES, **EXTRA_CONFIGS}, **ONE_THREAD)
     assert out["hashes"] == GOLDEN_HASHES
 
 
@@ -396,6 +415,43 @@ class TestTraceSerialization:
         assert trace_csv_text(self.EDGE_ROWS, elapsed_ns=elapsed_ns) == \
             reference_csv(self.EDGE_ROWS, elapsed_ns)
         assert trace_csv_text([]) == reference_csv([])
+
+    @pytest.mark.parametrize("elapsed_ns", [None, 0, 987654321])
+    def test_repeated_spans_match_reference(self, elapsed_ns):
+        # spans that share each edge row's odd cells, a span of one, one
+        # with a constant counter, and plain rows between and after them
+        trace = RunTrace()
+        for i, row in enumerate(self.EDGE_ROWS):
+            base = row.oracle_calls + 2 * 10**13 * (i + 1)
+            trace.repeat(dataclasses.replace(row, oracle_calls=base),
+                         3 + i, i % 3)
+            trace.repeat(TraceRow(row.k, 0.5, oracle_calls=base + 10**6), 1, 7)
+            trace.append(TraceRow(1, -0.0, oracle_calls=base + 2 * 10**6))
+        trace.repeat(TraceRow(0, 1.0), 0, 1)
+        assert sum(isinstance(p, RepeatSpan) for p in trace.parts) == \
+            2 * len(self.EDGE_ROWS)
+        text = trace_csv_text(trace, elapsed_ns=elapsed_ns)
+        rows = list(trace)          # builds the spans' rows
+        assert len(rows) == len(trace) and len(trace.parts) == 1
+        assert text == reference_csv(rows, elapsed_ns) == \
+            trace_csv_text(trace, elapsed_ns=elapsed_ns)
+        assert [r.oracle_calls - rows[0].oracle_calls for r in rows[:3]] == \
+            [0, 0, 0]
+        assert [r.k for r in rows[:3]] == [0, 1, 2]
+
+    def test_repeat_keeps_counter_non_decreasing(self):
+        trace = RunTrace()
+        trace.append(TraceRow(0, 1.0, oracle_calls=5))
+        with pytest.raises(ValueError):
+            trace.repeat(TraceRow(1, 1.0, oracle_calls=4), 3, 1)
+        with pytest.raises(ValueError):
+            trace.repeat(TraceRow(1, 1.0, oracle_calls=6), 3, -1)
+        assert len(trace) == 1
+        trace.repeat(TraceRow(1, 1.0, oracle_calls=6), 3, 2)
+        with pytest.raises(ValueError):     # the span ends at 10
+            trace.append(TraceRow(4, 1.0, oracle_calls=9))
+        trace.append(TraceRow(4, 1.0, oracle_calls=10))
+        assert [r.oracle_calls for r in trace] == [5, 6, 8, 10, 10]
 
     def test_ttd_trace_matches_reference(self, tmp_path):
         cfg = METHOD_CONFIGS["constrained_nonsmooth"]

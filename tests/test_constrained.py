@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from mirropt.constrained import (certify, directional_merit,
+from mirropt import bench, constrained, problems
+from mirropt.constrained import (InfeasibleAtEpsError, _add_repeated,
+                                 _iteration_bound, _stop_count, _theta0_sq,
+                                 certify, directional_merit,
                                  solve_constrained_general,
                                  solve_constrained_nonsmooth)
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import (ConstraintBundle, FunctionOracle, InexactOracle,
-                             LinearOracle, ProblemInstance)
+                             LinearOracle, ProblemInstance, aggregate_max)
+from mirropt.report import Report, RunTrace, TraceRow
 
 
 def toy_lp():
@@ -194,3 +200,298 @@ class TestDirectionalMerit:
         setup = euclidean_setup(prob.set)
         v = directional_merit(prob, setup, np.zeros(1), np.array([1.5]))
         assert v == pytest.approx(1.5)
+
+
+# ---------------------------------------------------------------------------
+# reference switching loops: every iteration queries the oracles and takes
+# the mirror step, with no reuse of answers once x stops moving
+# ---------------------------------------------------------------------------
+
+def reference_nonsmooth(problem, setup, eps, max_iter=10**7):
+    theta0_sq = _theta0_sq(problem, setup, eps)
+    m = len(problem.constraints)
+    x = setup.prox_center()
+    trace = RunTrace()
+    iterates = []
+    stop_target = 2.0 * theta0_sq / eps**2
+    stop_sum = 0.0
+    weighted = np.zeros_like(x)
+    h_prod_sum = 0.0
+    n_prod = 0
+    lam_raw = np.zeros(m)
+    calls = 0
+    k = 0
+    while True:
+        g_resp = aggregate_max(problem.constraints, x)
+        calls += 1
+        if g_resp.value <= eps:
+            f_resp = problem.objective(x)
+            calls += 1
+            m_k = setup.dual_norm(f_resp.subgradient)
+            h_k = eps / m_k**2 if m_k != 0.0 else 1.0
+            weighted += h_k * x
+            h_prod_sum += h_k
+            n_prod += 1
+            if m_k == 0.0:
+                trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
+                                      step=h_k, M_k=0.0, oracle_calls=calls))
+                k += 1
+                break
+            step_grad = f_resp.subgradient
+            f_val = f_resp.value
+        else:
+            m_k = setup.dual_norm(g_resp.subgradient)
+            if m_k == 0.0:
+                raise InfeasibleAtEpsError("zero constraint subgradient")
+            h_k = eps / m_k**2
+            step_grad = g_resp.subgradient
+            lam_raw[g_resp.active_index - 1] += h_k
+            f_val = float("nan")
+        iterates.append(x.copy())
+        trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
+                              M_k=m_k, oracle_calls=calls))
+        x = setup.mirror_step(x, h_k * step_grad)
+        stop_sum += 1.0 / m_k**2
+        k += 1
+        if stop_sum >= stop_target:
+            break
+        if k >= max_iter:
+            raise RuntimeError("iteration cap reached before the stop rule")
+    it_bound = _iteration_bound(problem.lipschitz_f, problem.lipschitz_g,
+                                theta0_sq, eps)
+    x_bar = weighted / h_prod_sum
+    f_bar = problem.objective(x_bar).value
+    g_bar = aggregate_max(problem.constraints, x_bar).value
+    calls += 2
+    return Report(method="constrained_nonsmooth", x_out=x_bar, f_out=f_bar,
+                  iterations=k, oracle_calls=calls, trace=trace, g_bar=g_bar,
+                  productive=n_prod, lambda_bar=lam_raw / h_prod_sum,
+                  iteration_bound=it_bound,
+                  extras={"iterates": iterates, "h_prod_sum": h_prod_sum})
+
+
+def reference_general(problem, setup, eps, max_iter=10**7):
+    theta0_sq = _theta0_sq(problem, setup, eps)
+    x = setup.prox_center()
+    trace = RunTrace()
+    iterates = []
+    productive_points = []
+    stop_target = 2.0 * theta0_sq / eps**2
+    stop_sum = 0.0
+    best_f, best_x = math.inf, None
+    n_prod = 0
+    calls = 0
+    k = 0
+    while True:
+        g_resp = aggregate_max(problem.constraints, x)
+        calls += 1
+        if g_resp.value <= eps:
+            f_resp = problem.objective(x)
+            calls += 1
+            nf = setup.dual_norm(f_resp.subgradient)
+            if f_resp.value < best_f:
+                best_f, best_x = f_resp.value, x.copy()
+            productive_points.append(x.copy())
+            n_prod += 1
+            if nf == 0.0:
+                trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
+                                      step=float("inf"), M_k=0.0,
+                                      oracle_calls=calls))
+                k += 1
+                break
+            h_k = eps / nf
+            step_grad = f_resp.subgradient
+            stop_sum += 1.0
+            f_val = f_resp.value
+            m_k = nf
+        else:
+            ng = setup.dual_norm(g_resp.subgradient)
+            if ng == 0.0:
+                raise InfeasibleAtEpsError("zero constraint subgradient")
+            h_k = eps / ng**2
+            step_grad = g_resp.subgradient
+            stop_sum += 1.0 / ng**2
+            f_val = float("nan")
+            m_k = ng
+        iterates.append(x.copy())
+        trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
+                              M_k=m_k, oracle_calls=calls))
+        x = setup.mirror_step(x, h_k * step_grad)
+        k += 1
+        if stop_sum >= stop_target:
+            break
+        if k >= max_iter:
+            raise RuntimeError("iteration cap reached before the stop rule")
+    g_best = aggregate_max(problem.constraints, best_x).value
+    calls += 1
+    rep = Report(method="constrained_general", x_out=best_x, f_out=best_f,
+                 iterations=k, oracle_calls=calls, trace=trace, g_bar=g_best,
+                 productive=n_prod,
+                 extras={"iterates": iterates,
+                         "productive_points": productive_points})
+    if problem.x_star is not None:
+        rep.extras["min_vf"] = min(
+            directional_merit(problem, setup, problem.x_star, p)
+            for p in productive_points)
+    return rep
+
+
+class TestBulkSums:
+    """The bulk sums must give a loop's floats: one add at a time, in order."""
+
+    TERMS = [0.1, 1.0 / 3.0, 7.0, 5e-324, 1e-300, 1.7e308, 2.0**-60,
+             float("inf"), -0.0]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(constrained, "_BLOCK", 64)
+
+    @pytest.mark.parametrize("term", TERMS)
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000])
+    def test_add_repeated_matches_loop(self, term, count):
+        rng = np.random.default_rng(count)
+        acc = rng.standard_normal(5) * 1e3
+        vec = np.array([term, -term, 0.0, 1.0, term / 3.0])
+        want_vec, want = acc.copy(), 0.25
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(count):
+                want_vec += vec
+                want += term
+            got_vec = _add_repeated(acc, vec, count)
+            got = _add_repeated(0.25, term, count)
+        assert got_vec.tobytes() == want_vec.tobytes()
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("term", [0.1, 1.0 / 3.0, 2.0**-60, 0.0,
+                                      float("inf")])
+    @pytest.mark.parametrize("start", [0.0, 0.3, 1e3])
+    def test_stop_count_matches_loop(self, term, start):
+        for target, limit in ((1.0, 500), (50.0, 500), (0.0, 3),
+                              (float("nan"), 100), (start + 1e-3, 70)):
+            want, s = None, start
+            for t in range(1, limit + 1):
+                s += term
+                if s >= target:
+                    want = t
+                    break
+            assert _stop_count(start, term, target, limit) == want
+
+
+def _bits(*values):
+    """Raw float64 bytes: the sign of zero and NaN payloads count."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _report_bytes(rep):
+    rows = [(r.k, r.oracle_calls, _bits(r.f_value, r.g_value, r.step, r.M_k,
+                                        r.bound_value)) for r in rep.trace]
+    arrays = [rep.x_out, *rep.extras["iterates"],
+              *rep.extras.get("productive_points", [])]
+    if rep.lambda_bar is not None:
+        arrays.append(rep.lambda_bar)
+    extras = _bits(*(rep.extras.get(key, np.nan)
+                     for key in ("min_vf", "h_prod_sum")))
+    return (rows, [a.tobytes() for a in arrays], _bits(rep.f_out, rep.g_bar),
+            extras, rep.productive, rep.iterations, rep.oracle_calls)
+
+
+def _ttd(nodes, bars, seed):
+    problem = problems.gen_ttd_dual(nodes, bars, seed)
+    return problem, bench._make_setup(problem, None)
+
+
+def _bench_toy_lp(dim, pieces, seed):
+    problem, _ = bench.PROBLEMS["toy_lp"]({"dim": dim, "pieces": pieces}, seed)
+    return problem, bench._make_setup(problem, None)
+
+
+def _local_toy_lp():
+    problem = toy_lp()
+    return problem, euclidean_setup(problem.set,
+                                    theta0_sq=setup_theta(problem))
+
+
+# (instance builder, args, eps): the truss duals stop moving after a few
+# hundred of their 6-11k steps; the toy LPs mostly never do (bench toy_lp
+# 2x2 seed 0 and 3x3 seed 3 do)
+REUSE_INSTANCES = (
+    [(_ttd, (nodes, bars, seed), 0.1)
+     for nodes, bars in ((10, 20), (12, 24), (16, 36)) for seed in range(4)]
+    + [(_bench_toy_lp, (dim, dim, seed), 0.1)
+       for dim in (2, 3) for seed in range(4)]
+    + [(_local_toy_lp, (), eps) for eps in (0.1, 0.05)])
+
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+class TestAnswerReuse:
+    """Once a step leaves x unchanged the switching solvers reuse their last
+    oracle answers; the result must be the reference loop's, byte for byte."""
+
+    @pytest.mark.parametrize("solver, reference", [
+        (solve_constrained_nonsmooth, reference_nonsmooth),
+        (solve_constrained_general, reference_general)])
+    @pytest.mark.parametrize("build, args, eps", REUSE_INSTANCES)
+    def test_matches_reference_loop(self, solver, reference, build, args, eps):
+        problem, setup = build(*args)
+        rep = solver(problem, setup, eps, keep_iterates=True)
+        assert _report_bytes(rep) == \
+            _report_bytes(reference(problem, setup, eps))
+
+    def test_instances_cover_both_cases(self):
+        frozen = [solve_constrained_nonsmooth(*build(*args)[:2], eps)
+                  .extras["stationary_at"] is not None
+                  for build, args, eps in REUSE_INSTANCES]
+        assert 12 <= sum(frozen) < len(frozen)
+
+    @pytest.mark.parametrize("solver, audits", [
+        (solve_constrained_nonsmooth, 2), (solve_constrained_general, 1)])
+    def test_no_oracle_calls_after_stationary(self, monkeypatch, solver,
+                                              audits):
+        # the golden ttd_switching instance: step 254 leaves x unchanged
+        problem, setup = _ttd(10, 20, 1)
+        g = _Counted(constrained.aggregate_max)
+        f = problem.objective = _Counted(problem.objective)
+        steps = _Counted(type(setup).mirror_step)
+        monkeypatch.setattr(constrained, "aggregate_max", g)
+        monkeypatch.setattr(type(setup), "mirror_step",
+                            lambda self, x, p: steps(self, x, p))
+        rep = solver(problem, setup, 0.1)
+        rows = list(rep.trace)
+        start = rep.extras["stationary_at"]
+        assert start == 255 and rep.iterations == 6454
+        assert steps.calls == start
+        # the method's own count stays that of a loop without reuse
+        assert rep.oracle_calls == rows[-1].oracle_calls + audits
+        loop_calls = g.calls + f.calls - audits
+        if solver is solve_constrained_general:
+            # min_vf: one f call per productive point before the repeats
+            loop_calls -= sum(not math.isnan(r.f_value) for r in rows[:start])
+        assert loop_calls == rows[start - 1].oracle_calls
+
+    @pytest.mark.parametrize("solver, reference", [
+        (solve_constrained_nonsmooth, reference_nonsmooth),
+        (solve_constrained_general, reference_general)])
+    def test_iteration_cap_inside_repeats(self, solver, reference):
+        # the golden instance stops moving at 255 and stops at 6454
+        problem, setup = _ttd(10, 20, 1)
+        for cap in (300, 6453):
+            for run in (solver, reference):
+                with pytest.raises(RuntimeError, match="iteration cap"):
+                    run(problem, setup, 0.1, max_iter=cap)
+        rep = solver(problem, setup, 0.1, max_iter=6454, keep_iterates=True)
+        assert _report_bytes(rep) == \
+            _report_bytes(reference(problem, setup, 0.1, max_iter=6454))
+
+    def test_never_stationary_reports_none(self):
+        rep = solve_constrained_nonsmooth(*_local_toy_lp(), 0.1)
+        assert rep.extras["stationary_at"] is None
+

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import (AbsLinearOracle, ConstraintBundle,
-                             FunctionOracle, InexactOracle, LinearOracle,
-                             aggregate_max)
+                             FunctionOracle, InexactOracle, LinearMaxBundle,
+                             LinearOracle, aggregate_max)
 from mirropt import problems
 from mirropt.mirrorprox import mirror_prox_solve, saddle_gap
 from mirropt.problems import (gen_matrix_game, gen_transport_dual,
@@ -49,6 +49,46 @@ class TestAggregateMax:
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError):
             ConstraintBundle([])
+
+    def test_list_input_matches_array_input(self):
+        bundle = LinearMaxBundle([[1.0, -2.0], [0.5, 3.0]], [0.25, -1.0])
+        for x in ([0.3, 0.7], np.array([0.3, 0.7], dtype=np.float32)):
+            resp = aggregate_max(bundle, x)
+            ref = aggregate_max(bundle, np.asarray(x, dtype=float))
+            assert (resp.value, resp.active_index) == \
+                (ref.value, ref.active_index)
+
+
+class TestPrivateData:
+    """The linear oracles hand out views of their own data, so that data
+    must be a read-only copy that the caller's arrays cannot reach."""
+
+    def test_linear_subgradient_read_only_and_private(self):
+        a = np.array([1.0, -2.0])
+        piece = LinearOracle(a, 0.5)
+        a[:] = 7.0
+        resp = piece(np.array([1.0, 1.0]))
+        assert resp.value == -0.5
+        assert np.array_equal(resp.subgradient, [1.0, -2.0])
+        with pytest.raises(ValueError):
+            resp.subgradient[0] = 3.0
+        assert piece(np.array([1.0, 1.0])).value == -0.5
+
+    def test_bundle_subgradient_read_only_and_private(self):
+        A = np.array([[1.0, 0.0], [0.0, 2.0]])
+        b = np.array([0.0, -1.0])
+        bundle = LinearMaxBundle(A, b)
+        x = np.array([1.0, 1.0])
+        A[1, 1] = 100.0
+        b[0] = 50.0
+        resp = aggregate_max(bundle, x)
+        assert (resp.value, resp.active_index) == (1.0, 1)
+        assert np.array_equal(resp.subgradient, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            resp.subgradient[0] = 3.0
+        resp = aggregate_max(bundle, x)
+        assert (resp.value, resp.active_index) == (1.0, 1)
+        assert np.array_equal(resp.subgradient, [1.0, 0.0])
 
 
 class TestAbsLinear:
