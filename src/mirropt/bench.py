@@ -118,6 +118,18 @@ def integer(value):
     return n
 
 
+def real(value):
+    """A finite float from a number or a decimal string.  Null, bool, nan
+    and infinite values raise ValueError."""
+    try:
+        x = None if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or not math.isfinite(x):
+        raise ValueError(f"not a finite number: {value!r}")
+    return x
+
+
 def _size(params, name, default):
     """Problem parameter ``name`` as an integer >= 1."""
     value = params.get(name, default)
@@ -255,7 +267,7 @@ def _build_matrix_game(params, seed):
 @_problem("bilinear_box", "vi")
 def _build_bilinear_box(params, seed):
     """Phi(x, u) = (u, -x) for the scalar game f(x, u) = x*u on [-1, 1]^2."""
-    half = float(params.get("half_width", 1.0))
+    half = _coerce(params, {}, {"half_width": real}).get("half_width", 1.0)
     box = FeasibleSet.box(np.array([-half]), np.array([half]))
     domain = ProductSetup(euclidean_setup(box), euclidean_setup(box))
     G = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -280,6 +292,10 @@ def _build_ttd_dual(params, seed):
 
 def _make_setup(problem, setup_cfg):
     setup_cfg = setup_cfg or {}
+    theta0_sq = _coerce(setup_cfg, {}, {"theta0_sq": real}).get("theta0_sq")
+    if theta0_sq is not None and theta0_sq <= 0:
+        raise ConfigError(f"parameter 'theta0_sq' must be positive, "
+                          f"got {theta0_sq!r}")
     kind = setup_cfg.get("kind")
     if kind is None:
         kind = "entropy" if problem.set.kind == "simplex" else "euclidean"
@@ -287,11 +303,11 @@ def _make_setup(problem, setup_cfg):
         if problem.set.kind != "simplex":
             raise ConfigError("entropy setup requires a simplex problem")
         return entropy_setup(problem.set.dim, problem.set.scale,
-                             theta0_sq=setup_cfg.get("theta0_sq"))
+                             theta0_sq=theta0_sq)
     if kind != "euclidean":
         raise ConfigError(f"unknown setup kind '{kind}'")
     setup = euclidean_setup(problem.set, origin=setup_cfg.get("origin"),
-                            theta0_sq=setup_cfg.get("theta0_sq"))
+                            theta0_sq=theta0_sq)
     if setup.theta0_sq is None and problem.set.kind in ("box", "ball", "simplex"):
         setup = ProxSetup(problem.set, "euclidean", origin=setup.origin,
                           theta0_sq=setup.max_d())
@@ -325,40 +341,40 @@ _MINIMIZE = ("convex", "constrained")
 # solver up on its module at call time, so a solver wrapped there runs.
 _METHODS = {
     "shor": (
-        _MINIMIZE, {"lam": float, "N": integer}, {"x0": vector},
+        _MINIMIZE, {"lam": real, "N": integer}, {"x0": vector},
         lambda p, s, a: subgradient.run_shor(
             p, a.get("x0", s.prox_center()), a["lam"], a["N"])),
     "fixed_md": (
-        _MINIMIZE, {"R": float, "M": float, "N": integer}, {},
+        _MINIMIZE, {"R": real, "M": real, "N": integer}, {},
         lambda p, s, a: subgradient.run_fixed_md(p, s, a["R"], a["M"], a["N"])),
     "adaptive_md": (
-        _MINIMIZE, {"eps": float, "N": integer}, {},
+        _MINIMIZE, {"eps": real, "N": integer}, {},
         lambda p, s, a: subgradient.run_adaptive_md(p, s, a["eps"], a["N"])),
     "normalized_md": (
-        _MINIMIZE, {"R": float, "N": integer}, {},
+        _MINIMIZE, {"R": real, "N": integer}, {},
         lambda p, s, a: subgradient.run_normalized_md(p, s, a["R"], a["N"])),
     "strongly_convex_md": (
-        _MINIMIZE, {"mu": float, "N": integer}, {"M": float},
+        _MINIMIZE, {"mu": real, "N": integer}, {"M": real},
         lambda p, s, a: subgradient.run_strongly_convex_md(
             p, s, a["mu"], a["N"], M=a.get("M"))),
     "constrained_nonsmooth": (
-        ("constrained",), {"eps": float}, {},
+        ("constrained",), {"eps": real}, {},
         lambda p, s, a: constrained.solve_constrained_nonsmooth(p, s, a["eps"])),
     "constrained_general": (
-        ("constrained",), {"eps": float}, {},
+        ("constrained",), {"eps": real}, {},
         lambda p, s, a: constrained.solve_constrained_general(p, s, a["eps"])),
-    "agm": (_MINIMIZE, {"N": integer}, {"L": float}, _agm),
+    "agm": (_MINIMIZE, {"N": integer}, {"L": real}, _agm),
     "universal_agm": (
-        _MINIMIZE, {"eps": float, "L0": float, "N": integer}, {},
+        _MINIMIZE, {"eps": real, "L0": real, "N": integer}, {},
         lambda p, s, a: smoothing.universal_agm(p, s, a["eps"], a["L0"],
                                                 a["N"])),
     "mirror_prox": (
-        ("vi",), {"N": integer}, {"L": float},
+        ("vi",), {"N": integer}, {"L": real},
         # Phi of an all-zero game is 0, so any L > 0 is valid for it
         lambda op, s, a: mirrorprox.mirror_prox_solve(
             op, op.domain, a.get("L", op.lipschitz or 1.0), a["N"])),
     "universal_mirror_prox": (
-        ("vi",), {"eps": float, "M_init": float, "N": integer}, {},
+        ("vi",), {"eps": real, "M_init": real, "N": integer}, {},
         lambda op, s, a: mirrorprox.universal_mirror_prox_solve(
             op, op.domain, a["eps"], a["M_init"], a["N"])),
 }

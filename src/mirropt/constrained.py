@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import aggregate_max
+from .oracles import Counted, aggregate_max
 from .report import Report, RunTrace, TraceRow
 
 
@@ -93,8 +93,7 @@ def _add_repeated(acc, term, count):
     return buf[0].copy() if term.ndim else float(buf[0])
 
 
-def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
-                                keep_iterates=False):
+def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7):
     """Switching Mirror Descent for a Lipschitz objective and constraint.
 
     Steps h_k = eps / M_k^2 with M_k the dual norm of the driving
@@ -104,25 +103,24 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
     """
     theta0_sq = _theta0_sq(problem, setup, eps)
     m = len(problem.constraints)
+    f = Counted(problem.objective)
+    g = Counted(lambda x: aggregate_max(problem.constraints, x))
     x = setup.prox_center()
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
     stop_target = 2.0 * theta0_sq / eps**2
     stop_sum = 0.0
     weighted = np.zeros_like(x)
     h_prod_sum = 0.0
     n_prod = 0
     lam_raw = np.zeros(m)
-    calls = 0
     k = 0
     stationary_at = None
+    reused = 0      # answers counted as calls but reused (see _step)
     while True:
-        g_resp = aggregate_max(problem.constraints, x)
-        calls += 1
+        g_resp = g(x)
         productive = g_resp.value <= eps
         if productive:
-            f_resp = problem.objective(x)
-            calls += 1
+            f_resp = f(x)
             m_k = setup.dual_norm(f_resp.subgradient)
             h_k = eps / m_k**2 if m_k != 0.0 else 1.0
             weighted += h_k * x
@@ -131,7 +129,8 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
             if m_k == 0.0:
                 # current productive point is optimal among feasible-at-eps
                 trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
-                                      step=h_k, M_k=0.0, oracle_calls=calls))
+                                      step=h_k, M_k=0.0,
+                                      oracle_calls=f.calls + g.calls))
                 k += 1
                 break
             step_grad = f_resp.subgradient
@@ -145,10 +144,8 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
             step_grad = g_resp.subgradient
             lam_raw[g_resp.active_index - 1] += h_k
             f_val = float("nan")
-        if keep_iterates:
-            iterates.append(x.copy())
         trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=calls))
+                              M_k=m_k, oracle_calls=f.calls + g.calls))
         x, moved = _step(setup, x, h_k * step_grad)
         stop_sum += 1.0 / m_k**2
         k += 1
@@ -166,9 +163,8 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
             raise RuntimeError("iteration cap reached before the stop rule")
         per = 2 if productive else 1
         trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=calls + per), t, per)
-        if keep_iterates:
-            iterates += [x.copy() for _ in range(t)]
+                              M_k=m_k, oracle_calls=f.calls + g.calls + per),
+                     t, per)
         if productive:
             weighted = _add_repeated(weighted, h_k * x, t)
             h_prod_sum = _add_repeated(h_prod_sum, h_k, t)
@@ -176,70 +172,71 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7,
         else:
             i = g_resp.active_index - 1
             lam_raw[i] = _add_repeated(lam_raw[i], h_k, t)
-        calls += per * t
+        reused = per * t
         k += t
     it_bound = _iteration_bound(problem.lipschitz_f, problem.lipschitz_g,
                                 theta0_sq, eps)
     if n_prod == 0:     # never feasible at level eps: no output value
         nan = float("nan")
         return Report(method="constrained_nonsmooth", x_out=x, f_out=nan,
-                      iterations=k, oracle_calls=calls, trace=trace,
+                      iterations=k, oracle_calls=f.calls + g.calls + reused,
+                      trace=trace,
                       gap=None if problem.f_star is None else nan, g_bar=nan,
                       productive=0, iteration_bound=it_bound,
                       extras={"stationary_at": stationary_at})
     x_bar = weighted / h_prod_sum
     # g first: after a stretch without BLAS calls (the repeats) the first
     # one pays a warm-up of tens of us, which also serves f's dot
-    g_bar = aggregate_max(problem.constraints, x_bar).value
-    f_bar = problem.objective(x_bar).value
-    calls += 2
+    g_bar = g(x_bar).value
+    f_bar = f(x_bar).value
     return Report(
         method="constrained_nonsmooth", x_out=x_bar, f_out=f_bar,
-        iterations=k, oracle_calls=calls, trace=trace,
+        iterations=k, oracle_calls=f.calls + g.calls + reused, trace=trace,
         gap=None if problem.f_star is None else f_bar - problem.f_star,
         g_bar=g_bar, productive=n_prod,
         lambda_bar=lam_raw / h_prod_sum, iteration_bound=it_bound,
-        extras={"iterates": iterates, "h_prod_sum": h_prod_sum,
-                "stationary_at": stationary_at},
+        extras={"h_prod_sum": h_prod_sum, "stationary_at": stationary_at},
     )
 
 
-def solve_constrained_general(problem, setup, eps, max_iter=10**7,
-                              keep_iterates=False):
+def solve_constrained_general(problem, setup, eps, max_iter=10**7):
     """Switching Mirror Descent for a general (maybe non-Lipschitz) objective.
 
     Productive steps use h_k = eps/||grad f||_*, non-productive
     h_k = eps/||grad g||_*^2; stops once |I| + sum_{j in J} 1/||grad g||_*^2
-    >= 2 Theta_0^2 / eps^2.  Returns the best productive iterate.
+    >= 2 Theta_0^2 / eps^2.  Returns the best productive iterate.  With a
+    known x_star, ``extras["min_vf"]`` is the least ``directional_merit`` at
+    x_star over the productive points, from the answers the run already has.
     """
     theta0_sq = _theta0_sq(problem, setup, eps)
+    f = Counted(problem.objective)
+    g = Counted(lambda x: aggregate_max(problem.constraints, x))
     x = setup.prox_center()
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
-    productive_points = []
     stop_target = 2.0 * theta0_sq / eps**2
     stop_sum = 0.0
     best_f, best_x = math.inf, None
+    min_vf = None
     n_prod = 0
-    calls = 0
     k = 0
     stationary_at = None
+    reused = 0      # answers counted as calls but reused (see _step)
     while True:
-        g_resp = aggregate_max(problem.constraints, x)
-        calls += 1
+        g_resp = g(x)
         productive = g_resp.value <= eps
         if productive:
-            f_resp = problem.objective(x)
-            calls += 1
+            f_resp = f(x)
             m_k = setup.dual_norm(f_resp.subgradient)
             if f_resp.value < best_f:
                 best_f, best_x = f_resp.value, x.copy()
-            productive_points.append(x.copy())
+            if problem.x_star is not None:
+                merit = _merit(f_resp.subgradient, m_k, x, problem.x_star)
+                min_vf = merit if min_vf is None else min(min_vf, merit)
             n_prod += 1
             if m_k == 0.0:
                 trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
                                       step=float("inf"), M_k=0.0,
-                                      oracle_calls=calls))
+                                      oracle_calls=f.calls + g.calls))
                 k += 1
                 break
             h_k = eps / m_k
@@ -255,10 +252,8 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7,
             step_grad = g_resp.subgradient
             stop_sum += 1.0 / m_k**2
             f_val = float("nan")
-        if keep_iterates:
-            iterates.append(x.copy())
         trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=calls))
+                              M_k=m_k, oracle_calls=f.calls + g.calls))
         x, moved = _step(setup, x, h_k * step_grad)
         k += 1
         if stop_sum >= stop_target:
@@ -268,59 +263,57 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7,
         if not moved:
             stationary_at = k
             break
-    # productive points before the repeats: the repeated x is among them
-    distinct_points = len(productive_points)
     if stationary_at is not None:
         # the rest of the run repeats the last iteration t times; a
-        # productive x is productive_points' last entry, so best_f stays
+        # productive x was the last productive point, so best_f and min_vf
+        # stay
         t = _stop_count(stop_sum, 1.0 if productive else 1.0 / m_k**2,
                         stop_target, max_iter - k)
         if t is None:
             raise RuntimeError("iteration cap reached before the stop rule")
         per = 2 if productive else 1
         trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=calls + per), t, per)
-        if keep_iterates:
-            iterates += [x.copy() for _ in range(t)]
+                              M_k=m_k, oracle_calls=f.calls + g.calls + per),
+                     t, per)
         if productive:
-            productive_points += [x.copy() for _ in range(t)]
             n_prod += t
-        calls += per * t
+        reused = per * t
         k += t
     if n_prod == 0:     # never feasible at level eps: no output value
         nan = float("nan")
         return Report(method="constrained_general", x_out=x, f_out=nan,
-                      iterations=k, oracle_calls=calls, trace=trace,
+                      iterations=k, oracle_calls=f.calls + g.calls + reused,
+                      trace=trace,
                       gap=None if problem.f_star is None else nan, g_bar=nan,
                       productive=0, extras={"stationary_at": stationary_at})
-    g_best = aggregate_max(problem.constraints, best_x).value
-    calls += 1
+    g_best = g(best_x).value
     m_g = problem.lipschitz_g
     it_bound = None if m_g is None else \
         math.ceil(2.0 * max(1.0, m_g**2) * theta0_sq / eps**2)
     rep = Report(
         method="constrained_general", x_out=best_x, f_out=best_f,
-        iterations=k, oracle_calls=calls, trace=trace,
+        iterations=k, oracle_calls=f.calls + g.calls + reused, trace=trace,
         gap=None if problem.f_star is None else best_f - problem.f_star,
         g_bar=g_best, productive=n_prod, iteration_bound=it_bound,
-        extras={"iterates": iterates, "productive_points": productive_points,
-                "stationary_at": stationary_at},
+        extras={"stationary_at": stationary_at},
     )
-    if problem.x_star is not None:
-        rep.extras["min_vf"] = min(
-            directional_merit(problem, setup, problem.x_star, p)
-            for p in productive_points[:distinct_points])
+    if min_vf is not None:
+        rep.extras["min_vf"] = min_vf
     return rep
+
+
+def _merit(subgradient, nrm, x, y):
+    """<subgradient / nrm, x - y>, with nrm = ||subgradient||_* (0 if 0)."""
+    if nrm == 0.0:
+        return 0.0
+    return float(subgradient @ (np.asarray(x) - np.asarray(y))) / nrm
 
 
 def directional_merit(problem, setup, y, x):
     """<grad f(x)/||grad f(x)||_*, x - y>, the normalized-subgradient merit
     used by the general-objective convergence guarantee (0 at zero grad)."""
     resp = problem.objective(x)
-    nrm = setup.dual_norm(resp.subgradient)
-    if nrm == 0.0:
-        return 0.0
-    return float(resp.subgradient @ (np.asarray(x) - np.asarray(y))) / nrm
+    return _merit(resp.subgradient, setup.dual_norm(resp.subgradient), x, y)
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .oracles import Counted
 from .report import Report, RunTrace, TraceRow
 
 MAX_INNER_TRIALS = 64
@@ -18,7 +19,7 @@ def _row_gap(op, w_hat, phi_hat, last):
     return saddle_gap(op, w_hat, None if last else phi_hat)
 
 
-def mirror_prox_solve(op, setup, L, N, keep_iterates=False):
+def mirror_prox_solve(op, setup, L, N):
     """Fixed-constant Mirror Prox.
 
     Extragradient steps with step 1/L and uniform averaging of the w-points;
@@ -28,36 +29,31 @@ def mirror_prox_solve(op, setup, L, N, keep_iterates=False):
     """
     if L <= 0:
         raise ValueError("L must be positive")
+    phi = Counted(op)
     z = setup.prox_center()
     total = np.zeros_like(z)
     phi_total = np.zeros_like(z)
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
-    calls = 0
     max_v = setup.max_bregman_from(z)
     for k in range(N):
-        w = setup.mirror_step(z, op(z) / L)
-        phi_w = op(w)
-        calls += 2
+        w = setup.mirror_step(z, phi(z) / L)
+        phi_w = phi(w)
         z = setup.mirror_step(z, phi_w / L)
         total += w
         phi_total += phi_w
-        if keep_iterates:
-            iterates.append(w.copy())
         w_hat = total / (k + 1)
         gap = _row_gap(op, w_hat, phi_total / (k + 1), k == N - 1)
         trace.append(TraceRow(k + 1, gap, step=1.0 / L, M_k=L,
-                              oracle_calls=calls,
+                              oracle_calls=phi.calls,
                               bound_value=L * max_v / (k + 1)))
     w_hat = total / N if N > 0 else z
     f_out = trace.rows[-1].f_value if N > 0 else float("nan")
     return Report(method="mirror_prox", x_out=w_hat, f_out=f_out,
-                  iterations=N, oracle_calls=calls, trace=trace, m_ks=[L] * N,
-                  extras={"iterates": iterates, "max_v": max_v, "z_last": z})
+                  iterations=N, oracle_calls=phi.calls, trace=trace,
+                  extras={"max_v": max_v, "z_last": z})
 
 
-def universal_mirror_prox_solve(op, setup, eps, M_init, N,
-                                keep_iterates=False):
+def universal_mirror_prox_solve(op, setup, eps, M_init, N):
     """Universal Mirror Prox with per-iteration doubling of M_k.
 
     The first inner trial of iteration k uses M = M_{k-1}/2 and doubles until
@@ -70,25 +66,23 @@ def universal_mirror_prox_solve(op, setup, eps, M_init, N,
     """
     if eps <= 0 or M_init <= 0:
         raise ValueError("eps and M_init must be positive")
+    phi = Counted(op)
     z = setup.prox_center()
     d_max = setup.max_bregman_from(z)
     weighted = np.zeros_like(z)
     phi_weighted = np.zeros_like(z)
     wsum = 0.0
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
-    calls = 0
     m_prev = float(M_init)
-    m_ks = []
     inner_trials = []
     stopped_adaptive = False
     k = 0
     for k in range(1, N + 1):
-        phi_z = op(z)
+        phi_z = phi(z)
         for i_k in range(1, MAX_INNER_TRIALS + 2):
             M = 2.0 ** (i_k - 2) * m_prev
             w = setup.mirror_step(z, phi_z / M)
-            phi_w = op(w)
+            phi_w = phi(w)
             z_next = setup.mirror_step(z, phi_w / M)
             lhs = float((phi_w - phi_z) @ (w - z_next))
             rhs = 0.5 * M * (setup.norm(w - z) ** 2 + setup.norm(w - z_next) ** 2) \
@@ -99,28 +93,25 @@ def universal_mirror_prox_solve(op, setup, eps, M_init, N,
             raise RuntimeError("inner doubling exceeded the cap; operator "
                                "likely non-Hoelder or oracle inconsistent")
         z = z_next
-        calls += 1 + i_k
         m_prev = M
-        m_ks.append(M)
         inner_trials.append(i_k)
         weighted += w / M
         phi_weighted += phi_w / M
         wsum += 1.0 / M
-        if keep_iterates:
-            iterates.append(w.copy())
         stopped_adaptive = d_max / wsum <= eps / 2.0
         w_hat = weighted / wsum
         gap = _row_gap(op, w_hat, phi_weighted / wsum, stopped_adaptive or k == N)
-        trace.append(TraceRow(k, gap, step=1.0 / M, M_k=M, oracle_calls=calls,
+        trace.append(TraceRow(k, gap, step=1.0 / M, M_k=M,
+                              oracle_calls=phi.calls,
                               bound_value=d_max / wsum + eps / 2.0))
         if stopped_adaptive:
             break
     w_hat = weighted / wsum if wsum > 0 else z
     f_out = trace.rows[-1].f_value if k > 0 else float("nan")
     return Report(method="universal_mirror_prox", x_out=w_hat, f_out=f_out,
-                  iterations=k, oracle_calls=calls, trace=trace, m_ks=m_ks,
+                  iterations=k, oracle_calls=phi.calls, trace=trace,
                   inner_trials=inner_trials,
-                  extras={"iterates": iterates, "max_v": d_max,
+                  extras={"max_v": d_max,
                           "stopped_adaptive": stopped_adaptive,
                           "weight_sum": wsum, "M_init": M_init})
 

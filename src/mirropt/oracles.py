@@ -8,7 +8,9 @@ it to reuse their last answers once the iterate stops moving.
 ``LinearOracle`` and ``AbsLinearOracle`` cover the linear pieces used by the
 problem generators, and ``InexactOracle`` produces delta-subgradients from
 an exact oracle, seeded from x's bytes.  A returned subgradient may be a
-read-only view of the oracle's own data.
+read-only view of the oracle's own data.  ``Counted`` wraps an oracle or
+operator and counts the calls made through it: the solvers' one oracle-call
+counter.
 """
 
 from __future__ import annotations
@@ -32,6 +34,18 @@ def _read_only(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+class Counted:
+    """``fn`` with a count of the calls made through it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
 
 
 class FunctionOracle:

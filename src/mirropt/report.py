@@ -119,7 +119,6 @@ class Report:
     productive: int | None = None       # productive (objective-driven) steps
     lambda_bar: np.ndarray | None = None    # approximate dual multipliers
     iteration_bound: int | None = None
-    m_ks: list = field(default_factory=list)            # accepted constants
     inner_trials: list = field(default_factory=list)    # line-search trials
     stopped_exact: bool = False
     violations: list = field(default_factory=list)

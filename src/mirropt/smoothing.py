@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .oracles import OracleResponse
+from .oracles import Counted, OracleResponse
 from .report import Report, RunTrace, TraceRow
 
 MAX_BACKTRACKS = 64
@@ -23,20 +23,19 @@ def alpha_root(C_k, M):
     return (1.0 + math.sqrt(1.0 + 4.0 * M * C_k)) / (2.0 * M)
 
 
-def agm_solve(problem, setup, L, N, keep_iterates=False):
+def agm_solve(problem, setup, L, N):
     """Accelerated gradient method with a known Lipschitz constant.
 
     Guarantee: f(y^k) - f* <= 4 L V[z^0](x*) / (k+1)^2 for all k.
     """
     if L <= 0 or N < 0:
         raise ValueError("L must be positive and N >= 0")
+    f = Counted(problem.objective)
     x0 = setup.prox_center()
     y = x0.copy()
     z = x0.copy()
     C = 0.0
     trace = RunTrace()
-    iterates = [y.copy()] if keep_iterates else None
-    calls = 0
     v0 = None
     if problem.x_star is not None:
         v0 = setup.bregman(x0, problem.x_star)
@@ -44,27 +43,21 @@ def agm_solve(problem, setup, L, N, keep_iterates=False):
         alpha = alpha_root(C, L)
         C_next = C + alpha
         x = (alpha * z + C * y) / C_next
-        resp = problem.objective(x)
-        calls += 1
+        resp = f(x)
         z = setup.mirror_step(z, alpha * resp.subgradient)
         y = (alpha * z + C * y) / C_next
         C = C_next
-        fy = problem.objective(y).value
-        calls += 1
+        fy = f(y).value
         bound = float("nan") if v0 is None else 4.0 * L * v0 / (k + 2) ** 2
         trace.append(TraceRow(k + 1, fy, step=alpha, M_k=L,
-                              oracle_calls=calls, bound_value=bound))
-        if keep_iterates:
-            iterates.append(y.copy())
-    f_out = problem.objective(y).value if N == 0 else trace.rows[-1].f_value
-    if N == 0:
-        calls += 1
+                              oracle_calls=f.calls, bound_value=bound))
+    f_out = f(y).value if N == 0 else trace.rows[-1].f_value
     return Report(
-        method="agm", x_out=y, f_out=f_out, iterations=N, oracle_calls=calls,
-        trace=trace,
+        method="agm", x_out=y, f_out=f_out, iterations=N,
+        oracle_calls=f.calls, trace=trace,
         bound=None if v0 is None else 4.0 * L * v0 / (N + 1) ** 2,
         gap=None if problem.f_star is None else f_out - problem.f_star,
-        extras={"iterates": iterates, "V0": v0, "C": C},
+        extras={"V0": v0, "C": C},
     )
 
 
@@ -150,7 +143,7 @@ def universal_call_bound(nu, *, l_nu, eps, k, v0):
     return 4.0 * (k + 1) + 2.0 * max(math.log2(arg), 0.0)
 
 
-def universal_agm(problem, setup, eps, L0, N, keep_iterates=False):
+def universal_agm(problem, setup, eps, L0, N):
     """Universal accelerated gradient method with doubling backtracking.
 
     Each outer iteration starts the line search at L_k (first trial M = L_k
@@ -160,16 +153,14 @@ def universal_agm(problem, setup, eps, L0, N, keep_iterates=False):
     """
     if eps <= 0 or L0 <= 0 or N < 0:
         raise ValueError("eps and L0 must be positive and N >= 0")
+    f = Counted(problem.objective)
     x0 = setup.prox_center()
     y = x0.copy()
     z = x0.copy()
     C = 0.0
     L = float(L0)
     trace = RunTrace()
-    iterates = [y.copy()] if keep_iterates else None
-    calls = 0
     inner_trials = []
-    m_ks = []
     v0 = None
     if problem.x_star is not None:
         v0 = setup.bregman(x0, problem.x_star)
@@ -185,14 +176,12 @@ def universal_agm(problem, setup, eps, L0, N, keep_iterates=False):
             alpha = alpha_root(C, M)
             C_next = C + alpha
             x = (alpha * z + C * y) / C_next
-            rx = problem.objective(x)
-            calls += 1
+            rx = f(x)
             if not np.isfinite(rx.value):
                 raise RuntimeError("non-finite objective during backtracking")
             z_try = setup.mirror_step(z, alpha * rx.subgradient)
             y_try = (alpha * z_try + C * y) / C_next
-            fy = problem.objective(y_try).value
-            calls += 1
+            fy = f(y_try).value
             if not np.isfinite(fy):
                 raise RuntimeError("non-finite objective during backtracking")
             lin = rx.value + float(rx.subgradient @ (y_try - x))
@@ -202,23 +191,17 @@ def universal_agm(problem, setup, eps, L0, N, keep_iterates=False):
         z, y, C = z_try, y_try, C_next
         L = M / 2.0
         inner_trials.append(trials)
-        m_ks.append(M)
-        if keep_iterates:
-            iterates.append(y.copy())
         bound = float("nan")
         if v0 is not None and problem.meta and "holder" in (problem.meta or {}):
             nu, l_nu = problem.meta["holder"]
             bound = universal_conv_bound(nu, l_nu=l_nu, eps=eps, k=k + 1,
                                          v0=v0)
         trace.append(TraceRow(k + 1, fy, step=alpha, M_k=M,
-                              oracle_calls=calls, bound_value=bound))
-    f_out = problem.objective(y).value if N == 0 else trace.rows[-1].f_value
-    if N == 0:
-        calls += 1
+                              oracle_calls=f.calls, bound_value=bound))
+    f_out = f(y).value if N == 0 else trace.rows[-1].f_value
     return Report(
         method="universal_agm", x_out=y, f_out=f_out, iterations=N,
-        oracle_calls=calls, trace=trace,
+        oracle_calls=f.calls, trace=trace,
         gap=None if problem.f_star is None else f_out - problem.f_star,
-        m_ks=m_ks, inner_trials=inner_trials,
-        extras={"iterates": iterates, "V0": v0, "C": C},
+        inner_trials=inner_trials, extras={"V0": v0, "C": C},
     )

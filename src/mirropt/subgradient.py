@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .oracles import Counted
 from .report import Report, RunTrace, TraceRow
 
 
@@ -20,7 +21,7 @@ def _maybe_dist(x, x_star):
     return float(np.linalg.norm(x - x_star))
 
 
-def run_shor(problem, x0, lam, N, keep_iterates=False):
+def run_shor(problem, x0, lam, N):
     """Constant-step-length normalized subgradient iteration.
 
     x^{k+1} = x^k - lam * g^k / ||g^k||_2; a zero subgradient stops the run
@@ -29,39 +30,33 @@ def run_shor(problem, x0, lam, N, keep_iterates=False):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    f = Counted(problem.objective)
     x = np.asarray(x0, dtype=float).copy()
     trace = RunTrace()
-    iterates = [x.copy()] if keep_iterates else None
-    calls = 0
     min_dist = _maybe_dist(x, problem.x_star)
     stopped_exact = False
     for k in range(N):
-        resp = problem.objective(x)
-        calls += 1
+        resp = f(x)
         gn = np.linalg.norm(resp.subgradient)
         trace.append(TraceRow(k, resp.value, step=lam, M_k=float(gn),
-                              oracle_calls=calls))
+                              oracle_calls=f.calls))
         if gn == 0.0:
             stopped_exact = True
             break
         x = x - lam * resp.subgradient / gn
-        if keep_iterates:
-            iterates.append(x.copy())
         d = _maybe_dist(x, problem.x_star)
         if d is not None:
             min_dist = d if min_dist is None else min(min_dist, d)
-    f_out = problem.objective(x).value
-    calls += 1
+    f_out = f(x).value
     return Report(
         method="shor", x_out=x, f_out=f_out, iterations=len(trace),
-        oracle_calls=calls, trace=trace, min_dist=min_dist,
+        oracle_calls=f.calls, trace=trace, min_dist=min_dist,
         stopped_exact=stopped_exact,
         gap=None if problem.f_star is None else f_out - problem.f_star,
-        extras={"iterates": iterates},
     )
 
 
-def run_fixed_md(problem, setup, R, M, N, keep_iterates=False):
+def run_fixed_md(problem, setup, R, M, N):
     """Fixed-step Mirror Descent with uniform averaging of x^0..x^{N-1}.
 
     Euclidean setup: h = R/(M sqrt(N)) with guarantee M R / sqrt(N)
@@ -73,73 +68,60 @@ def run_fixed_md(problem, setup, R, M, N, keep_iterates=False):
     euclidean = setup.kind == "euclidean"
     h = R / (M * math.sqrt(N)) if euclidean else math.sqrt(2.0) * R / (M * math.sqrt(N))
     bound = M * R / math.sqrt(N) if euclidean else math.sqrt(2.0) * M * R / math.sqrt(N)
+    f = Counted(problem.objective)
     x = setup.prox_center()
     total = np.zeros_like(x)
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
-    grads = [] if keep_iterates else None
     violations = []
-    calls = 0
     for k in range(N):
-        resp = problem.objective(x)
-        calls += 1
+        resp = f(x)
         gd = setup.dual_norm(resp.subgradient)
         if gd > M * (1 + 1e-12):
             violations.append(f"dual norm {gd:.6g} exceeds M={M} at k={k}")
         total += x
-        if keep_iterates:
-            iterates.append(x.copy())
-            grads.append(resp.subgradient.copy())
         trace.append(TraceRow(k, resp.value, step=h, M_k=gd,
-                              oracle_calls=calls, bound_value=bound))
+                              oracle_calls=f.calls, bound_value=bound))
         x = setup.mirror_step(x, h * resp.subgradient)
     x_bar = total / N
-    f_bar = problem.objective(x_bar).value
-    calls += 1
+    f_bar = f(x_bar).value
     return Report(
         method="fixed_md", x_out=x_bar, f_out=f_bar, iterations=N,
-        oracle_calls=calls, trace=trace, bound=bound, violations=violations,
+        oracle_calls=f.calls, trace=trace, bound=bound, violations=violations,
         gap=None if problem.f_star is None else f_bar - problem.f_star,
-        extras={"iterates": iterates, "grads": grads, "h": h, "x_last": x},
+        extras={"h": h, "x_last": x},
     )
 
 
-def run_adaptive_md(problem, setup, eps, N, keep_iterates=False):
+def run_adaptive_md(problem, setup, eps, N):
     """Adaptive-norm Mirror Descent: h_k = eps / ||g^k||_*^2 with step-weighted
     averaging.  A zero subgradient stops the run at an exact optimum."""
     if eps <= 0 or N < 1:
         raise ValueError("eps must be positive and N >= 1")
+    f = Counted(problem.objective)
     x = setup.prox_center()
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
-    grads = [] if keep_iterates else None
     steps = []
     weighted = np.zeros_like(x)
-    calls = 0
     stopped_exact = False
     for k in range(N):
-        resp = problem.objective(x)
-        calls += 1
+        resp = f(x)
         gd = setup.dual_norm(resp.subgradient)
         if gd == 0.0:
             weighted = x.copy()
             steps = [1.0]
             stopped_exact = True
             trace.append(TraceRow(k, resp.value, step=float("inf"), M_k=0.0,
-                                  oracle_calls=calls))
+                                  oracle_calls=f.calls))
             break
         h = eps / gd**2
         steps.append(h)
         weighted += h * x
-        if keep_iterates:
-            iterates.append(x.copy())
-            grads.append(resp.subgradient.copy())
-        trace.append(TraceRow(k, resp.value, step=h, M_k=gd, oracle_calls=calls))
+        trace.append(TraceRow(k, resp.value, step=h, M_k=gd,
+                              oracle_calls=f.calls))
         x = setup.mirror_step(x, h * resp.subgradient)
     h_sum = float(np.sum(steps))
     x_bar = weighted if stopped_exact else weighted / h_sum
-    f_bar = problem.objective(x_bar).value
-    calls += 1
+    f_bar = f(x_bar).value
     r_sq = setup.theta0_sq
     if r_sq is None and problem.x_star is not None:
         r_sq = setup.bregman(setup.prox_center(), problem.x_star)
@@ -147,14 +129,14 @@ def run_adaptive_md(problem, setup, eps, N, keep_iterates=False):
         else r_sq / h_sum + eps / 2.0
     return Report(
         method="adaptive_md", x_out=x_bar, f_out=f_bar, iterations=len(trace),
-        oracle_calls=calls, trace=trace, bound=realized_bound,
+        oracle_calls=f.calls, trace=trace, bound=realized_bound,
         stopped_exact=stopped_exact,
         gap=None if problem.f_star is None else f_bar - problem.f_star,
-        extras={"iterates": iterates, "grads": grads, "h_sum": h_sum},
+        extras={"h_sum": h_sum},
     )
 
 
-def run_normalized_md(problem, setup, R, N, keep_iterates=False):
+def run_normalized_md(problem, setup, R, N):
     """Normalized-step subgradient method, valid for quasi-convex objectives.
 
     h_k = R / (||g^k||_2 sqrt(N)); returns the best iterate.  The realized
@@ -165,41 +147,38 @@ def run_normalized_md(problem, setup, R, N, keep_iterates=False):
         raise ValueError("normalized method requires the Euclidean setup")
     if R <= 0 or N < 1:
         raise ValueError("R must be positive and N >= 1")
+    f = Counted(problem.objective)
     x = setup.prox_center()
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
-    calls = 0
     best_x, best_f = None, math.inf
     m_obs = 0.0
     stopped_exact = False
     for k in range(N):
-        resp = problem.objective(x)
-        calls += 1
+        resp = f(x)
         if resp.value < best_f:
             best_f, best_x = resp.value, x.copy()
         gn = float(np.linalg.norm(resp.subgradient))
         m_obs = max(m_obs, gn)
-        if keep_iterates:
-            iterates.append(x.copy())
         if gn == 0.0:
             stopped_exact = True
             trace.append(TraceRow(k, resp.value, step=float("inf"), M_k=0.0,
-                                  oracle_calls=calls))
+                                  oracle_calls=f.calls))
             break
         h = R / (gn * math.sqrt(N))
-        trace.append(TraceRow(k, resp.value, step=h, M_k=gn, oracle_calls=calls))
+        trace.append(TraceRow(k, resp.value, step=h, M_k=gn,
+                              oracle_calls=f.calls))
         x = setup.mirror_step(x, h * resp.subgradient)
     bound = m_obs * R / math.sqrt(N)
     return Report(
         method="normalized_md", x_out=best_x, f_out=best_f,
-        iterations=len(trace), oracle_calls=calls, trace=trace, bound=bound,
+        iterations=len(trace), oracle_calls=f.calls, trace=trace, bound=bound,
         stopped_exact=stopped_exact,
         gap=None if problem.f_star is None else best_f - problem.f_star,
-        extras={"iterates": iterates, "M_observed": m_obs},
+        extras={"M_observed": m_obs},
     )
 
 
-def run_strongly_convex_md(problem, setup, mu, N, M=None, keep_iterates=False):
+def run_strongly_convex_md(problem, setup, mu, N, M=None):
     """Projected subgradient method for mu-strongly convex objectives.
 
     h_k = 2 / (mu (k+1)), d(x) = 0.5*||x - x^0||_2^2; output is the weighted
@@ -209,32 +188,28 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None, keep_iterates=False):
         raise ValueError("strongly convex variant requires the Euclidean setup")
     if mu <= 0 or N < 1:
         raise ValueError("mu must be positive and N >= 1")
+    f = Counted(problem.objective)
     x = setup.prox_center()
     trace = RunTrace()
-    iterates = [] if keep_iterates else None
-    calls = 0
     m_obs = 0.0
     weighted = np.zeros_like(x)
     wsum = N * (N + 1) / 2.0
     for k in range(N):
-        resp = problem.objective(x)
-        calls += 1
+        resp = f(x)
         gn = float(np.linalg.norm(resp.subgradient))
         m_obs = max(m_obs, gn)
         h = 2.0 / (mu * (k + 1))
-        trace.append(TraceRow(k, resp.value, step=h, M_k=gn, oracle_calls=calls))
-        if keep_iterates:
-            iterates.append(x.copy())
+        trace.append(TraceRow(k, resp.value, step=h, M_k=gn,
+                              oracle_calls=f.calls))
         x = setup.mirror_step(x, h * resp.subgradient)
         # x is now x^{k+1}, weight 2(k+1)/(N(N+1))
         weighted += (k + 1) * x / wsum
     m_eff = M if M is not None else m_obs
     bound = 2.0 * m_eff**2 / (mu * (N + 1))
-    f_bar = problem.objective(weighted).value
-    calls += 1
+    f_bar = f(weighted).value
     return Report(
         method="strongly_convex_md", x_out=weighted, f_out=f_bar,
-        iterations=N, oracle_calls=calls, trace=trace, bound=bound,
+        iterations=N, oracle_calls=f.calls, trace=trace, bound=bound,
         gap=None if problem.f_star is None else f_bar - problem.f_star,
-        extras={"iterates": iterates, "M_observed": m_obs},
+        extras={"M_observed": m_obs},
     )

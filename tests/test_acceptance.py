@@ -381,7 +381,7 @@ def test_criterion_12_universal_mirror_prox(capsys):
                 op, phi=lambda z, phi=op.phi: calls.append(1) or phi(z))
             rep = universal_mirror_prox_solve(counted, op.domain, eps=eps,
                                               M_init=m_init, N=5000)
-            assert max(rep.m_ks) <= 2.0 * op.holder_l + 1e-12
+            assert max(rep.trace.column("M_k")) <= 2.0 * op.holder_l + 1e-12
             for row in rep.trace:
                 assert row.f_value <= row.bound_value + 1e-9
                 rate = ump_rate_bound(op.holder_nu, l_nu=op.holder_l, eps=eps,
@@ -392,7 +392,7 @@ def test_criterion_12_universal_mirror_prox(capsys):
             # trials M_k = 2^{t_k - 2} M_{k-1} and the trial total telescopes
             assert rep.oracle_calls == rep.iterations + sum(rep.inner_trials)
             assert rep.oracle_calls == \
-                3 * rep.iterations + math.log2(rep.m_ks[-1] / m_init)
+                3 * rep.iterations + math.log2(rep.trace.rows[-1].M_k / m_init)
             # every counted call ran, plus the one uncounted audit Phi(w_hat)
             assert len(calls) == rep.oracle_calls + 1
 

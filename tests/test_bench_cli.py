@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mirropt
-from mirropt import bench, constrained
+from mirropt import bench, constrained, oracles, problems, smoothing
 from mirropt.bench import (METHODS, ConfigError, fit_rate, run_experiment,
                            trace_csv_text, trace_hash)
 from mirropt.cli import main
@@ -79,7 +79,8 @@ METHOD_CONFIGS = {
                                          "N": 200}},
 }
 
-# prints one InexactOracle value and every method config's trace hash
+# prints one InexactOracle value and every config's trace hash, summary
+# oracle_calls and iterations
 _PROCESS_RUN = """
 import json, sys
 import numpy as np
@@ -87,10 +88,14 @@ from mirropt.bench import run_experiment
 from mirropt.oracles import FunctionOracle, InexactOracle
 exact = FunctionOracle(lambda x: float(x @ x), lambda x: 2.0 * x)
 value = InexactOracle(exact, 0.5, lipschitz=2.0, seed=3)(np.array([0.3, -0.7]))
-hashes = {name: run_experiment(cfg)[1]["trace_sha256"]
-          for name, cfg in json.loads(sys.argv[1]).items()}
+summaries = {name: run_experiment(cfg)[1]
+             for name, cfg in json.loads(sys.argv[1]).items()}
 print(json.dumps({"value": value.value, "subgradient":
-                  value.subgradient.tolist(), "hashes": hashes}))
+                  value.subgradient.tolist(),
+                  "hashes": {name: s["trace_sha256"]
+                             for name, s in summaries.items()},
+                  "counts": {name: [s["oracle_calls"], s["iterations"]]
+                             for name, s in summaries.items()}}))
 """
 
 
@@ -156,6 +161,20 @@ GOLDEN_HASHES = {
         "91d1dcc46ee7dba37d82ff07fa1d1347d657a5001ea133957a3c17aef2ccf689",
     "universal_mirror_prox_4x5":
         "2ac37ea5cf1122e213f64e7ad53b5dda6e23a8ef20c02ddb96be4c2be0e70ae6",
+}
+
+# the summary's [oracle_calls, iterations] of every GOLDEN_HASHES config,
+# recorded with them.  The trace hash does not cover the calls a run makes
+# after its last row, such as fixed_md's f(x_bar) or the switching
+# methods' audit of their output point
+GOLDEN_COUNTS = {
+    "shor": [61, 60], "fixed_md": [101, 100], "adaptive_md": [201, 200],
+    "normalized_md": [100, 100], "strongly_convex_md": [101, 100],
+    "constrained_nonsmooth": [1301, 807], "constrained_general": [315, 195],
+    "agm": [128, 64], "universal_agm": [244, 50], "mirror_prox": [200, 100],
+    "universal_mirror_prox": [14, 7], "ttd_switching": [12802, 6454],
+    "mirror_prox_5x7": [200, 100], "universal_mirror_prox_6x9": [1130, 377],
+    "ttd_switch": [243202, 121714], "universal_mirror_prox_4x5": [157, 53],
 }
 
 # the trace hash of the four VI configs with the f_value and oracle_calls
@@ -369,6 +388,69 @@ def test_golden_trace_hashes():
     out = _run_in_process({**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING,
                            **GAMES, **EXTRA_CONFIGS}, **ONE_THREAD)
     assert out["hashes"] == GOLDEN_HASHES
+    assert out["counts"] == GOLDEN_COUNTS
+
+
+# oracle classes whose calls count as oracle calls; a call made inside
+# another (an inexact oracle's exact one, a bundle's pieces) does not
+_ORACLE_CLASSES = (oracles.FunctionOracle, oracles.LinearOracle,
+                   oracles.AbsLinearOracle, oracles.InexactOracle,
+                   oracles.SaddleOperator, problems.TransportDualOracle,
+                   smoothing.SmoothedMaxResidual)
+# METHOD_CONFIGS' switching runs never stop moving; these two stop at 255
+COUNT_CONFIGS = {
+    **METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING,
+    "ttd_switching_general": {**TTD_SWITCHING, "method": {
+        "name": "constrained_general", "eps": 0.1}}}
+
+
+@pytest.mark.parametrize("name", COUNT_CONFIGS)
+def test_oracle_calls_are_the_calls_made(monkeypatch, name):
+    """The summary's oracle_calls is every oracle call the solver made, less
+    Mirror Prox's one uncounted audit of its last gap, plus the answers a
+    switching run reuses once its iterate stops moving."""
+    cfg = COUNT_CONFIGS[name]
+    method = cfg["method"]["name"]
+    state = {"solving": False, "depth": 0, "calls": 0}
+    reports = []
+
+    def counted(fn):
+        def call(*args):
+            if state["solving"] and state["depth"] == 0:
+                state["calls"] += 1
+            state["depth"] += 1
+            try:
+                return fn(*args)
+            finally:
+                state["depth"] -= 1
+        return call
+
+    for cls in _ORACLE_CLASSES:
+        monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
+    monkeypatch.setattr(constrained, "aggregate_max",
+                        counted(constrained.aggregate_max))
+    kinds, required, optional, solve = bench._METHODS[method]
+
+    def solve_counted(*args):
+        state["solving"] = True
+        try:
+            reports.append(solve(*args))
+        finally:
+            state["solving"] = False
+        return reports[-1]
+
+    monkeypatch.setitem(bench._METHODS, method,
+                        (kinds, required, optional, solve_counted))
+    _, summary = run_experiment(cfg)
+    rep, = reports
+    uncounted = 1 if method in ("mirror_prox", "universal_mirror_prox") else 0
+    rows = list(rep.trace)
+    start = rep.extras.get("stationary_at")
+    reused = 0 if start is None else \
+        rows[-1].oracle_calls - rows[start - 1].oracle_calls
+    assert (reused > 0) == name.startswith("ttd_switching")
+    assert state["calls"] > 0
+    assert summary["oracle_calls"] == state["calls"] - uncounted + reused
 
 
 def test_masked_trace_hashes():
@@ -579,6 +661,32 @@ class TestCli:
         ({**game_config(A=[[0, 0], [0, 0]]),
           "method": {"name": "mirror_prox", "N": 20, "L": 0}},
          "L must be positive"),
+        ({"seed": 1, "problem": {"generator": "ttd_dual"},
+          "method": {"name": "constrained_nonsmooth", "eps": math.nan}},
+         "'eps'"),
+        ({"seed": 1, "problem": {"generator": "ttd_dual"},
+          "setup": {"theta0_sq": "abc"},
+          "method": {"name": "constrained_nonsmooth", "eps": 0.1}},
+         "'theta0_sq'"),
+        ({"seed": 1, "problem": {"generator": "ttd_dual"},
+          "setup": {"theta0_sq": math.nan},
+          "method": {"name": "constrained_nonsmooth", "eps": 0.1}},
+         "'theta0_sq'"),
+        ({"seed": 1, "problem": {"generator": "ttd_dual"},
+          "setup": {"theta0_sq": 0.0},
+          "method": {"name": "constrained_nonsmooth", "eps": 0.1}},
+         "'theta0_sq' must be positive"),
+        (fixed_md_config(method={"name": "fixed_md", "R": math.inf, "M": 1.0,
+                                 "N": 4}), "'R'"),
+        (fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": -math.inf,
+                                 "N": 4}), "'M'"),
+        (fixed_md_config(method={"name": "fixed_md", "R": None, "M": 1.0,
+                                 "N": 4}), "'R'"),
+        (fixed_md_config(method={"name": "adaptive_md", "eps": True, "N": 4}),
+         "'eps'"),
+        ({"seed": 1, "problem": {"generator": "bilinear_box",
+                                 "half_width": math.nan},
+          "method": {"name": "mirror_prox", "N": 4}}, "'half_width'"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
             "M-not-float", "L-not-float", "x0-not-vector",
@@ -587,12 +695,15 @@ class TestCli:
             "N-fractional", "N-bool", "N-null", "seed-fractional",
             "seed-bool", "seed-null", "dim-null", "dim-0", "dim-fractional",
             "residual-cols-0", "pieces-negative", "bars-fractional-string",
-            "game-setup-unknown", "zero-game-L-0"])
+            "game-setup-unknown", "zero-game-L-0", "eps-nan",
+            "theta0_sq-not-number", "theta0_sq-nan", "theta0_sq-0", "R-inf",
+            "M-minus-inf", "R-null", "eps-bool", "half_width-nan"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
                                               names):
-        """A malformed config, an empty game included, and a null, bool,
-        fractional or too small size, N or seed end in one error line that
-        names the culprit and exit 2, not a traceback or a warning."""
+        """A malformed config, an empty game included, a null, bool,
+        fractional or too small size, N or seed, and a null, bool, nan or
+        infinite real parameter end in one error line that names the
+        culprit and exit 2, not a traceback, a warning or a run."""
         p = self.write(tmp_path, cfg)
         assert main(["solve", "--config", str(p)]) == 2
         err = capsys.readouterr().err

@@ -385,8 +385,7 @@ def _bits(*values):
 def _report_bytes(rep):
     rows = [(r.k, r.oracle_calls, _bits(r.f_value, r.g_value, r.step, r.M_k,
                                         r.bound_value)) for r in rep.trace]
-    arrays = [rep.x_out, *rep.extras["iterates"],
-              *rep.extras.get("productive_points", [])]
+    arrays = [rep.x_out]
     if rep.lambda_bar is not None:
         arrays.append(rep.lambda_bar)
     extras = _bits(*(rep.extras.get(key, np.nan)
@@ -432,6 +431,31 @@ class _Counted:
         return self.fn(*args)
 
 
+def _assert_matches_reference(monkeypatch, solver, reference, problem, setup,
+                              eps, **kw):
+    """The solver's report is the reference loop's, byte for byte, and so
+    are its iterates: the points its constraint oracle is asked about, each
+    iterate once up to the repeats and then the output point.  From
+    ``stationary_at`` on, the reference's iterates are the last of them."""
+    points = []
+
+    def recording(bundle, x):
+        points.append(np.array(x))
+        return aggregate_max(bundle, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constrained, "aggregate_max", recording)
+        rep = solver(problem, setup, eps, **kw)
+    ref = reference(problem, setup, eps, **kw)
+    assert _report_bytes(rep) == _report_bytes(ref)
+    iterates = [x.tobytes() for x in ref.extras["iterates"]]
+    start = rep.extras["stationary_at"] or len(iterates)
+    queried = [x.tobytes() for x in points]
+    assert queried[:start] == iterates[:start]
+    assert iterates[start:] == [queried[start - 1]] * (len(iterates) - start)
+    assert len(queried) == start + (rep.productive > 0)
+
+
 class TestAnswerReuse:
     """Once a step leaves x unchanged the switching solvers reuse their last
     oracle answers; the result must be the reference loop's, byte for byte."""
@@ -440,11 +464,10 @@ class TestAnswerReuse:
         (solve_constrained_nonsmooth, reference_nonsmooth),
         (solve_constrained_general, reference_general)])
     @pytest.mark.parametrize("build, args, eps", REUSE_INSTANCES)
-    def test_matches_reference_loop(self, solver, reference, build, args, eps):
-        problem, setup = build(*args)
-        rep = solver(problem, setup, eps, keep_iterates=True)
-        assert _report_bytes(rep) == \
-            _report_bytes(reference(problem, setup, eps))
+    def test_matches_reference_loop(self, monkeypatch, solver, reference,
+                                    build, args, eps):
+        _assert_matches_reference(monkeypatch, solver, reference,
+                                  *build(*args), eps)
 
     def test_instances_cover_both_cases(self):
         frozen = [solve_constrained_nonsmooth(*build(*args)[:2], eps)
@@ -471,25 +494,21 @@ class TestAnswerReuse:
         assert steps.calls == start
         # the method's own count stays that of a loop without reuse
         assert rep.oracle_calls == rows[-1].oracle_calls + audits
-        loop_calls = g.calls + f.calls - audits
-        if solver is solve_constrained_general:
-            # min_vf: one f call per productive point before the repeats
-            loop_calls -= sum(not math.isnan(r.f_value) for r in rows[:start])
-        assert loop_calls == rows[start - 1].oracle_calls
+        assert g.calls + f.calls - audits == rows[start - 1].oracle_calls
 
     @pytest.mark.parametrize("solver, reference", [
         (solve_constrained_nonsmooth, reference_nonsmooth),
         (solve_constrained_general, reference_general)])
-    def test_iteration_cap_inside_repeats(self, solver, reference):
+    def test_iteration_cap_inside_repeats(self, monkeypatch, solver,
+                                          reference):
         # the golden instance stops moving at 255 and stops at 6454
         problem, setup = _ttd(10, 20, 1)
         for cap in (300, 6453):
             for run in (solver, reference):
                 with pytest.raises(RuntimeError, match="iteration cap"):
                     run(problem, setup, 0.1, max_iter=cap)
-        rep = solver(problem, setup, 0.1, max_iter=6454, keep_iterates=True)
-        assert _report_bytes(rep) == \
-            _report_bytes(reference(problem, setup, 0.1, max_iter=6454))
+        _assert_matches_reference(monkeypatch, solver, reference, problem,
+                                  setup, 0.1, max_iter=6454)
 
     def test_never_stationary_reports_none(self):
         rep = solve_constrained_nonsmooth(*_local_toy_lp(), 0.1)

@@ -94,7 +94,7 @@ class TestMirrorProx:
 
     def test_starts_at_prox_center(self):
         op = bilinear_box_op()
-        rep = mirror_prox_solve(op, op.domain, L=1.0, N=1, keep_iterates=False)
+        rep = mirror_prox_solve(op, op.domain, L=1.0, N=1)
         assert np.allclose(rep.extras["z_last"].shape, (2,))
         assert np.allclose(op.domain.prox_center(), np.zeros(2))
 
@@ -139,13 +139,13 @@ class TestUniversalMirrorProx:
                                           N=3)
         # a Lipschitz check passing on the first trial accepts M_init / 2
         assert rep.inner_trials[0] == 1
-        assert rep.m_ks[0] == pytest.approx(4.0)
+        assert rep.trace.rows[0].M_k == pytest.approx(4.0)
 
     def test_accepted_m_bounded(self):
         op = bilinear_box_op()
         rep = universal_mirror_prox_solve(op, op.domain, eps=1e-4, M_init=1.0,
                                           N=5000)
-        assert max(rep.m_ks) <= 2.0 * 1.0 + 1e-12
+        assert max(rep.trace.column("M_k")) <= 2.0 * 1.0 + 1e-12
 
     def test_rate_and_stop(self):
         op = bilinear_box_op()
@@ -175,7 +175,7 @@ class TestUniversalMirrorProx:
         # with t_k trials the accepted constant is M_k = 2^{t_k - 2} M_{k-1},
         # which telescopes to sum t_k = 2k + log2(M_last / M_init)
         assert rep.oracle_calls == \
-            3 * rep.iterations + math.log2(rep.m_ks[-1] / 4.0)
+            3 * rep.iterations + math.log2(rep.trace.rows[-1].M_k / 4.0)
         # every counted call ran, plus the one uncounted audit Phi(w_hat)
         assert len(calls) == rep.oracle_calls + 1
 

@@ -65,13 +65,19 @@ class TestAgm:
         assert rep.trace.rows[0].f_value <= 2.0
 
     def test_feasibility_on_box(self):
-        prob = ProblemInstance(
-            FunctionOracle(lambda x: 0.5 * float((x - 2) @ (x - 2)),
-                           lambda x: x - 2.0),
-            FeasibleSet.box(np.full(2, -1.0), np.full(2, 1.0)))
+        # the objective is asked about every x and every y the method forms
+        queried = []
+
+        def value(x):
+            queried.append(x.copy())
+            return 0.5 * float((x - 2) @ (x - 2))
+        prob = ProblemInstance(FunctionOracle(value, lambda x: x - 2.0),
+                               FeasibleSet.box(np.full(2, -1.0),
+                                               np.full(2, 1.0)))
         setup = euclidean_setup(prob.set)
-        rep = agm_solve(prob, setup, L=1.0, N=50, keep_iterates=True)
-        for y in rep.extras["iterates"]:
+        rep = agm_solve(prob, setup, L=1.0, N=50)
+        assert len(queried) == 100
+        for y in queried:
             assert prob.set.contains(y)
         assert np.allclose(rep.x_out, [1.0, 1.0], atol=1e-6)
 
@@ -219,7 +225,7 @@ class TestUniversalAgm:
         prob = quad_problem()
         setup = euclidean_setup(prob.set, origin=np.array([1.0, 0.0]))
         rep = universal_agm(prob, setup, eps=1e-8, L0=1.0, N=50)
-        assert max(rep.m_ks) <= 2.0 + 1e-12
+        assert max(rep.trace.column("M_k")) <= 2.0 + 1e-12
 
     def test_oracle_call_audit(self):
         prob = quad_problem()

@@ -15,6 +15,20 @@ def abs_problem(dim=1):
         f_star=0.0, x_star=np.zeros(dim))
 
 
+def recording(problem):
+    """``problem``, whose objective now records each point it is asked
+    about with the answer: the solver's iterates, then any audit point."""
+    seen = []
+    oracle = problem.objective
+
+    def objective(x):
+        resp = oracle(x)
+        seen.append((np.array(x), resp))
+        return resp
+    problem.objective = objective
+    return problem, seen
+
+
 def norm2_problem(dim, x_star=None):
     t = np.zeros(dim) if x_star is None else np.asarray(x_star, dtype=float)
 
@@ -35,9 +49,9 @@ class TestShor:
         assert rep.min_dist == 0.0
 
     def test_hand_simulation(self):
-        rep = run_shor(abs_problem(), np.array([1.0]), lam=0.4, N=10,
-                       keep_iterates=True)
-        xs = [float(x[0]) for x in rep.extras["iterates"]]
+        prob, seen = recording(abs_problem())
+        rep = run_shor(prob, np.array([1.0]), lam=0.4, N=10)
+        xs = [float(x[0]) for x, _ in seen]
         assert xs[:5] == pytest.approx([1.0, 0.6, 0.2, -0.2, 0.2], abs=1e-12)
         assert rep.min_dist <= 0.4 * 1.1 / 2 + 1e-12
 
@@ -49,9 +63,9 @@ class TestShor:
 class TestFixedMd:
     def test_hand_worked_example(self):
         setup = euclidean_setup(FeasibleSet.all_space(1), origin=np.array([1.0]))
-        rep = run_fixed_md(abs_problem(), setup, R=1.0, M=1.0, N=4,
-                           keep_iterates=True)
-        xs = [float(x[0]) for x in rep.extras["iterates"]]
+        prob, seen = recording(abs_problem())
+        rep = run_fixed_md(prob, setup, R=1.0, M=1.0, N=4)
+        xs = [float(x[0]) for x, _ in seen[:4]]
         assert xs == pytest.approx([1.0, 0.5, 0.0, 0.0], abs=1e-15)
         assert rep.f_out == pytest.approx(0.375, abs=1e-15)
         assert rep.bound == pytest.approx(0.5)
@@ -86,13 +100,12 @@ class TestFixedMd:
         rng = np.random.default_rng(12)
         for seed in range(5):
             t = rng.standard_normal(3)
-            prob = norm2_problem(3, x_star=t)
+            prob, seen = recording(norm2_problem(3, x_star=t))
             x0 = t + rng.standard_normal(3)
             setup = euclidean_setup(prob.set, origin=x0)
             R = np.linalg.norm(x0 - t)
-            rep = run_fixed_md(prob, setup, R=R, M=1.0, N=50,
-                               keep_iterates=True)
-            for x in rep.extras["iterates"]:
+            run_fixed_md(prob, setup, R=R, M=1.0, N=50)
+            for x, _ in seen[:50]:
                 assert np.linalg.norm(x - t) <= np.sqrt(2) * R + 1e-9
 
 
@@ -100,13 +113,12 @@ class TestPerStepInequality:
     def test_mirror_step_descent_inequality(self):
         """h(f(x^k) - f(z)) <= h^2/2 ||g||_*^2 + V[x^k](z) - V[x^{k+1}](z)."""
         rng = np.random.default_rng(13)
-        prob = abs_problem(2)
+        prob, seen = recording(abs_problem(2))
         setup = euclidean_setup(FeasibleSet.all_space(2),
                                 origin=np.array([1.0, -0.5]))
-        rep = run_fixed_md(prob, setup, R=2.0, M=np.sqrt(2), N=30,
-                           keep_iterates=True)
-        xs = rep.extras["iterates"] + [rep.extras["x_last"]]
-        gs = rep.extras["grads"]
+        rep = run_fixed_md(prob, setup, R=2.0, M=np.sqrt(2), N=30)
+        xs = [x for x, _ in seen[:30]] + [rep.extras["x_last"]]
+        gs = [resp.subgradient for _, resp in seen[:30]]
         h = rep.extras["h"]
         f = prob.objective
         for k in range(len(gs)):
@@ -154,11 +166,11 @@ class TestNormalizedMd:
 
     def test_matches_fixed_md_on_abs(self):
         setup = euclidean_setup(FeasibleSet.all_space(1), origin=np.array([1.0]))
-        rep_n = run_normalized_md(abs_problem(), setup, R=1.0, N=4,
-                                  keep_iterates=True)
-        rep_f = run_fixed_md(abs_problem(), setup, R=1.0, M=1.0, N=4,
-                             keep_iterates=True)
-        for a, b in zip(rep_n.extras["iterates"], rep_f.extras["iterates"]):
+        prob_n, seen_n = recording(abs_problem())
+        prob_f, seen_f = recording(abs_problem())
+        run_normalized_md(prob_n, setup, R=1.0, N=4)
+        run_fixed_md(prob_f, setup, R=1.0, M=1.0, N=4)
+        for (a, _), (b, _) in zip(seen_n, seen_f[:4]):
             assert np.array_equal(a, b)
 
     def test_start_at_optimum(self):
