@@ -291,11 +291,12 @@ def _build_ttd_dual(params, seed):
 
 
 def _make_setup(problem, setup_cfg):
+    """The prox setup of a built problem from a setup config that
+    ``_validate`` returned.  The checks that need the built set are made
+    here: an entropy setup needs a simplex, and ``origin`` the problem's
+    dimension."""
     setup_cfg = setup_cfg or {}
-    theta0_sq = _coerce(setup_cfg, {}, {"theta0_sq": real}).get("theta0_sq")
-    if theta0_sq is not None and theta0_sq <= 0:
-        raise ConfigError(f"parameter 'theta0_sq' must be positive, "
-                          f"got {theta0_sq!r}")
+    theta0_sq = setup_cfg.get("theta0_sq")
     kind = setup_cfg.get("kind")
     if kind is None:
         kind = "entropy" if problem.set.kind == "simplex" else "euclidean"
@@ -304,8 +305,6 @@ def _make_setup(problem, setup_cfg):
             raise ConfigError("entropy setup requires a simplex problem")
         return entropy_setup(problem.set.dim, problem.set.scale,
                              theta0_sq=theta0_sq)
-    if kind != "euclidean":
-        raise ConfigError(f"unknown setup kind '{kind}'")
     setup = euclidean_setup(problem.set, origin=setup_cfg.get("origin"),
                             theta0_sq=theta0_sq)
     if setup.theta0_sq is None and problem.set.kind in ("box", "ball", "simplex"):
@@ -403,7 +402,9 @@ def _coerce(params, required, optional):
 # ---------------------------------------------------------------------------
 
 def _validate(config):
-    """Names, kinds and seed of a config, checked before anything is built."""
+    """Names, kinds, seed and setup of a config, checked before anything
+    is built.  Returns the names, the seed and the coerced setup; a ``vi``
+    problem ignores the setup."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("problem", "method"):
@@ -423,7 +424,18 @@ def _validate(config):
     if pkind not in _METHODS[mname][0]:
         raise ConfigError(f"method '{mname}' does not apply to '{pname}', "
                           f"a {pkind} problem")
-    return pname, mname, _coerce(config, {"seed": integer}, {})["seed"]
+    seed = _coerce(config, {"seed": integer}, {})["seed"]
+    if pkind == "vi":
+        return pname, mname, seed, None
+    setup = _coerce(config.get("setup", {}), {},
+                    {"theta0_sq": real, "origin": vector})
+    theta0_sq = setup.get("theta0_sq")
+    if theta0_sq is not None and theta0_sq <= 0:
+        raise ConfigError(f"parameter 'theta0_sq' must be positive, "
+                          f"got {theta0_sq!r}")
+    if setup.get("kind") not in (None, "euclidean", "entropy"):
+        raise ConfigError(f"unknown setup kind '{setup['kind']}'")
+    return pname, mname, seed, setup
 
 
 def _check_bounds(report, mname, problem, kind, eps=None):
@@ -464,13 +476,13 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
 
     A malformed config raises ConfigError before anything is built.
     """
-    pname, mname, seed = _validate(config)
+    pname, mname, seed, setup_cfg = _validate(config)
     _, required, optional, call = _METHODS[mname]
     mparams = _coerce({k: v for k, v in config["method"].items()
                        if k != "name"}, required, optional)
     pparams = {k: v for k, v in config["problem"].items() if k != "generator"}
     problem, kind = PROBLEMS[pname](pparams, seed)
-    setup = None if kind == "vi" else _make_setup(problem, config.get("setup"))
+    setup = None if kind == "vi" else _make_setup(problem, setup_cfg)
 
     t0 = time.perf_counter_ns()
     report = call(problem, setup, mparams)

@@ -1,13 +1,13 @@
 """Switching Mirror Descent for problems with functional constraints.
 
-Two adaptive variants: one for Lipschitz objectives (with primal-dual
-reconstruction of approximate Lagrange multipliers) and one for general,
-possibly non-Lipschitz objectives.  Steps alternate between "productive"
-iterations driven by the objective subgradient (constraint satisfied at
-level eps) and "non-productive" iterations driven by the constraint
-subgradient.  Once a step leaves x unchanged, every later iteration repeats
-the last one, and both solvers do the rest of the run in bulk (see
-``_step``).
+Two adaptive variants of one loop: one for Lipschitz objectives (with
+primal-dual reconstruction of approximate Lagrange multipliers) and one for
+general, possibly non-Lipschitz objectives.  Steps alternate between
+"productive" iterations driven by the objective subgradient (constraint
+satisfied at level eps) and "non-productive" iterations driven by the
+constraint subgradient; the variants differ only in their productive steps.
+Once a step leaves x unchanged, every later iteration repeats the last one,
+and the loop does the rest of the run in bulk (see ``_step``).
 """
 
 from __future__ import annotations
@@ -26,13 +26,17 @@ class InfeasibleAtEpsError(RuntimeError):
 
 
 def _theta0_sq(problem, setup, eps):
-    """Validate a switching run's inputs; returns the setup's Theta_0^2."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Validate a switching run's inputs; returns the setup's Theta_0^2.
+    Both it and eps must be finite and positive: with a NaN, the stop rule
+    is never met."""
     if problem.constraints is None:
         raise ValueError("problem has no constraint bundle")
     if setup.theta0_sq is None:
         raise ValueError("setup.theta0_sq is required")
+    for name, value in (("eps", eps), ("setup.theta0_sq", setup.theta0_sq)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value!r}")
     return setup.theta0_sq
 
 
@@ -49,7 +53,7 @@ def _step(setup, x, p):
     step that leaves x unchanged makes every later iteration query the
     same point with the same eps: since an oracle is a deterministic
     function of x, each of them gets the last answers, M_k and step again.
-    The solvers then stop calling the oracles and the step and do the
+    The loop then stops calling the oracles and the step and does the
     remaining iterations' bookkeeping in bulk (``_stop_count``,
     ``_add_repeated``, ``RunTrace.repeat``): the same float operations in
     the same order, so every trace value and output is unchanged.
@@ -93,62 +97,52 @@ def _add_repeated(acc, term, count):
     return buf[0].copy() if term.ndim else float(buf[0])
 
 
-def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7):
-    """Switching Mirror Descent for a Lipschitz objective and constraint.
-
-    Steps h_k = eps / M_k^2 with M_k the dual norm of the driving
-    subgradient; stops once sum_j 1/M_j^2 >= 2 Theta_0^2 / eps^2.  Returns
-    the productive-step average and the approximate dual multipliers grouped
-    by active constraint index.
+def _switching(problem, setup, eps, max_iter, rule, hook):
+    """The switching loop of both methods.  A productive step (g(x) <= eps)
+    takes (h_k, stop term) = ``rule(M_k)``, M_k = ||grad f(x)||_*, and ends
+    the run if M_k = 0.  ``hook(x, h_k, f_resp, M_k, t)`` sees each
+    productive step, t times in a row (t > 1 only for the bulk repeats),
+    and ``hook.output(lam_raw)`` gives x_out, f_out (None: evaluate f at
+    x_out) and further Report fields.  A non-productive step takes h_k =
+    eps / M_k^2 and stop term 1/M_k^2 from M_k = ||grad g(x)||_*.
     """
     theta0_sq = _theta0_sq(problem, setup, eps)
-    m = len(problem.constraints)
     f = Counted(problem.objective)
     g = Counted(lambda x: aggregate_max(problem.constraints, x))
     x = setup.prox_center()
     trace = RunTrace()
     stop_target = 2.0 * theta0_sq / eps**2
     stop_sum = 0.0
-    weighted = np.zeros_like(x)
-    h_prod_sum = 0.0
     n_prod = 0
-    lam_raw = np.zeros(m)
+    lam_raw = np.zeros(len(problem.constraints))
     k = 0
     stationary_at = None
     reused = 0      # answers counted as calls but reused (see _step)
     while True:
         g_resp = g(x)
         productive = g_resp.value <= eps
+        drive = f(x) if productive else g_resp  # steps along its subgradient
+        m_k = setup.dual_norm(drive.subgradient)
         if productive:
-            f_resp = f(x)
-            m_k = setup.dual_norm(f_resp.subgradient)
-            h_k = eps / m_k**2 if m_k != 0.0 else 1.0
-            weighted += h_k * x
-            h_prod_sum += h_k
+            h_k, term = rule(m_k)
+            hook(x, h_k, drive, m_k, 1)
             n_prod += 1
-            if m_k == 0.0:
-                # current productive point is optimal among feasible-at-eps
-                trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
-                                      step=h_k, M_k=0.0,
-                                      oracle_calls=f.calls + g.calls))
-                k += 1
-                break
-            step_grad = f_resp.subgradient
-            f_val = f_resp.value
+            f_val = drive.value
         else:
-            m_k = setup.dual_norm(g_resp.subgradient)
             if m_k == 0.0:
                 raise InfeasibleAtEpsError(
                     "zero constraint subgradient on a non-productive step")
             h_k = eps / m_k**2
-            step_grad = g_resp.subgradient
+            term = 1.0 / m_k**2
             lam_raw[g_resp.active_index - 1] += h_k
-            f_val = float("nan")
+            f_val = math.nan
         trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
                               M_k=m_k, oracle_calls=f.calls + g.calls))
-        x, moved = _step(setup, x, h_k * step_grad)
-        stop_sum += 1.0 / m_k**2
         k += 1
+        if m_k == 0.0:      # a productive x with grad f = 0 is optimal
+            break
+        x, moved = _step(setup, x, h_k * drive.subgradient)
+        stop_sum += term
         if stop_sum >= stop_target:
             break
         if k >= max_iter:
@@ -158,7 +152,7 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7):
             break
     if stationary_at is not None:
         # the rest of the run repeats the last iteration t times
-        t = _stop_count(stop_sum, 1.0 / m_k**2, stop_target, max_iter - k)
+        t = _stop_count(stop_sum, term, stop_target, max_iter - k)
         if t is None:
             raise RuntimeError("iteration cap reached before the stop rule")
         per = 2 if productive else 1
@@ -166,37 +160,91 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7):
                               M_k=m_k, oracle_calls=f.calls + g.calls + per),
                      t, per)
         if productive:
-            weighted = _add_repeated(weighted, h_k * x, t)
-            h_prod_sum = _add_repeated(h_prod_sum, h_k, t)
+            hook(x, h_k, drive, m_k, t)
             n_prod += t
         else:
             i = g_resp.active_index - 1
             lam_raw[i] = _add_repeated(lam_raw[i], h_k, t)
         reused = per * t
         k += t
-    it_bound = _iteration_bound(problem.lipschitz_f, problem.lipschitz_g,
-                                theta0_sq, eps)
     if n_prod == 0:     # never feasible at level eps: no output value
-        nan = float("nan")
-        return Report(method="constrained_nonsmooth", x_out=x, f_out=nan,
-                      iterations=k, oracle_calls=f.calls + g.calls + reused,
-                      trace=trace,
-                      gap=None if problem.f_star is None else nan, g_bar=nan,
-                      productive=0, iteration_bound=it_bound,
-                      extras={"stationary_at": stationary_at})
-    x_bar = weighted / h_prod_sum
-    # g first: after a stretch without BLAS calls (the repeats) the first
-    # one pays a warm-up of tens of us, which also serves f's dot
-    g_bar = g(x_bar).value
-    f_bar = f(x_bar).value
+        x_out, f_out, g_out, fields = x, math.nan, math.nan, {"extras": {}}
+    else:
+        x_out, f_out, fields = hook.output(lam_raw)
+        # g first: after a stretch without BLAS calls (the repeats) the
+        # first one pays a warm-up of tens of us, which also serves f's dot
+        g_out = g(x_out).value
+        if f_out is None:
+            f_out = f(x_out).value
+    fields["extras"]["stationary_at"] = stationary_at
     return Report(
-        method="constrained_nonsmooth", x_out=x_bar, f_out=f_bar,
-        iterations=k, oracle_calls=f.calls + g.calls + reused, trace=trace,
-        gap=None if problem.f_star is None else f_bar - problem.f_star,
-        g_bar=g_bar, productive=n_prod,
-        lambda_bar=lam_raw / h_prod_sum, iteration_bound=it_bound,
-        extras={"h_prod_sum": h_prod_sum, "stationary_at": stationary_at},
-    )
+        method=hook.method, x_out=x_out, f_out=f_out, iterations=k,
+        oracle_calls=f.calls + g.calls + reused, trace=trace,
+        gap=None if problem.f_star is None else f_out - problem.f_star,
+        g_bar=g_out, productive=n_prod, **fields,
+        iteration_bound=_iteration_bound(hook.lipschitz_f, problem.lipschitz_g,
+                                         theta0_sq, eps))
+
+
+class _Average:
+    """constrained_nonsmooth's output: the h-weighted average of the
+    productive points; sum h also scales the multipliers."""
+
+    method = "constrained_nonsmooth"
+
+    def __init__(self, lipschitz_f):
+        self.lipschitz_f = lipschitz_f
+        self.weighted = self.h_sum = 0.0    # weighted: an array after step 1
+
+    def __call__(self, x, h_k, f_resp, m_k, t):
+        if t == 1:
+            self.weighted += h_k * x
+            self.h_sum += h_k
+        else:
+            self.weighted = _add_repeated(self.weighted, h_k * x, t)
+            self.h_sum = _add_repeated(self.h_sum, h_k, t)
+
+    def output(self, lam_raw):
+        return (self.weighted / self.h_sum, None,
+                {"lambda_bar": lam_raw / self.h_sum,
+                 "extras": {"h_prod_sum": self.h_sum}})
+
+
+class _Best:
+    """constrained_general's output: the best productive point.  A repeat
+    is the last productive point again and changes nothing."""
+
+    method = "constrained_general"
+    lipschitz_f = 1.0   # the step eps/||grad f||_* is eps along a unit vector
+
+    def __init__(self, x_star):
+        self.x_star = x_star
+        self.best_f, self.best_x, self.min_vf = math.inf, None, None
+
+    def __call__(self, x, h_k, f_resp, m_k, t):
+        if f_resp.value < self.best_f:
+            self.best_f, self.best_x = f_resp.value, x.copy()
+        if self.x_star is not None:
+            merit = _merit(f_resp.subgradient, m_k, x, self.x_star)
+            self.min_vf = merit if self.min_vf is None \
+                else min(self.min_vf, merit)
+
+    def output(self, lam_raw):
+        extras = {} if self.min_vf is None else {"min_vf": self.min_vf}
+        return self.best_x, self.best_f, {"extras": extras}
+
+
+def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7):
+    """Switching Mirror Descent for a Lipschitz objective and constraint.
+
+    Steps h_k = eps / M_k^2 with M_k the dual norm of the driving
+    subgradient; stops once sum_j 1/M_j^2 >= 2 Theta_0^2 / eps^2.  Returns
+    the productive-step average and the approximate dual multipliers grouped
+    by active constraint index.
+    """
+    return _switching(problem, setup, eps, max_iter,
+                      lambda m: (eps / m**2, 1.0 / m**2) if m else (1.0, 0.0),
+                      _Average(problem.lipschitz_f))
 
 
 def solve_constrained_general(problem, setup, eps, max_iter=10**7):
@@ -208,98 +256,9 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7):
     known x_star, ``extras["min_vf"]`` is the least ``directional_merit`` at
     x_star over the productive points, from the answers the run already has.
     """
-    theta0_sq = _theta0_sq(problem, setup, eps)
-    f = Counted(problem.objective)
-    g = Counted(lambda x: aggregate_max(problem.constraints, x))
-    x = setup.prox_center()
-    trace = RunTrace()
-    stop_target = 2.0 * theta0_sq / eps**2
-    stop_sum = 0.0
-    best_f, best_x = math.inf, None
-    min_vf = None
-    n_prod = 0
-    k = 0
-    stationary_at = None
-    reused = 0      # answers counted as calls but reused (see _step)
-    while True:
-        g_resp = g(x)
-        productive = g_resp.value <= eps
-        if productive:
-            f_resp = f(x)
-            m_k = setup.dual_norm(f_resp.subgradient)
-            if f_resp.value < best_f:
-                best_f, best_x = f_resp.value, x.copy()
-            if problem.x_star is not None:
-                merit = _merit(f_resp.subgradient, m_k, x, problem.x_star)
-                min_vf = merit if min_vf is None else min(min_vf, merit)
-            n_prod += 1
-            if m_k == 0.0:
-                trace.append(TraceRow(k, f_resp.value, g_value=g_resp.value,
-                                      step=float("inf"), M_k=0.0,
-                                      oracle_calls=f.calls + g.calls))
-                k += 1
-                break
-            h_k = eps / m_k
-            step_grad = f_resp.subgradient
-            stop_sum += 1.0
-            f_val = f_resp.value
-        else:
-            m_k = setup.dual_norm(g_resp.subgradient)
-            if m_k == 0.0:
-                raise InfeasibleAtEpsError(
-                    "zero constraint subgradient on a non-productive step")
-            h_k = eps / m_k**2
-            step_grad = g_resp.subgradient
-            stop_sum += 1.0 / m_k**2
-            f_val = float("nan")
-        trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=f.calls + g.calls))
-        x, moved = _step(setup, x, h_k * step_grad)
-        k += 1
-        if stop_sum >= stop_target:
-            break
-        if k >= max_iter:
-            raise RuntimeError("iteration cap reached before the stop rule")
-        if not moved:
-            stationary_at = k
-            break
-    if stationary_at is not None:
-        # the rest of the run repeats the last iteration t times; a
-        # productive x was the last productive point, so best_f and min_vf
-        # stay
-        t = _stop_count(stop_sum, 1.0 if productive else 1.0 / m_k**2,
-                        stop_target, max_iter - k)
-        if t is None:
-            raise RuntimeError("iteration cap reached before the stop rule")
-        per = 2 if productive else 1
-        trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=f.calls + g.calls + per),
-                     t, per)
-        if productive:
-            n_prod += t
-        reused = per * t
-        k += t
-    if n_prod == 0:     # never feasible at level eps: no output value
-        nan = float("nan")
-        return Report(method="constrained_general", x_out=x, f_out=nan,
-                      iterations=k, oracle_calls=f.calls + g.calls + reused,
-                      trace=trace,
-                      gap=None if problem.f_star is None else nan, g_bar=nan,
-                      productive=0, extras={"stationary_at": stationary_at})
-    g_best = g(best_x).value
-    m_g = problem.lipschitz_g
-    it_bound = None if m_g is None else \
-        math.ceil(2.0 * max(1.0, m_g**2) * theta0_sq / eps**2)
-    rep = Report(
-        method="constrained_general", x_out=best_x, f_out=best_f,
-        iterations=k, oracle_calls=f.calls + g.calls + reused, trace=trace,
-        gap=None if problem.f_star is None else best_f - problem.f_star,
-        g_bar=g_best, productive=n_prod, iteration_bound=it_bound,
-        extras={"stationary_at": stationary_at},
-    )
-    if min_vf is not None:
-        rep.extras["min_vf"] = min_vf
-    return rep
+    return _switching(problem, setup, eps, max_iter,
+                      lambda m: (eps / m, 1.0) if m else (math.inf, 1.0),
+                      _Best(problem.x_star))
 
 
 def _merit(subgradient, nrm, x, y):

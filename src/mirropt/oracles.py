@@ -118,7 +118,8 @@ class InexactOracle:
 
 
 class ConstraintBundle:
-    """g(x) = max_i g_i(x), reported with the lowest attaining index."""
+    """g(x) = max_i g_i(x), reported with the lowest attaining index.
+    ``evaluate`` computes it; a subclass with a faster path overrides it."""
 
     def __init__(self, pieces):
         pieces = list(pieces)
@@ -131,6 +132,17 @@ class ConstraintBundle:
 
     def __call__(self, x):
         return aggregate_max(self, x)
+
+    def evaluate(self, x):
+        """The max over the pieces at a float64 array x."""
+        best = None
+        best_i = -1
+        for i, piece in enumerate(self.pieces):
+            resp = piece(x)
+            if best is None or resp.value > best.value:
+                best, best_i = resp, i
+        return OracleResponse(best.value, best.subgradient, delta=best.delta,
+                              active_index=best_i + 1)
 
 
 class LinearMaxBundle(ConstraintBundle):
@@ -155,20 +167,11 @@ class LinearMaxBundle(ConstraintBundle):
 
 
 def aggregate_max(bundle, x):
-    """Max-aggregate the bundle, tie-broken to the lowest index (1-based)."""
+    """Max-aggregate the bundle, tie-broken to the lowest index (1-based):
+    ``bundle.evaluate`` at x as a float64 array."""
     if type(x) is not np.ndarray or x.dtype != np.float64:
         x = np.asarray(x, dtype=float)
-    fast = getattr(bundle, "evaluate", None)
-    if fast is not None:
-        return fast(x)
-    best = None
-    best_i = -1
-    for i, piece in enumerate(bundle.pieces):
-        resp = piece(x)
-        if best is None or resp.value > best.value:
-            best, best_i = resp, i
-    return OracleResponse(best.value, best.subgradient, delta=best.delta,
-                          active_index=best_i + 1)
+    return bundle.evaluate(x)
 
 
 @dataclass

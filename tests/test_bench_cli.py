@@ -353,6 +353,23 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="does not apply"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("setup", [{"theta0_sq": "abc"},
+                                       {"kind": "bogus"}, {"origin": "x"}])
+    def test_setup_checked_before_build(self, monkeypatch, setup):
+        # toy_lp's generator solves an LP for f_star
+        calls = []
+        lp = bench.linprog
+        monkeypatch.setattr(bench, "linprog",
+                            lambda *a, **kw: calls.append(1) or lp(*a, **kw))
+        cfg = {"seed": 1, "problem": {"generator": "toy_lp"}, "setup": setup,
+               "method": {"name": "constrained_nonsmooth", "eps": 0.1}}
+        with pytest.raises(ConfigError, match=next(iter(setup))):
+            run_experiment(cfg)
+        assert calls == []
+        del cfg["setup"]
+        run_experiment(cfg)
+        assert calls == [1]
+
     def test_bound_violation_exit(self, tmp_path):
         # M below the true subgradient norm understates the guarantee
         cfg = fixed_md_config(method={"name": "fixed_md", "R": 1.0,

@@ -34,6 +34,26 @@ def toy_lp_phi(lam):
     return -2.0 * abs(1.0 - lam) - lam
 
 
+def flat_objective():
+    """A constant objective: the prox center is an optimum at step 0."""
+    prob = ProblemInstance(
+        objective=FunctionOracle(lambda x: 1.0, lambda x: np.zeros(2)),
+        set=FeasibleSet.box(np.full(2, -1.0), np.full(2, 1.0)),
+        constraints=ConstraintBundle([LinearOracle(np.zeros(2), -1.0)]))
+    return prob, euclidean_setup(prob.set, theta0_sq=0.5)
+
+
+def quad_problem():
+    """f(x) = x^2 over [-2, 2] with |x| <= 1; f* = 0 at x* = 0."""
+    return ProblemInstance(
+        objective=FunctionOracle(lambda x: float(x @ x), lambda x: 2.0 * x),
+        set=FeasibleSet.box(np.array([-2.0]), np.array([2.0])),
+        constraints=ConstraintBundle([
+            LinearOracle(np.array([1.0]), -1.0),
+            LinearOracle(np.array([-1.0]), -1.0)]),
+        lipschitz_g=1.0, f_star=0.0, x_star=np.zeros(1))
+
+
 class TestAlgorithmTwo:
     def test_stop_arithmetic_exact_count(self):
         # every subgradient has unit dual norm and every step is productive
@@ -59,11 +79,7 @@ class TestAlgorithmTwo:
         assert np.all(rep.lambda_bar >= 0.0)
 
     def test_immediate_productive_optimum(self):
-        prob = ProblemInstance(
-            objective=FunctionOracle(lambda x: 1.0, lambda x: np.zeros(2)),
-            set=FeasibleSet.box(np.full(2, -1.0), np.full(2, 1.0)),
-            constraints=ConstraintBundle([LinearOracle(np.zeros(2), -1.0)]))
-        setup = euclidean_setup(prob.set, theta0_sq=0.5)
+        prob, setup = flat_objective()
         rep = solve_constrained_nonsmooth(prob, setup, eps=0.1)
         assert rep.productive == 1
         assert np.allclose(rep.x_out, setup.prox_center())
@@ -121,18 +137,8 @@ class TestInexactOracle:
 
 
 class TestAlgorithmThree:
-    def quad_problem(self):
-        return ProblemInstance(
-            objective=FunctionOracle(lambda x: float(x @ x),
-                                     lambda x: 2.0 * x),
-            set=FeasibleSet.box(np.array([-2.0]), np.array([2.0])),
-            constraints=ConstraintBundle([
-                LinearOracle(np.array([1.0]), -1.0),
-                LinearOracle(np.array([-1.0]), -1.0)]),
-            lipschitz_g=1.0, f_star=0.0, x_star=np.zeros(1))
-
     def test_quadratic_guarantees(self):
-        prob = self.quad_problem()
+        prob = quad_problem()
         setup = euclidean_setup(prob.set, origin=np.array([2.0]), theta0_sq=2.0)
         eps = 0.05
         rep = solve_constrained_general(prob, setup, eps=eps)
@@ -143,7 +149,7 @@ class TestAlgorithmThree:
     def test_step_formulas(self):
         # productive h = eps/||grad f||_* (so ||grad f||_* = 4 gives 0.025),
         # non-productive h = eps/||grad g||_*^2
-        prob = self.quad_problem()
+        prob = quad_problem()
         setup = euclidean_setup(prob.set, origin=np.array([2.0]), theta0_sq=2.0)
         eps = 0.1
         rep = solve_constrained_general(prob, setup, eps=eps)
@@ -161,7 +167,7 @@ class TestAlgorithmThree:
         assert eps / 4.0 == pytest.approx(0.025)
 
     def test_zero_grad_productive_returns_optimal(self):
-        prob = self.quad_problem()
+        prob = quad_problem()
         setup = euclidean_setup(prob.set, origin=np.zeros(1), theta0_sq=2.0)
         rep = solve_constrained_general(prob, setup, eps=0.1)
         assert rep.f_out == 0.0
@@ -169,7 +175,7 @@ class TestAlgorithmThree:
 
     def test_merit_modulus_consistency(self):
         """f(x) - f(x*) <= omega(v_f[x*](x)) with omega from a grid max."""
-        prob = self.quad_problem()
+        prob = quad_problem()
         setup = euclidean_setup(prob.set, origin=np.array([2.0]))
         grid = np.linspace(-2.0, 2.0, 4001)
         rng = np.random.default_rng(14)
@@ -510,7 +516,43 @@ class TestAnswerReuse:
         _assert_matches_reference(monkeypatch, solver, reference, problem,
                                   setup, 0.1, max_iter=6454)
 
+    @pytest.mark.parametrize("solver, reference", [
+        (solve_constrained_nonsmooth, reference_nonsmooth),
+        (solve_constrained_general, reference_general)])
+    @pytest.mark.parametrize("instance", ["flat", "quad-at-optimum"])
+    def test_zero_gradient_row_matches_reference(self, solver, reference,
+                                                 instance):
+        # the one row the two methods write differently: step 1 for
+        # constrained_nonsmooth, inf for constrained_general
+        if instance == "flat":
+            problem, setup = flat_objective()
+        else:
+            problem = quad_problem()
+            setup = euclidean_setup(problem.set, origin=np.zeros(1),
+                                    theta0_sq=2.0)
+        rep = solver(problem, setup, 0.1)
+        assert rep.iterations == 1 and rep.trace.rows[0].M_k == 0.0
+        assert _report_bytes(rep) == \
+            _report_bytes(reference(problem, setup, 0.1))
+
     def test_never_stationary_reports_none(self):
         rep = solve_constrained_nonsmooth(*_local_toy_lp(), 0.1)
         assert rep.extras["stationary_at"] is None
 
+
+@pytest.mark.parametrize("solver", [solve_constrained_nonsmooth,
+                                    solve_constrained_general])
+@pytest.mark.parametrize("name", ["eps", "theta0_sq"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_non_finite_or_zero_input_rejected_before_any_call(
+        monkeypatch, solver, name, bad):
+    # with a NaN the stop rule is never met: the run would go to max_iter
+    problem = toy_lp()
+    f = problem.objective = _Counted(problem.objective)
+    g = _Counted(constrained.aggregate_max)
+    monkeypatch.setattr(constrained, "aggregate_max", g)
+    values = {"eps": 0.1, "theta0_sq": 0.25, name: bad}
+    setup = euclidean_setup(problem.set, theta0_sq=values["theta0_sq"])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        solver(problem, setup, values["eps"], max_iter=10)
+    assert f.calls == g.calls == 0
