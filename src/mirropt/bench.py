@@ -325,10 +325,11 @@ def _agm(problem, setup, a):
 
 
 def vector(value):
-    """A 1-D float array."""
+    """A 1-D array of finite floats.  Null, nan and infinite entries raise
+    ValueError."""
     v = np.asarray(value, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("not 1-D")
+    if v.ndim != 1 or not np.isfinite(v).all():
+        raise ValueError("not a 1-D array of finite numbers")
     return v
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import Counted, aggregate_max
+from .oracles import Counted, aggregate_max, require_positive
 from .report import Report, RunTrace, TraceRow
 
 
@@ -33,10 +33,7 @@ def _theta0_sq(problem, setup, eps):
         raise ValueError("problem has no constraint bundle")
     if setup.theta0_sq is None:
         raise ValueError("setup.theta0_sq is required")
-    for name, value in (("eps", eps), ("setup.theta0_sq", setup.theta0_sq)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"got {value!r}")
+    require_positive(eps=eps, **{"setup.theta0_sq": setup.theta0_sq})
     return setup.theta0_sq
 
 

@@ -1,71 +1,33 @@
 """Mirror Prox (extragradient) and its universal, adaptive variant for
-monotone VIs and saddle points, with gap certificates for affine operators."""
+monotone VIs and saddle points, with gap certificates for affine operators.
+Both run one loop; Mirror Prox is its one-trial case M_k = L."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .oracles import Counted
+from .oracles import Counted, require_positive
 from .report import Report, RunTrace, TraceRow
 
 MAX_INNER_TRIALS = 64
 
 
-def _row_gap(op, w_hat, phi_hat, last):
-    """A trace row's certified gap (nan without a linear part): from the
-    running Phi average, or on the last row from one uncounted Phi(w_hat)."""
-    if op.linear_part is None:
-        return float("nan")
-    return saddle_gap(op, w_hat, None if last else phi_hat)
+def _mirror_prox(method, op, setup, N, L, eps=None):
+    """The extragradient loop of both methods.
 
-
-def mirror_prox_solve(op, setup, L, N):
-    """Fixed-constant Mirror Prox.
-
-    Extragradient steps with step 1/L and uniform averaging of the w-points;
-    the averaged point satisfies
-    max_z <Phi(z), w_hat - z> <= (L/k) max_z V[z^0](z), the gap each row's
-    f_value certifies by ``saddle_gap`` when ``op.linear_part`` is set.
+    Iteration k calls Phi(z) once and Phi(w) once per trial; trial i uses
+    M = L_k 2^(i-1).  With ``eps`` None, L_k = L is the operator's Lipschitz
+    constant: one trial accepted unchecked, the w-points averaged with
+    weight 1 and row bound L D / k.  Otherwise L_1 = L, a trial is accepted
+    once the smoothed Lipschitz check holds with slack eps/2 (at most
+    MAX_INNER_TRIALS + 1 trials), L_{k+1} = M_k / 2, the weights are 1/M_k,
+    the row bound is D / sum_i 1/M_i + eps/2, and the run stops once
+    D / sum_i 1/M_i <= eps/2.  Here D = max_z V[z^0](z).  Each row's gap is
+    certified by ``saddle_gap`` from the running weighted average of Phi(w),
+    the last row's from one uncounted Phi(w_hat); nan if Phi is not affine.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    phi = Counted(op)
-    z = setup.prox_center()
-    total = np.zeros_like(z)
-    phi_total = np.zeros_like(z)
-    trace = RunTrace()
-    max_v = setup.max_bregman_from(z)
-    for k in range(N):
-        w = setup.mirror_step(z, phi(z) / L)
-        phi_w = phi(w)
-        z = setup.mirror_step(z, phi_w / L)
-        total += w
-        phi_total += phi_w
-        w_hat = total / (k + 1)
-        gap = _row_gap(op, w_hat, phi_total / (k + 1), k == N - 1)
-        trace.append(TraceRow(k + 1, gap, step=1.0 / L, M_k=L,
-                              oracle_calls=phi.calls,
-                              bound_value=L * max_v / (k + 1)))
-    w_hat = total / N if N > 0 else z
-    f_out = trace.rows[-1].f_value if N > 0 else float("nan")
-    return Report(method="mirror_prox", x_out=w_hat, f_out=f_out,
-                  iterations=N, oracle_calls=phi.calls, trace=trace,
-                  extras={"max_v": max_v, "z_last": z})
-
-
-def universal_mirror_prox_solve(op, setup, eps, M_init, N):
-    """Universal Mirror Prox with per-iteration doubling of M_k.
-
-    The first inner trial of iteration k uses M = M_{k-1}/2 and doubles until
-    the smoothed Lipschitz check holds with slack eps/2.  Each iteration
-    calls Phi(z) once and Phi(w) once per trial, so ``oracle_calls`` is
-    k + sum of the trials = 3k + log2(M_k / M_init).  The output averages
-    the w-points with weights 1/M_i, and rows are certified as in
-    ``mirror_prox_solve``; the adaptive stop fires once
-    D / sum_i 1/M_i <= eps/2 with D = max_z V[z^0](z).
-    """
-    if eps <= 0 or M_init <= 0:
-        raise ValueError("eps and M_init must be positive")
     phi = Counted(op)
     z = setup.prox_center()
     d_max = setup.max_bregman_from(z)
@@ -73,47 +35,69 @@ def universal_mirror_prox_solve(op, setup, eps, M_init, N):
     phi_weighted = np.zeros_like(z)
     wsum = 0.0
     trace = RunTrace()
-    m_prev = float(M_init)
     inner_trials = []
-    stopped_adaptive = False
+    stopped = False
     k = 0
     for k in range(1, N + 1):
         phi_z = phi(z)
-        for i_k in range(1, MAX_INNER_TRIALS + 2):
-            M = 2.0 ** (i_k - 2) * m_prev
+        for i in range(1, (1 if eps is None else MAX_INNER_TRIALS + 1) + 1):
+            M = L * 2.0 ** (i - 1)
             w = setup.mirror_step(z, phi_z / M)
             phi_w = phi(w)
             z_next = setup.mirror_step(z, phi_w / M)
-            lhs = float((phi_w - phi_z) @ (w - z_next))
-            rhs = 0.5 * M * (setup.norm(w - z) ** 2 + setup.norm(w - z_next) ** 2) \
-                + eps / 2.0
-            if lhs <= rhs:
+            if eps is None or float((phi_w - phi_z) @ (w - z_next)) <= \
+                    0.5 * M * (setup.norm(w - z) ** 2
+                               + setup.norm(w - z_next) ** 2) + eps / 2.0:
                 break
         else:
             raise RuntimeError("inner doubling exceeded the cap; operator "
                                "likely non-Hoelder or oracle inconsistent")
         z = z_next
-        m_prev = M
-        inner_trials.append(i_k)
-        weighted += w / M
-        phi_weighted += phi_w / M
-        wsum += 1.0 / M
-        stopped_adaptive = d_max / wsum <= eps / 2.0
-        w_hat = weighted / wsum
-        gap = _row_gap(op, w_hat, phi_weighted / wsum, stopped_adaptive or k == N)
+        inner_trials.append(i)
+        weight = 1.0 if eps is None else M
+        weighted += w / weight
+        phi_weighted += phi_w / weight
+        wsum += 1.0 / weight
+        if eps is None:
+            bound = L * d_max / wsum
+        else:
+            L = M / 2.0
+            stopped = d_max / wsum <= eps / 2.0
+            bound = d_max / wsum + eps / 2.0
+        gap = math.nan if op.linear_part is None else saddle_gap(
+            op, weighted / wsum,
+            None if stopped or k == N else phi_weighted / wsum)
         trace.append(TraceRow(k, gap, step=1.0 / M, M_k=M,
-                              oracle_calls=phi.calls,
-                              bound_value=d_max / wsum + eps / 2.0))
-        if stopped_adaptive:
+                              oracle_calls=phi.calls, bound_value=bound))
+        if stopped:
             break
-    w_hat = weighted / wsum if wsum > 0 else z
-    f_out = trace.rows[-1].f_value if k > 0 else float("nan")
-    return Report(method="universal_mirror_prox", x_out=w_hat, f_out=f_out,
-                  iterations=k, oracle_calls=phi.calls, trace=trace,
+    return Report(method=method, x_out=weighted / wsum if wsum > 0 else z,
+                  f_out=gap if k else math.nan, iterations=k,
+                  oracle_calls=phi.calls, trace=trace,
                   inner_trials=inner_trials,
-                  extras={"max_v": d_max,
-                          "stopped_adaptive": stopped_adaptive,
-                          "weight_sum": wsum, "M_init": M_init})
+                  extras={"max_v": d_max, "z_last": z,
+                          "stopped_adaptive": stopped, "weight_sum": wsum})
+
+
+def mirror_prox_solve(op, setup, L, N):
+    """Fixed-constant Mirror Prox, step 1/L and uniform averaging.
+
+    The average w_hat of the w-points satisfies
+    max_z <Phi(z), w_hat - z> <= (L/k) max_z V[z^0](z).
+    """
+    require_positive(N, L=L)
+    return _mirror_prox("mirror_prox", op, setup, N, L)
+
+
+def universal_mirror_prox_solve(op, setup, eps, M_init, N):
+    """Universal Mirror Prox: the first trial of iteration k uses M_{k-1}/2,
+    from M_0 = M_init, so ``oracle_calls`` = k + sum of the trials
+    = 3k + log2(M_k / M_init)."""
+    require_positive(N, eps=eps, M_init=M_init)
+    rep = _mirror_prox("universal_mirror_prox", op, setup, N, M_init / 2.0,
+                       eps)
+    rep.extras["M_init"] = M_init
+    return rep
 
 
 def ump_rate_bound(nu, *, l_nu, eps, k, max_v):

@@ -10,11 +10,13 @@ problem generators, and ``InexactOracle`` produces delta-subgradients from
 an exact oracle, seeded from x's bytes.  A returned subgradient may be a
 read-only view of the oracle's own data.  ``Counted`` wraps an oracle or
 operator and counts the calls made through it: the solvers' one oracle-call
-counter.
+counter.  ``require_positive`` checks a solver's iteration count and
+constants.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -46,6 +48,18 @@ class Counted:
     def __call__(self, x):
         self.calls += 1
         return self.fn(x)
+
+
+def require_positive(N=0, **values):
+    """Refuse a solver's inputs unless N >= 0 and each of ``values`` is
+    finite and positive: with a NaN or infinite constant the steps are NaN,
+    and no stop or acceptance test is ever met."""
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N!r}")
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value!r}")
 
 
 class FunctionOracle:

@@ -1,5 +1,6 @@
 """Accelerated gradient method, smoothing of max-type objectives, and the
-universal (parameter-free) accelerated method with backtracking."""
+universal (parameter-free) accelerated method with backtracking.  Both
+accelerated methods run one loop; AGM is its one-trial case M_k = L."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .oracles import Counted, OracleResponse
+from .oracles import Counted, OracleResponse, require_positive
 from .report import Report, RunTrace, TraceRow
 
 MAX_BACKTRACKS = 64
@@ -23,42 +24,74 @@ def alpha_root(C_k, M):
     return (1.0 + math.sqrt(1.0 + 4.0 * M * C_k)) / (2.0 * M)
 
 
+def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
+    """The accelerated gradient loop of both methods.
+
+    Trial i of iteration k uses M = L_k 2^(i-1).  With ``eps`` None, L_k = L
+    is a known Lipschitz constant and the one trial is accepted unchecked.
+    Otherwise L_1 = L, a trial is accepted once the inexact descent condition
+    with slack alpha*eps/(2C) holds (at most MAX_BACKTRACKS trials) and
+    L_{k+1} = M_k / 2.  ``bound(v0, k)`` gives row k's guarantee when x_star
+    is known.
+    """
+    f = Counted(problem.objective)
+    x0 = y = z = setup.prox_center()
+    C = 0.0
+    trace = RunTrace()
+    inner_trials = []
+    v0 = None if problem.x_star is None else setup.bregman(x0, problem.x_star)
+    for k in range(1, N + 1):
+        for i in range(1, (1 if eps is None else MAX_BACKTRACKS) + 1):
+            M = L * 2.0 ** (i - 1)
+            alpha = alpha_root(C, M)
+            C_next = C + alpha
+            x = (alpha * z + C * y) / C_next
+            rx = f(x)
+            if not math.isfinite(rx.value):
+                raise RuntimeError("non-finite objective value")
+            z_try = setup.mirror_step(z, alpha * rx.subgradient)
+            y_try = (alpha * z_try + C * y) / C_next
+            fy = f(y_try).value
+            if not math.isfinite(fy):
+                raise RuntimeError("non-finite objective value")
+            if eps is None:
+                break
+            if fy <= rx.value + float(rx.subgradient @ (y_try - x)) \
+                    + 0.5 * M * setup.norm(y_try - x) ** 2 \
+                    + alpha * eps / (2.0 * C_next):
+                break
+        else:
+            raise RuntimeError("backtracking failed to terminate; "
+                               "oracle likely inconsistent")
+        z, y, C = z_try, y_try, C_next
+        if eps is not None:
+            L = M / 2.0
+        inner_trials.append(i)
+        trace.append(TraceRow(
+            k, fy, step=alpha, M_k=M, oracle_calls=f.calls,
+            bound_value=math.nan if v0 is None or bound is None
+            else bound(v0, k)))
+    f_out = fy if N else f(y).value
+    return Report(
+        method=method, x_out=y, f_out=f_out, iterations=N,
+        oracle_calls=f.calls, trace=trace,
+        gap=None if problem.f_star is None else f_out - problem.f_star,
+        inner_trials=inner_trials, extras={"V0": v0, "C": C})
+
+
 def agm_solve(problem, setup, L, N):
     """Accelerated gradient method with a known Lipschitz constant.
 
     Guarantee: f(y^k) - f* <= 4 L V[z^0](x*) / (k+1)^2 for all k.
     """
-    if L <= 0 or N < 0:
-        raise ValueError("L must be positive and N >= 0")
-    f = Counted(problem.objective)
-    x0 = setup.prox_center()
-    y = x0.copy()
-    z = x0.copy()
-    C = 0.0
-    trace = RunTrace()
-    v0 = None
-    if problem.x_star is not None:
-        v0 = setup.bregman(x0, problem.x_star)
-    for k in range(N):
-        alpha = alpha_root(C, L)
-        C_next = C + alpha
-        x = (alpha * z + C * y) / C_next
-        resp = f(x)
-        z = setup.mirror_step(z, alpha * resp.subgradient)
-        y = (alpha * z + C * y) / C_next
-        C = C_next
-        fy = f(y).value
-        bound = float("nan") if v0 is None else 4.0 * L * v0 / (k + 2) ** 2
-        trace.append(TraceRow(k + 1, fy, step=alpha, M_k=L,
-                              oracle_calls=f.calls, bound_value=bound))
-    f_out = f(y).value if N == 0 else trace.rows[-1].f_value
-    return Report(
-        method="agm", x_out=y, f_out=f_out, iterations=N,
-        oracle_calls=f.calls, trace=trace,
-        bound=None if v0 is None else 4.0 * L * v0 / (N + 1) ** 2,
-        gap=None if problem.f_star is None else f_out - problem.f_star,
-        extras={"V0": v0, "C": C},
-    )
+    require_positive(N, L=L)
+
+    def bound(v0, k):
+        return 4.0 * L * v0 / (k + 1) ** 2
+    rep = _accelerated("agm", problem, setup, N, L, bound=bound)
+    v0 = rep.extras["V0"]
+    rep.bound = None if v0 is None else bound(v0, N)
+    return rep
 
 
 class SmoothedMaxResidual:
@@ -144,64 +177,13 @@ def universal_call_bound(nu, *, l_nu, eps, k, v0):
 
 
 def universal_agm(problem, setup, eps, L0, N):
-    """Universal accelerated gradient method with doubling backtracking.
+    """Universal accelerated gradient method with doubling backtracking
+    from L_1 = L0 (see ``_accelerated``)."""
+    require_positive(N, eps=eps, L0=L0)
+    holder = (problem.meta or {}).get("holder")
 
-    Each outer iteration starts the line search at L_k (first trial M = L_k
-    after the initial halving-then-doubling), accepts once the inexact
-    descent condition with slack alpha*eps/(2C) holds, and sets
-    L_{k+1} = M_k / 2.
-    """
-    if eps <= 0 or L0 <= 0 or N < 0:
-        raise ValueError("eps and L0 must be positive and N >= 0")
-    f = Counted(problem.objective)
-    x0 = setup.prox_center()
-    y = x0.copy()
-    z = x0.copy()
-    C = 0.0
-    L = float(L0)
-    trace = RunTrace()
-    inner_trials = []
-    v0 = None
-    if problem.x_star is not None:
-        v0 = setup.bregman(x0, problem.x_star)
-    for k in range(N):
-        M = L / 2.0
-        trials = 0
-        while True:
-            M *= 2.0
-            trials += 1
-            if trials > MAX_BACKTRACKS:
-                raise RuntimeError("backtracking failed to terminate; "
-                                   "oracle likely inconsistent")
-            alpha = alpha_root(C, M)
-            C_next = C + alpha
-            x = (alpha * z + C * y) / C_next
-            rx = f(x)
-            if not np.isfinite(rx.value):
-                raise RuntimeError("non-finite objective during backtracking")
-            z_try = setup.mirror_step(z, alpha * rx.subgradient)
-            y_try = (alpha * z_try + C * y) / C_next
-            fy = f(y_try).value
-            if not np.isfinite(fy):
-                raise RuntimeError("non-finite objective during backtracking")
-            lin = rx.value + float(rx.subgradient @ (y_try - x))
-            quad = 0.5 * M * setup.norm(y_try - x) ** 2
-            if fy <= lin + quad + alpha * eps / (2.0 * C_next):
-                break
-        z, y, C = z_try, y_try, C_next
-        L = M / 2.0
-        inner_trials.append(trials)
-        bound = float("nan")
-        if v0 is not None and problem.meta and "holder" in (problem.meta or {}):
-            nu, l_nu = problem.meta["holder"]
-            bound = universal_conv_bound(nu, l_nu=l_nu, eps=eps, k=k + 1,
-                                         v0=v0)
-        trace.append(TraceRow(k + 1, fy, step=alpha, M_k=M,
-                              oracle_calls=f.calls, bound_value=bound))
-    f_out = f(y).value if N == 0 else trace.rows[-1].f_value
-    return Report(
-        method="universal_agm", x_out=y, f_out=f_out, iterations=N,
-        oracle_calls=f.calls, trace=trace,
-        gap=None if problem.f_star is None else f_out - problem.f_star,
-        inner_trials=inner_trials, extras={"V0": v0, "C": C},
-    )
+    def bound(v0, k):
+        nu, l_nu = holder
+        return universal_conv_bound(nu, l_nu=l_nu, eps=eps, k=k, v0=v0)
+    return _accelerated("universal_agm", problem, setup, N, L0, eps,
+                        None if holder is None else bound)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -117,9 +118,10 @@ GAMES = {
                    "M_init": 1.0, "N": 500}},
 }
 # the ttd_switch benchmark workload's config at seed 1 (its switching run
-# stops moving at step 524 of 121,714), and a Universal Mirror Prox run
-# beside METHOD_CONFIGS' bilinear_box one, which starts at the saddle point:
-# this one takes 1-3 doubling trials per iteration and ends with gap 0.0044
+# stops moving at step 524 of 121,714), a Universal Mirror Prox run beside
+# METHOD_CONFIGS' bilinear_box one, which starts at the saddle point: this
+# one takes 1-3 doubling trials per iteration and ends with gap 0.0044, and
+# fixed-constant Mirror Prox on the same Euclidean game
 EXTRA_CONFIGS = {
     "ttd_switch": {"seed": 1, "problem": {"generator": "ttd_dual",
                                           "nodes": 40, "bars": 120},
@@ -129,6 +131,10 @@ EXTRA_CONFIGS = {
                                 "cols": 5, "setup": "euclidean"},
         "method": {"name": "universal_mirror_prox", "eps": 0.01,
                    "M_init": 1.0, "N": 500}},
+    "mirror_prox_4x5": {
+        "seed": 14, "problem": {"generator": "matrix_game", "rows": 4,
+                                "cols": 5, "setup": "euclidean"},
+        "method": {"name": "mirror_prox", "N": 100}},
 }
 GOLDEN_HASHES = {
     "shor": "0845bebbd4b1986db7b7f9c116fabdfb588f74cd0597b57f4093c60ce767d5f4",
@@ -161,6 +167,8 @@ GOLDEN_HASHES = {
         "91d1dcc46ee7dba37d82ff07fa1d1347d657a5001ea133957a3c17aef2ccf689",
     "universal_mirror_prox_4x5":
         "2ac37ea5cf1122e213f64e7ad53b5dda6e23a8ef20c02ddb96be4c2be0e70ae6",
+    "mirror_prox_4x5":
+        "a9e8cc4e7a19ccd2715b9c7229cb9794ebcb2b00fda2f3943cee6fb62e7e8ae7",
 }
 
 # the summary's [oracle_calls, iterations] of every GOLDEN_HASHES config,
@@ -175,6 +183,7 @@ GOLDEN_COUNTS = {
     "universal_mirror_prox": [14, 7], "ttd_switching": [12802, 6454],
     "mirror_prox_5x7": [200, 100], "universal_mirror_prox_6x9": [1130, 377],
     "ttd_switch": [243202, 121714], "universal_mirror_prox_4x5": [157, 53],
+    "mirror_prox_4x5": [200, 100],
 }
 
 # the trace hash of the four VI configs with the f_value and oracle_calls
@@ -470,6 +479,35 @@ def test_oracle_calls_are_the_calls_made(monkeypatch, name):
     assert summary["oracle_calls"] == state["calls"] - uncounted + reused
 
 
+def _perfbench_patch_points():
+    """perfbench's list of (owner, attribute, span name, ...) it wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer._patch_points()
+
+
+@pytest.mark.parametrize("name", METHOD_CONFIGS)
+def test_runner_calls_the_patched_solver(monkeypatch, name):
+    """Every method reaches exactly one of the solver functions perfbench
+    wraps, looked up on its module at call time: a runner that called a
+    private loop instead would leave that layer unmeasured."""
+    reached = []
+
+    def recording(solver):
+        def call(*args, **kwargs):
+            reached.append(solver)
+            return solver(*args, **kwargs)
+        return call
+
+    for owner, attr, span, *_ in _perfbench_patch_points():
+        if span in ("subgradient", "constrained", "smoothing", "mirrorprox"):
+            monkeypatch.setattr(owner, attr, recording(getattr(owner, attr)))
+    run_experiment(METHOD_CONFIGS[name])
+    assert len(reached) == 1
+
+
 def test_masked_trace_hashes():
     """Every trace column of the VI configs but f_value and oracle_calls
     keeps its recorded bytes."""
@@ -677,7 +715,7 @@ class TestCli:
          "matrix_game; expected 'entropy' or 'euclidean'"),
         ({**game_config(A=[[0, 0], [0, 0]]),
           "method": {"name": "mirror_prox", "N": 20, "L": 0}},
-         "L must be positive"),
+         "L must be finite and positive"),
         ({"seed": 1, "problem": {"generator": "ttd_dual"},
           "method": {"name": "constrained_nonsmooth", "eps": math.nan}},
          "'eps'"),
@@ -704,6 +742,26 @@ class TestCli:
         ({"seed": 1, "problem": {"generator": "bilinear_box",
                                  "half_width": math.nan},
           "method": {"name": "mirror_prox", "N": 4}}, "'half_width'"),
+        (fixed_md_config(setup={"origin": [None]}), "'origin'"),
+        (fixed_md_config(setup={"origin": [math.nan]}), "'origin'"),
+        (fixed_md_config(setup={"origin": [math.inf]}), "'origin'"),
+        (fixed_md_config(method={"name": "shor", "lam": 0.1, "N": 10,
+                                 "x0": [None]}), "'x0'"),
+        (game_config(N=-3), "N must be >= 0"),
+        ({**game_config(), "method": {"name": "universal_mirror_prox",
+                                      "eps": 0.01, "M_init": 1.0, "N": -3}},
+         "N must be >= 0"),
+        ({**game_config(), "method": {"name": "universal_mirror_prox",
+                                      "eps": 0.01, "M_init": 0.0, "N": 5}},
+         "M_init must be finite and positive"),
+        ({"seed": 1, "problem": {"generator": "quadratic_box"},
+          "method": {"name": "agm", "N": -3}}, "N must be >= 0"),
+        ({"seed": 1, "problem": {"generator": "quadratic_box"},
+          "method": {"name": "agm", "L": -1.0, "N": 5}},
+         "L must be finite and positive"),
+        ({"seed": 1, "problem": {"generator": "quadratic_box"},
+          "method": {"name": "universal_agm", "eps": 0.0, "L0": 1.0,
+                     "N": 5}}, "eps must be finite and positive"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
             "M-not-float", "L-not-float", "x0-not-vector",
@@ -714,7 +772,10 @@ class TestCli:
             "residual-cols-0", "pieces-negative", "bars-fractional-string",
             "game-setup-unknown", "zero-game-L-0", "eps-nan",
             "theta0_sq-not-number", "theta0_sq-nan", "theta0_sq-0", "R-inf",
-            "M-minus-inf", "R-null", "eps-bool", "half_width-nan"])
+            "M-minus-inf", "R-null", "eps-bool", "half_width-nan",
+            "origin-null", "origin-nan", "origin-inf", "x0-null",
+            "mirror_prox-N-negative", "ump-N-negative", "ump-M_init-0",
+            "agm-N-negative", "agm-L-negative", "uagm-eps-0"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
                                               names):
         """A malformed config, an empty game included, a null, bool,

@@ -98,6 +98,15 @@ class TestMirrorProx:
         assert np.allclose(rep.extras["z_last"].shape, (2,))
         assert np.allclose(op.domain.prox_center(), np.zeros(2))
 
+    def test_one_trial_per_iteration(self):
+        # Mirror Prox is the universal loop's one-trial case, M_k = L
+        op = bilinear_box_op()
+        op, calls = counting(op)
+        rep = mirror_prox_solve(op, op.domain, L=2.0, N=30)
+        assert rep.inner_trials == [1] * 30
+        assert list(rep.trace.column("M_k")) == [2.0] * 30
+        assert rep.oracle_calls == 2 * 30 == len(calls) - 1
+
     def test_matrix_game_entropy_rate(self):
         op = gen_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
         rep = mirror_prox_solve(op, op.domain, L=op.lipschitz, N=300)

@@ -81,6 +81,23 @@ class TestAgm:
             assert prob.set.contains(y)
         assert np.allclose(rep.x_out, [1.0, 1.0], atol=1e-6)
 
+    def test_one_trial_per_iteration(self):
+        # AGM is the universal loop's one-trial case, M_k = L
+        prob = quad_problem()
+        setup = euclidean_setup(prob.set, origin=np.array([1.0, 0.0]))
+        rep = agm_solve(prob, setup, L=1.5, N=20)
+        assert rep.inner_trials == [1] * 20
+        assert list(rep.trace.column("M_k")) == [1.5] * 20
+
+    def test_nonfinite_raises(self):
+        # the guard the universal method always had; it used to return
+        prob = ProblemInstance(
+            FunctionOracle(lambda x: float("inf"), lambda x: np.ones(1)),
+            FeasibleSet.all_space(1))
+        setup = euclidean_setup(prob.set)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            agm_solve(prob, setup, L=1.0, N=5)
+
 
 class TestSmoothedOracle:
     def make(self, seed=16, m=4, n=6, mu=0.05):
