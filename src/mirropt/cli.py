@@ -4,7 +4,8 @@
 experiment; ``rates --trace <file.csv> --column <name>`` fits the empirical
 log-log convergence slope of a recorded trace.
 
-Exit codes: 0 ok, 1 I/O error, 2 invalid config, 3 theorem-bound violation.
+Exit codes: 0 ok, 1 I/O error, 2 invalid config, 3 theorem-bound violation,
+4 the run failed (a solver raised RuntimeError).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_BOUND = 3
+EXIT_RUN = 4
 
 
 def _cmd_solve(args):
@@ -50,6 +52,9 @@ def _cmd_solve(args):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RuntimeError as exc:
+        print(f"error: the run failed: {exc}", file=sys.stderr)
+        return EXIT_RUN
     print(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False))
     if code == EXIT_BOUND:
         print("error: theorem bound violated", file=sys.stderr)

@@ -1,8 +1,11 @@
 """Classic subgradient family: Shor's constant step, fixed-step and adaptive
 Mirror Descent, and the normalized / strongly convex variants.
 
-Each run owns its mutable state; the functions are deterministic for
-identical inputs.
+All five run one loop, ``_Descent.steps``: x^{k+1} = mirror_step(x^k, p_k)
+with M_k = ||g^k||_*.  A method gives its step rule and keeps what it
+reports of the iterates (an average, the best one, a distance).  Each run
+owns its mutable state; the functions are deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -11,14 +14,80 @@ import math
 
 import numpy as np
 
-from .oracles import Counted
+from .geometry import FeasibleSet, euclidean_setup
+from .oracles import Counted, require_positive
 from .report import Report, RunTrace, TraceRow
 
 
-def _maybe_dist(x, x_star):
+class _Descent:
+    """One run of the loop on ``problem``, from ``setup``'s prox center."""
+
+    def __init__(self, problem, setup):
+        self.problem = problem
+        self.setup = setup
+        self.f = Counted(problem.objective)
+        self.x = setup.prox_center()
+        self.trace = RunTrace()
+        self.stopped_exact = False
+
+    def steps(self, N, rule, bound_value=math.nan):
+        """Yield (k, answer, h_k, M_k) of up to N iterations, each before
+        its step.  ``rule(k, g, M_k)`` gives h_k for the trace and the step
+        vector, or None to stop at an exact optimum.  x^k is ``self.x``, not
+        yielded: a caller's loop variable would keep it alive like p below."""
+        for k in range(N):
+            x = self.x
+            resp = self.f(x)
+            if not math.isfinite(resp.value):
+                raise RuntimeError("non-finite objective value")
+            M_k = self.setup.dual_norm(resp.subgradient)
+            h, p = rule(k, resp.subgradient, M_k)
+            self.trace.append(TraceRow(k, resp.value, step=h, M_k=M_k,
+                                       oracle_calls=self.f.calls,
+                                       bound_value=bound_value))
+            self.stopped_exact = p is None
+            yield k, resp, h, M_k
+            if p is None:
+                return
+            self.x = self.setup.mirror_step(x, p)
+            # an n-vector kept alive across the next oracle call makes the
+            # heap trim and regrow each iteration at large n
+            p = None
+
+    def report(self, method, x_out, f_out=None, **fields):
+        """The run's Report; f(x_out) is evaluated unless f_out is given."""
+        if f_out is None:
+            f_out = self.f(x_out).value
+        f_star = self.problem.f_star
+        return Report(
+            method=method, x_out=x_out, f_out=f_out,
+            iterations=len(self.trace), oracle_calls=self.f.calls,
+            trace=self.trace, stopped_exact=self.stopped_exact,
+            gap=None if f_star is None else f_out - f_star, **fields)
+
+
+def _scaled(step):
+    """The rule h_k g^k with h_k = step(k, M_k); None from step stops the
+    run, with h_k inf in the trace."""
+    def rule(k, g, M_k):
+        h = step(k, M_k)
+        return (math.inf, None) if h is None else (h, h * g)
+    return rule
+
+
+def _require(N, **values):
+    """A method that returns an average or the best iterate needs N >= 1."""
+    if N < 1:
+        raise ValueError(f"N >= 1 required, got {N!r}")
+    require_positive(N, **values)
+
+
+def _closer(d_min, x, x_star):
+    """min(d_min, ||x - x_star||_2), or None without x_star."""
     if x_star is None:
         return None
-    return float(np.linalg.norm(x - x_star))
+    d = float(np.linalg.norm(x - x_star))
+    return d if d_min is None else min(d_min, d)
 
 
 def run_shor(problem, x0, lam, N):
@@ -28,32 +97,17 @@ def run_shor(problem, x0, lam, N):
     with an exact optimum.  The report carries the min over iterates of the
     distance to x_star when it is known.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    f = Counted(problem.objective)
-    x = np.asarray(x0, dtype=float).copy()
-    trace = RunTrace()
-    min_dist = _maybe_dist(x, problem.x_star)
-    stopped_exact = False
-    for k in range(N):
-        resp = f(x)
-        gn = np.linalg.norm(resp.subgradient)
-        trace.append(TraceRow(k, resp.value, step=lam, M_k=float(gn),
-                              oracle_calls=f.calls))
-        if gn == 0.0:
-            stopped_exact = True
-            break
-        x = x - lam * resp.subgradient / gn
-        d = _maybe_dist(x, problem.x_star)
-        if d is not None:
-            min_dist = d if min_dist is None else min(min_dist, d)
-    f_out = f(x).value
-    return Report(
-        method="shor", x_out=x, f_out=f_out, iterations=len(trace),
-        oracle_calls=f.calls, trace=trace, min_dist=min_dist,
-        stopped_exact=stopped_exact,
-        gap=None if problem.f_star is None else f_out - problem.f_star,
-    )
+    require_positive(N, lam=lam)
+    run = _Descent(problem, euclidean_setup(FeasibleSet.all_space(len(x0)),
+                                            origin=x0))
+    min_dist = None
+
+    def rule(k, g, M_k):
+        return lam, None if M_k == 0.0 else lam * g / M_k
+    for _ in run.steps(N, rule):
+        min_dist = _closer(min_dist, run.x, problem.x_star)
+    min_dist = _closer(min_dist, run.x, problem.x_star)   # the last x
+    return run.report("shor", run.x, min_dist=min_dist)
 
 
 def run_fixed_md(problem, setup, R, M, N):
@@ -63,77 +117,44 @@ def run_fixed_md(problem, setup, R, M, N):
     (R = ||x^0 - x_star||).  General setup: h = sqrt(2) R / (M sqrt(N)) with
     guarantee sqrt(2) M R / sqrt(N) (R^2 >= V[x^0](x_star)).
     """
-    if R <= 0 or M <= 0 or N < 1:
-        raise ValueError("R, M must be positive and N >= 1")
-    euclidean = setup.kind == "euclidean"
-    h = R / (M * math.sqrt(N)) if euclidean else math.sqrt(2.0) * R / (M * math.sqrt(N))
-    bound = M * R / math.sqrt(N) if euclidean else math.sqrt(2.0) * M * R / math.sqrt(N)
-    f = Counted(problem.objective)
-    x = setup.prox_center()
-    total = np.zeros_like(x)
-    trace = RunTrace()
+    _require(N, R=R, M=M)
+    c = 1.0 if setup.kind == "euclidean" else math.sqrt(2.0)
+    h = c * R / (M * math.sqrt(N))
+    bound = c * M * R / math.sqrt(N)
+    run = _Descent(problem, setup)
+    total = np.zeros_like(run.x)
     violations = []
-    for k in range(N):
-        resp = f(x)
-        gd = setup.dual_norm(resp.subgradient)
-        if gd > M * (1 + 1e-12):
-            violations.append(f"dual norm {gd:.6g} exceeds M={M} at k={k}")
-        total += x
-        trace.append(TraceRow(k, resp.value, step=h, M_k=gd,
-                              oracle_calls=f.calls, bound_value=bound))
-        x = setup.mirror_step(x, h * resp.subgradient)
-    x_bar = total / N
-    f_bar = f(x_bar).value
-    return Report(
-        method="fixed_md", x_out=x_bar, f_out=f_bar, iterations=N,
-        oracle_calls=f.calls, trace=trace, bound=bound, violations=violations,
-        gap=None if problem.f_star is None else f_bar - problem.f_star,
-        extras={"h": h, "x_last": x},
-    )
+    for k, _, _, M_k in run.steps(N, _scaled(lambda k, M_k: h), bound):
+        if M_k > M * (1 + 1e-12):
+            violations.append(f"dual norm {M_k:.6g} exceeds M={M} at k={k}")
+        total += run.x
+    return run.report("fixed_md", total / N, bound=bound,
+                      violations=violations, extras={"h": h, "x_last": run.x})
 
 
 def run_adaptive_md(problem, setup, eps, N):
     """Adaptive-norm Mirror Descent: h_k = eps / ||g^k||_*^2 with step-weighted
     averaging.  A zero subgradient stops the run at an exact optimum."""
-    if eps <= 0 or N < 1:
-        raise ValueError("eps must be positive and N >= 1")
-    f = Counted(problem.objective)
-    x = setup.prox_center()
-    trace = RunTrace()
+    _require(N, eps=eps)
+    run = _Descent(problem, setup)
     steps = []
-    weighted = np.zeros_like(x)
-    stopped_exact = False
-    for k in range(N):
-        resp = f(x)
-        gd = setup.dual_norm(resp.subgradient)
-        if gd == 0.0:
-            weighted = x.copy()
-            steps = [1.0]
-            stopped_exact = True
-            trace.append(TraceRow(k, resp.value, step=float("inf"), M_k=0.0,
-                                  oracle_calls=f.calls))
-            break
-        h = eps / gd**2
-        steps.append(h)
-        weighted += h * x
-        trace.append(TraceRow(k, resp.value, step=h, M_k=gd,
-                              oracle_calls=f.calls))
-        x = setup.mirror_step(x, h * resp.subgradient)
+    weighted = np.zeros_like(run.x)
+    rule = _scaled(lambda k, M_k: None if M_k == 0.0 else eps / M_k**2)
+    for _, _, h, _ in run.steps(N, rule):
+        if run.stopped_exact:
+            weighted, steps = run.x.copy(), [1.0]
+        else:
+            steps.append(h)
+            weighted += h * run.x
     h_sum = float(np.sum(steps))
-    x_bar = weighted if stopped_exact else weighted / h_sum
-    f_bar = f(x_bar).value
     r_sq = setup.theta0_sq
     if r_sq is None and problem.x_star is not None:
         r_sq = setup.bregman(setup.prox_center(), problem.x_star)
-    realized_bound = None if (r_sq is None or stopped_exact) \
-        else r_sq / h_sum + eps / 2.0
-    return Report(
-        method="adaptive_md", x_out=x_bar, f_out=f_bar, iterations=len(trace),
-        oracle_calls=f.calls, trace=trace, bound=realized_bound,
-        stopped_exact=stopped_exact,
-        gap=None if problem.f_star is None else f_bar - problem.f_star,
-        extras={"h_sum": h_sum},
-    )
+    return run.report(
+        "adaptive_md", weighted if run.stopped_exact else weighted / h_sum,
+        bound=None if (r_sq is None or run.stopped_exact)
+        else r_sq / h_sum + eps / 2.0,
+        extras={"h_sum": h_sum})
 
 
 def run_normalized_md(problem, setup, R, N):
@@ -145,37 +166,19 @@ def run_normalized_md(problem, setup, R, N):
     """
     if setup.kind != "euclidean":
         raise ValueError("normalized method requires the Euclidean setup")
-    if R <= 0 or N < 1:
-        raise ValueError("R must be positive and N >= 1")
-    f = Counted(problem.objective)
-    x = setup.prox_center()
-    trace = RunTrace()
+    _require(N, R=R)
+    run = _Descent(problem, setup)
     best_x, best_f = None, math.inf
     m_obs = 0.0
-    stopped_exact = False
-    for k in range(N):
-        resp = f(x)
+    rule = _scaled(lambda k, M_k: None if M_k == 0.0
+                   else R / (M_k * math.sqrt(N)))
+    for _, resp, _, M_k in run.steps(N, rule):
         if resp.value < best_f:
-            best_f, best_x = resp.value, x.copy()
-        gn = float(np.linalg.norm(resp.subgradient))
-        m_obs = max(m_obs, gn)
-        if gn == 0.0:
-            stopped_exact = True
-            trace.append(TraceRow(k, resp.value, step=float("inf"), M_k=0.0,
-                                  oracle_calls=f.calls))
-            break
-        h = R / (gn * math.sqrt(N))
-        trace.append(TraceRow(k, resp.value, step=h, M_k=gn,
-                              oracle_calls=f.calls))
-        x = setup.mirror_step(x, h * resp.subgradient)
-    bound = m_obs * R / math.sqrt(N)
-    return Report(
-        method="normalized_md", x_out=best_x, f_out=best_f,
-        iterations=len(trace), oracle_calls=f.calls, trace=trace, bound=bound,
-        stopped_exact=stopped_exact,
-        gap=None if problem.f_star is None else best_f - problem.f_star,
-        extras={"M_observed": m_obs},
-    )
+            best_f, best_x = resp.value, run.x.copy()
+        m_obs = max(m_obs, M_k)
+    return run.report("normalized_md", best_x, best_f,
+                      bound=m_obs * R / math.sqrt(N),
+                      extras={"M_observed": m_obs})
 
 
 def run_strongly_convex_md(problem, setup, mu, N, M=None):
@@ -186,30 +189,18 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None):
     """
     if setup.kind != "euclidean":
         raise ValueError("strongly convex variant requires the Euclidean setup")
-    if mu <= 0 or N < 1:
-        raise ValueError("mu must be positive and N >= 1")
-    f = Counted(problem.objective)
-    x = setup.prox_center()
-    trace = RunTrace()
+    _require(N, mu=mu, **({} if M is None else {"M": M}))
+    run = _Descent(problem, setup)
     m_obs = 0.0
-    weighted = np.zeros_like(x)
+    weighted = np.zeros_like(run.x)
     wsum = N * (N + 1) / 2.0
-    for k in range(N):
-        resp = f(x)
-        gn = float(np.linalg.norm(resp.subgradient))
-        m_obs = max(m_obs, gn)
-        h = 2.0 / (mu * (k + 1))
-        trace.append(TraceRow(k, resp.value, step=h, M_k=gn,
-                              oracle_calls=f.calls))
-        x = setup.mirror_step(x, h * resp.subgradient)
-        # x is now x^{k+1}, weight 2(k+1)/(N(N+1))
-        weighted += (k + 1) * x / wsum
-    m_eff = M if M is not None else m_obs
-    bound = 2.0 * m_eff**2 / (mu * (N + 1))
-    f_bar = f(weighted).value
-    return Report(
-        method="strongly_convex_md", x_out=weighted, f_out=f_bar,
-        iterations=N, oracle_calls=f.calls, trace=trace, bound=bound,
-        gap=None if problem.f_star is None else f_bar - problem.f_star,
-        extras={"M_observed": m_obs},
-    )
+    rule = _scaled(lambda k, M_k: 2.0 / (mu * (k + 1)))
+    for k, _, _, M_k in run.steps(N, rule):
+        m_obs = max(m_obs, M_k)
+        if k:   # x^k, weight 2k/(N(N+1))
+            weighted += k * run.x / wsum
+    weighted += N * run.x / wsum
+    return run.report("strongly_convex_md", weighted,
+                      bound=2.0 * (m_obs if M is None else M)**2
+                      / (mu * (N + 1)),
+                      extras={"M_observed": m_obs})

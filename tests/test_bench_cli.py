@@ -135,6 +135,12 @@ EXTRA_CONFIGS = {
         "seed": 14, "problem": {"generator": "matrix_game", "rows": 4,
                                 "cols": 5, "setup": "euclidean"},
         "method": {"name": "mirror_prox", "N": 100}},
+    # steps of 0.25 from 2.5 reach the optimum of |x| exactly: the run stops
+    # at k = 10 with stopped_exact, a last row of step inf and gap 0
+    "adaptive_md_exact": {
+        "seed": 15, "problem": {"generator": "abs_value", "dim": 1},
+        "setup": {"origin": [2.5]},
+        "method": {"name": "adaptive_md", "eps": 0.25, "N": 50}},
 }
 GOLDEN_HASHES = {
     "shor": "0845bebbd4b1986db7b7f9c116fabdfb588f74cd0597b57f4093c60ce767d5f4",
@@ -169,6 +175,8 @@ GOLDEN_HASHES = {
         "2ac37ea5cf1122e213f64e7ad53b5dda6e23a8ef20c02ddb96be4c2be0e70ae6",
     "mirror_prox_4x5":
         "a9e8cc4e7a19ccd2715b9c7229cb9794ebcb2b00fda2f3943cee6fb62e7e8ae7",
+    "adaptive_md_exact":
+        "bff1e38675e574216a395e94dc4fd4d9430128d861dc4a4611b5d89266e1d77e",
 }
 
 # the summary's [oracle_calls, iterations] of every GOLDEN_HASHES config,
@@ -183,7 +191,7 @@ GOLDEN_COUNTS = {
     "universal_mirror_prox": [14, 7], "ttd_switching": [12802, 6454],
     "mirror_prox_5x7": [200, 100], "universal_mirror_prox_6x9": [1130, 377],
     "ttd_switch": [243202, 121714], "universal_mirror_prox_4x5": [157, 53],
-    "mirror_prox_4x5": [200, 100],
+    "mirror_prox_4x5": [200, 100], "adaptive_md_exact": [12, 11],
 }
 
 # the trace hash of the four VI configs with the f_value and oracle_calls
@@ -641,6 +649,22 @@ class TestCli:
         p = self.write(tmp_path, fixed_md_config(
             method={"name": "fixed_md", "R": 1.0, "M": 0.3, "N": 4}))
         assert main(["solve", "--config", str(p), "--check-bounds"]) == 3
+
+    def test_failed_run_exit(self, tmp_path, capsys):
+        """A run that raises RuntimeError exits 4 with one error line and no
+        traceback.  Here universal AGM's M_k halves at every accepted step
+        on a linear objective until its iterate overflows (numpy warns on
+        the way) and its non-finite guard stops the run."""
+        p = self.write(tmp_path, {
+            "seed": 2, "problem": {"generator": "simplex_linear", "dim": 10},
+            "method": {"name": "universal_agm", "eps": 0.01, "L0": 1.0,
+                       "N": 1100}})
+        with pytest.warns(RuntimeWarning):
+            assert main(["solve", "--config", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert captured.err == \
+            "error: the run failed: non-finite objective value\n"
 
     def test_rates_roundtrip(self, tmp_path, capsys):
         cfg = {
