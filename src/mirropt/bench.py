@@ -9,11 +9,12 @@ column is informational and excluded from the determinism hash.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import time
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -42,50 +43,107 @@ class ConfigError(ValueError):
 # "%.17g" for the floats, which also prints nan, inf, -inf and -0.
 _TEMPLATE = {c: "%d" if c in ("k", "oracle_calls", "elapsed_ns") else "%.17g"
              for c in TRACE_COLUMNS}
-_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
+# the columns of a RepeatSpan that count up from one row to the next
+_COUNTERS = ("k", "oracle_calls")
 # stands in for every elapsed_ns cell while one run's body is formatted;
 # no formatted number contains it
 _ELAPSED_MARK = "\x00"
+# most rows formatted at once, so serialization memory is O(chunk)
+_CHUNK_ROWS = 1 << 16
 
 
-def _csv(trace, elapsed_cell=None):
-    """Header plus every row, formatted by one ``%`` over a flat tuple of
-    cells.  With ``elapsed_cell`` every elapsed_ns cell is that string
-    instead of the row's value.  A RunTrace's ``RepeatSpan`` has its shared
-    cells formatted once and only its counters per row."""
+def _chunks(trace, elapsed_cell=None):
+    """Header plus every row as ASCII chunks of at most ``_CHUNK_ROWS``
+    rows.  A list of rows is formatted by one ``%`` over a flat tuple of
+    its cells.  With ``elapsed_cell`` every elapsed_ns cell is that string
+    instead of the row's value."""
     template, cols = dict(_TEMPLATE), list(TRACE_COLUMNS)
     if elapsed_cell is not None:
         template["elapsed_ns"] = elapsed_cell
         cols.remove("elapsed_ns")
     row = ",".join(template.values()) + "\n"
-    parts = [_HEADER]
+    yield _HEADER
     for part in getattr(trace, "parts", [trace]):
         if isinstance(part, RepeatSpan):
-            shared = ",".join(
-                template[c] if c in ("k", "oracle_calls") or c not in cols
-                else template[c] % getattr(part.row, c)
-                for c in TRACE_COLUMNS) + "\n"
-            cells = tuple(chain.from_iterable(part.counters()))
-            parts.append((shared * part.count) % cells)
-        else:
-            cells = tuple(chain.from_iterable(map(attrgetter(*cols), part)))
-            parts.append((row * (len(cells) // len(cols))) % cells)
-    return "".join(parts)
+            yield from _span_chunks(part, template, cols)
+            continue
+        rows = iter(part)
+        while batch := list(islice(rows, _CHUNK_ROWS)):
+            cells = tuple(chain.from_iterable(map(attrgetter(*cols), batch)))
+            yield ((row * len(batch)) % cells).encode("ascii")
 
 
-def _sha256(text):
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+def _span_chunks(span, template, cols):
+    """A RepeatSpan's rows: its shared cells formatted once, its counters
+    written as digits into a uint8 row matrix.  A chunk ends where either
+    counter gains a digit, so each has one row width.  ``RunTrace.repeat``
+    keeps the counters ints below 2**63, so int64 holds them."""
+    cells = {c: template[c] % getattr(span.row, c) if c in cols
+             else template[c] for c in TRACE_COLUMNS}
+    first = {c: getattr(span.row, c) for c in _COUNTERS}
+    step = {"k": 1, "oracle_calls": span.calls_step}
+    start = 0
+    while start < span.count:
+        low = {c: first[c] + step[c] * start for c in _COUNTERS}
+        width = {c: len(str(low[c])) for c in _COUNTERS}
+        # stop before the first row whose counter reaches 10**width
+        stop = min([span.count, start + _CHUNK_ROWS]
+                   + [start - (low[c] - 10 ** width[c]) // step[c]
+                      for c in _COUNTERS if step[c]])
+        at, pos = {}, 0
+        for c in TRACE_COLUMNS:
+            if c in _COUNTERS:
+                cells[c] = "0" * width[c]
+            at[c], pos = pos, pos + len(cells[c]) + 1
+        yield _counted_rows(",".join(cells.values()) + "\n", stop - start,
+                            [(at[c], width[c], low[c], step[c])
+                             for c in _COUNTERS])
+        start = stop
+
+
+def _counted_rows(line, n, counters):
+    """``n`` copies of ``line``, whose counter cells are zeros, with row
+    i's value low + step * i of each (at, width, low, step) counter written
+    into its cell as ASCII digits."""
+    rows = np.empty((n, len(line)), dtype=np.uint8)
+    rows[:] = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    i = np.arange(n, dtype=np.int64)
+    for at, width, low, step in counters:
+        values = low + step * i
+        for col in reversed(range(at, at + width)):
+            tens = values // 10
+            rows[:, col] += (values - 10 * tens).astype(np.uint8)
+            values = tens
+    return rows.tobytes()
+
+
+def _stream(trace, path=None, elapsed_ns=0):
+    """The trace hash, from one format pass that also writes the CSV, with
+    every elapsed_ns cell ``elapsed_ns``, to ``path`` when one is given."""
+    digest = hashlib.sha256()
+    mark, stamp = _ELAPSED_MARK.encode("ascii"), b"%d" % elapsed_ns
+    with contextlib.nullcontext() if path is None else open(path, "wb") as fh:
+        for chunk in _chunks(trace, _ELAPSED_MARK):
+            digest.update(chunk.replace(mark, b"0"))
+            if fh is not None:
+                fh.write(chunk.replace(mark, stamp))
+            del chunk   # freed before the next chunk is formatted
+    return digest.hexdigest()
 
 
 def trace_csv_text(trace, elapsed_ns=None):
     """CSV body with the fixed header; LF endings, '.' decimal, 17 digits.
-    ``elapsed_ns``, when given, fills every row's elapsed_ns cell."""
-    return _csv(trace, None if elapsed_ns is None else "%d" % elapsed_ns)
+    ``elapsed_ns``, when given, fills every row's elapsed_ns cell.  It
+    builds the whole text, for inspection and tests; the runner streams."""
+    cell = None if elapsed_ns is None else "%d" % elapsed_ns
+    return b"".join(_chunks(trace, cell)).decode("ascii")
 
 
 def trace_hash(trace):
-    """SHA-256 of the CSV serialization with elapsed_ns forced to zero."""
-    return _sha256(trace_csv_text(trace, elapsed_ns=0))
+    """SHA-256 of the CSV serialization with elapsed_ns forced to zero,
+    computed one chunk at a time."""
+    return _stream(trace)
 
 
 def fit_rate(k, values):
@@ -490,8 +548,11 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     elapsed = time.perf_counter_ns() - t0
 
     trace = report.trace
-    # one format pass serves the hashed text and the written one
-    text = _csv(trace, _ELAPSED_MARK)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    digest = _stream(trace, None if out is None else out / f"{stem}_trace.csv",
+                     elapsed)
 
     verdicts = _check_bounds(report, mname, problem, kind,
                              eps=mparams.get("eps")) if check_bounds else []
@@ -504,7 +565,7 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
         "iterations": int(report.iterations),
         "oracle_calls": int(report.oracle_calls),
         "trace_rows": len(trace),
-        "trace_sha256": _sha256(text.replace(_ELAPSED_MARK, "0")),
+        "trace_sha256": digest,
         "bounds_checked": len(verdicts),
         "bounds_ok": bool(all_ok),
     }
@@ -526,11 +587,7 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in summary.items()}
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{stem}_trace.csv").write_text(
-            text.replace(_ELAPSED_MARK, "%d" % elapsed), newline="\n")
+    if out is not None:
         (out / f"{stem}_summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
             + "\n", newline="\n")

@@ -42,9 +42,12 @@ def _cmd_solve(args):
         return EXIT_CONFIG
     out_dir = args.out_dir if args.out_dir is not None else path.parent
     try:
-        code, summary = run_experiment(config, out_dir=out_dir,
-                                       check_bounds=args.check_bounds,
-                                       stem=path.stem)
+        # a failed run reports one line: the solvers' non-finite guards
+        # raise, so numpy's floating-point warnings would only repeat it
+        with np.errstate(all="ignore"):
+            code, summary = run_experiment(config, out_dir=out_dir,
+                                           check_bounds=args.check_bounds,
+                                           stem=path.stem)
     except ValueError as exc:
         # a ConfigError, or a size or parameter a generator or solver rejects
         print(f"error: {exc}", file=sys.stderr)

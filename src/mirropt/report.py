@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,6 +50,17 @@ class RepeatSpan:
                 for k, calls in self.counters())
 
 
+def _counter(value, name):
+    """``value`` as an int; a negative or fractional one raises ValueError."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < 0:
+        raise ValueError(f"span {name} must be an integer >= 0, got {value!r}")
+    return n
+
+
 class RunTrace:
     """Append-only list of TraceRow with a non-decreasing oracle counter.
 
@@ -74,14 +85,22 @@ class RunTrace:
         self._tail.append(row)
 
     def repeat(self, row, count, calls_step):
-        """Append ``RepeatSpan(row, count, calls_step)``'s rows."""
+        """Append ``RepeatSpan(row, count, calls_step)``'s rows.  Its
+        ``k``, ``oracle_calls`` and ``calls_step`` must be integers >= 0,
+        kept as ints, and its last row's counters below 2**63: the CSV
+        writer formats a span's counters as int64."""
         if calls_step < 0:
             raise ValueError("oracle call counter must be non-decreasing")
+        k, calls, step = (_counter(row.k, "k"),
+                          _counter(row.oracle_calls, "oracle_calls"),
+                          _counter(calls_step, "calls_step"))
+        if max(k + count - 1, calls + step * (count - 1)) >= 2**63:
+            raise ValueError("a span's counters must stay below 2**63")
         if count > 0:
-            self._advance(row.oracle_calls,
-                          row.oracle_calls + calls_step * (count - 1))
+            self._advance(calls, calls + step * (count - 1))
             self._tail = []
-            self.parts += [RepeatSpan(row, count, calls_step), self._tail]
+            self.parts += [RepeatSpan(replace(row, k=k, oracle_calls=calls),
+                                      count, step), self._tail]
 
     @property
     def rows(self):

@@ -7,13 +7,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mirropt
-from mirropt import bench, constrained, oracles, problems, smoothing
+from mirropt import (bench, constrained, oracles, problems, smoothing,
+                     subgradient)
 from mirropt.bench import (METHODS, ConfigError, fit_rate, run_experiment,
                            trace_csv_text, trace_hash)
 from mirropt.cli import main
@@ -301,6 +305,46 @@ def reference_csv(trace, elapsed_ns=None):
             fmt(col, elapsed_ns if col == "elapsed_ns" and elapsed_ns
                 is not None else getattr(row, col)) for col in TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
+
+
+def build_trace(parts):
+    """A RunTrace from (kind, first row, count, calls_step) parts: "rows"
+    appends ``count`` rows whose k goes up by 1 and oracle_calls by
+    ``calls_step``, "span" repeats the row as one RepeatSpan."""
+    trace = RunTrace()
+    for kind, row, count, step in parts:
+        if kind == "span":
+            trace.repeat(row, count, step)
+            continue
+        for j in range(count):
+            trace.append(dataclasses.replace(
+                row, k=row.k + j, oracle_calls=row.oracle_calls + step * j))
+    return trace
+
+
+@st.composite
+def trace_parts(draw):
+    """Parts for ``build_trace`` whose counters start just below a power of
+    ten, so they cross digit boundaries, with oracle_calls up to about
+    1e15; a quarter of the traces have one span longer than a chunk."""
+    parts, k, calls = [], 0, 0
+    cells = st.floats()     # with nan, +-inf, -0.0 and subnormals
+    long_span = draw(st.sampled_from([False, False, False, True]))
+    for _ in range(draw(st.integers(1, 5))):
+        k = max(k, 10 ** draw(st.integers(0, 6)) - draw(st.integers(1, 12)))
+        calls = max(calls, 10 ** draw(st.integers(0, 15))
+                    - draw(st.integers(1, 40)))
+        kind = draw(st.sampled_from(["rows", "span"]))
+        count = draw(st.integers(1, 40))
+        if kind == "span" and long_span:
+            count = bench._CHUNK_ROWS + draw(st.integers(1, 99))
+            long_span = False
+        step = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 10**6)))
+        row = TraceRow(k, draw(cells), draw(cells), draw(cells), draw(cells),
+                       calls, draw(st.integers(0, 10**12)), draw(cells))
+        parts.append((kind, row, count, step))
+        k, calls = k + count, calls + step * (count - 1)
+    return parts
 
 
 def strip_elapsed(path):
@@ -598,6 +642,78 @@ class TestTraceSerialization:
         trace.append(TraceRow(4, 1.0, oracle_calls=10))
         assert [r.oracle_calls for r in trace] == [5, 6, 8, 10, 10]
 
+    @pytest.mark.parametrize("row, count, calls_step", [
+        (TraceRow(-1, 1.0), 1, 0),
+        (TraceRow(0.5, 1.0), 1, 0),
+        (TraceRow(float("nan"), 1.0), 1, 0),
+        (TraceRow(0, 1.0, oracle_calls=-2), 1, 0),
+        (TraceRow(0, 1.0, oracle_calls=2.5), 1, 0),
+        (TraceRow(0, 1.0, oracle_calls=float("inf")), 1, 0),
+        (TraceRow(0, 1.0), 2, 1.5),
+        (TraceRow(2**63 - 2, 1.0), 3, 0),             # last k is 2**63
+        (TraceRow(0, 1.0, oracle_calls=2**63 - 10), 6, 2),
+        (TraceRow(0, 1.0, oracle_calls=2.0**63), 1, 0),
+    ])
+    def test_repeat_refuses_counters_outside_int64(self, row, count,
+                                                   calls_step):
+        trace = RunTrace()
+        with pytest.raises(ValueError):
+            trace.repeat(row, count, calls_step)
+        assert len(trace) == 0 and len(trace.parts) == 1
+
+    def test_span_counters_up_to_int64_max(self):
+        trace = RunTrace()
+        trace.repeat(TraceRow(2**63 - 3, 1.0, oracle_calls=2.0**62), 3,
+                     2**61 - 1)
+        text = trace_csv_text(trace, 0)
+        assert text == reference_csv(list(trace), 0)
+        assert text.splitlines()[-1].startswith(f"{2**63 - 1},")
+
+    @settings(max_examples=20, deadline=None)
+    @given(trace_parts())
+    @example([("span", TraceRow(9_995, 0.25, oracle_calls=10**15 - 7),
+               bench._CHUNK_ROWS + 10, 3),
+              ("rows", TraceRow(10**5, -0.0, oracle_calls=10**15 + 10**6),
+               bench._CHUNK_ROWS // 2, 1)])
+    def test_mixed_traces_match_reference(self, parts):
+        trace = build_trace(parts)
+        texts = {e: trace_csv_text(trace, e) for e in (None, 0, 10**18 + 1)}
+        digest = trace_hash(trace)
+        rows = list(trace)          # builds the spans' rows
+        for elapsed_ns, text in texts.items():
+            assert text == reference_csv(rows, elapsed_ns)
+        assert digest == hashlib.sha256(texts[0].encode("ascii")).hexdigest()
+
+    def test_list_trace_longer_than_a_chunk(self, tmp_path):
+        N = 70_000
+        cfg = fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
+                                      "N": N})
+        problem, _ = bench.PROBLEMS["abs_value"]({"dim": 1}, cfg["seed"])
+        setup = bench._make_setup(problem, bench._validate(cfg)[3])
+        trace = subgradient.run_fixed_md(problem, setup, 1.0, 1.0, N).trace
+        assert len(trace) > bench._CHUNK_ROWS and len(trace.parts) == 1
+        _, summary = run_experiment(cfg, out_dir=tmp_path, stem="long")
+        written = (tmp_path / "long_trace.csv").read_bytes().decode("ascii")
+        elapsed = int(written.splitlines()[1].split(",")[
+            TRACE_COLUMNS.index("elapsed_ns")])
+        assert written == reference_csv(trace, elapsed)
+        assert summary["trace_sha256"] == trace_hash(trace)
+
+    def test_trace_hash_memory_is_per_chunk(self):
+        def peak(count):
+            trace = RunTrace()
+            trace.repeat(TraceRow(0, 0.5, g_value=1.0, oracle_calls=1),
+                         count, 2)
+            tracemalloc.start()
+            try:
+                trace_hash(trace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(800_000)
+        assert abs(large - small) <= 0.1 * small
+
     def test_ttd_trace_matches_reference(self, tmp_path):
         cfg = METHOD_CONFIGS["constrained_nonsmooth"]
         params = {k: v for k, v in cfg["problem"].items() if k != "generator"}
@@ -650,20 +766,35 @@ class TestCli:
             method={"name": "fixed_md", "R": 1.0, "M": 0.3, "N": 4}))
         assert main(["solve", "--config", str(p), "--check-bounds"]) == 3
 
+    # universal AGM's M_k halves at every accepted step on a linear
+    # objective until its iterate overflows and its non-finite guard stops
+    # the run
+    FAILING = {"seed": 2,
+               "problem": {"generator": "simplex_linear", "dim": 10},
+               "method": {"name": "universal_agm", "eps": 0.01, "L0": 1.0,
+                          "N": 1100}}
+
     def test_failed_run_exit(self, tmp_path, capsys):
         """A run that raises RuntimeError exits 4 with one error line and no
-        traceback.  Here universal AGM's M_k halves at every accepted step
-        on a linear objective until its iterate overflows (numpy warns on
-        the way) and its non-finite guard stops the run."""
-        p = self.write(tmp_path, {
-            "seed": 2, "problem": {"generator": "simplex_linear", "dim": 10},
-            "method": {"name": "universal_agm", "eps": 0.01, "L0": 1.0,
-                       "N": 1100}})
-        with pytest.warns(RuntimeWarning):
-            assert main(["solve", "--config", str(p)]) == 4
+        traceback.  numpy's overflow warnings on the way are silenced (the
+        test configuration would turn one into an error)."""
+        p = self.write(tmp_path, self.FAILING)
+        assert main(["solve", "--config", str(p)]) == 4
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err and captured.out == ""
         assert captured.err == \
+            "error: the run failed: non-finite objective value\n"
+
+    def test_failed_run_prints_one_line_as_a_program(self, tmp_path):
+        """Run as a program, where numpy's warnings go to stderr."""
+        p = self.write(tmp_path, self.FAILING)
+        src = str(Path(mirropt.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "mirropt.cli", "solve", "--config", str(p)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert run.returncode == 4 and run.stdout == ""
+        assert run.stderr == \
             "error: the run failed: non-finite objective value\n"
 
     def test_rates_roundtrip(self, tmp_path, capsys):
