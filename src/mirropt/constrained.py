@@ -101,7 +101,8 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
     productive step, t times in a row (t > 1 only for the bulk repeats),
     and ``hook.output(lam_raw)`` gives x_out, f_out (None: evaluate f at
     x_out) and further Report fields.  A non-productive step takes h_k =
-    eps / M_k^2 and stop term 1/M_k^2 from M_k = ||grad g(x)||_*.
+    eps / M_k^2 and stop term 1/M_k^2 from M_k = ||grad g(x)||_*.  A
+    non-finite g or f value raises before any step is taken from it.
     """
     theta0_sq = _theta0_sq(problem, setup, eps)
     f = Counted(problem.objective)
@@ -119,6 +120,8 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         g_resp = g(x)
         productive = g_resp.value <= eps
         drive = f(x) if productive else g_resp  # steps along its subgradient
+        if not (math.isfinite(g_resp.value) and math.isfinite(drive.value)):
+            raise RuntimeError("non-finite objective value")
         m_k = setup.dual_norm(drive.subgradient)
         if productive:
             h_k, term = rule(m_k)

@@ -104,6 +104,17 @@ class FeasibleSet:
             return bool(np.all(x >= -tol) and abs(x.sum() - self.scale) <= tol)
         raise ValueError(self.kind)
 
+    def max_linear(self, t):
+        """max over the set of <t, z> (closed form per set variant)."""
+        t = _check_dim(self.dim, t)
+        if self.kind == "simplex":
+            return float(self.scale * t.max())
+        if self.kind == "box":
+            return float(np.sum(np.maximum(self.lower * t, self.upper * t)))
+        if self.kind == "ball":
+            return float(t @ self.center + self.radius * np.linalg.norm(t))
+        raise ValueError(f"cannot maximize a linear form over '{self.kind}'")
+
 
 def doubled_to_signed(v):
     """Fold a doubled-simplex point back to the signed l1-ball point."""
@@ -154,7 +165,9 @@ class ProxSetup:
     # -- norms ------------------------------------------------------------
 
     def norm(self, x):
-        x = _check_dim(self.dim, x)
+        return self._norm(_check_dim(self.dim, x))
+
+    def _norm(self, x):
         if self.kind == "euclidean":
             return math.sqrt(x.dot(x))
         return float(np.abs(x).sum())
@@ -201,12 +214,22 @@ class ProxSetup:
         x = _check_dim(self.dim, x)
         p = _check_dim(self.dim, p)
         if self.kind == "entropy":
-            logw = np.log(np.maximum(x, ENTROPY_CLAMP)) - p
-            logw -= logw.max()
-            w = np.exp(logw)
-            return w * (self.set.scale / w.sum())
+            return self._step(x, p, np.empty(self.dim))
         # Euclidean V[x](z) = 0.5*||z - x||^2 independent of the d-origin.
         return self._project(x - p)
+
+    def _step(self, x, p, out):
+        """The mirror step of checked x and p, written into ``out``."""
+        if self.kind == "entropy":
+            np.maximum(x, ENTROPY_CLAMP, out=out)
+            np.log(out, out=out)
+            out -= p
+            out -= out.max()
+            np.exp(out, out=out)
+            out *= self.set.scale / out.sum()
+        else:
+            out[...] = self._project(x - p)
+        return out
 
     def _project(self, y):
         s = self.set
@@ -308,25 +331,37 @@ class ProductSetup:
             off += d
 
     def split(self, z):
-        z = _check_dim(self.dim, z)
-        return [z[s] for s in self._slices]
+        return [b for _, b in self._blocks(z)]
+
+    def _blocks(self, z):
+        """(part, block of z) per part, with z checked once."""
+        return zip(self.parts, map(_check_dim(self.dim, z).__getitem__, self._slices))
 
     def norm(self, z):
-        return float(np.sqrt(sum(p.norm(b) ** 2 for p, b in zip(self.parts, self.split(z)))))
+        return math.sqrt(sum(p._norm(b) ** 2 for p, b in self._blocks(z)))
 
     def dual_norm(self, g):
-        return float(np.sqrt(sum(p.dual_norm(b) ** 2 for p, b in zip(self.parts, self.split(g)))))
+        return math.sqrt(sum(p.dual_norm(b) ** 2 for p, b in self._blocks(g)))
 
     def d(self, z):
-        return float(sum(p.d(b) for p, b in zip(self.parts, self.split(z))))
+        return float(sum(p.d(b) for p, b in self._blocks(z)))
 
     def bregman(self, x, y):
-        return float(sum(p.bregman(bx, by)
-                         for p, bx, by in zip(self.parts, self.split(x), self.split(y))))
+        return float(sum(p.bregman(bx, by) for (p, bx), (_, by)
+                         in zip(self._blocks(x), self._blocks(y))))
 
     def mirror_step(self, x, p):
-        return np.concatenate([part.mirror_step(bx, bp)
-                               for part, bx, bp in zip(self.parts, self.split(x), self.split(p))])
+        """Each part's step, written into its slice of one array."""
+        x = _check_dim(self.dim, x)
+        p = _check_dim(self.dim, p)
+        out = np.empty(self.dim)
+        for part, s in zip(self.parts, self._slices):
+            part._step(x[s], p[s], out[s])
+        return out
+
+    def max_linear(self, t):
+        """max over the product set of <t, z>: the sum of the parts'."""
+        return float(sum(p.set.max_linear(b) for p, b in self._blocks(t)))
 
     def prox_center(self):
         return np.concatenate([p.prox_center() for p in self.parts])
@@ -335,11 +370,10 @@ class ProductSetup:
         return float(sum(p.max_d() for p in self.parts))
 
     def max_bregman_from(self, x0):
-        return float(sum(p.max_bregman_from(b)
-                         for p, b in zip(self.parts, self.split(x0))))
+        return float(sum(p.max_bregman_from(b) for p, b in self._blocks(x0)))
 
     def contains(self, z, tol=FEASIBILITY_TOL):
-        return all(p.set.contains(b, tol) for p, b in zip(self.parts, self.split(z)))
+        return all(p.set.contains(b, tol) for p, b in self._blocks(z))
 
 
 # -- convenience constructors used throughout the package ------------------

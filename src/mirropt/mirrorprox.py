@@ -27,6 +27,7 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
     D / sum_i 1/M_i <= eps/2.  Here D = max_z V[z^0](z).  Each row's gap is
     certified by ``saddle_gap`` from the running weighted average of Phi(w),
     the last row's from one uncounted Phi(w_hat); nan if Phi is not affine.
+    A non-finite gap (affine Phi) or left side of the Lipschitz check raises.
     """
     phi = Counted(op)
     z = setup.prox_center()
@@ -45,9 +46,13 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
             w = setup.mirror_step(z, phi_z / M)
             phi_w = phi(w)
             z_next = setup.mirror_step(z, phi_w / M)
-            if eps is None or float((phi_w - phi_z) @ (w - z_next)) <= \
-                    0.5 * M * (setup.norm(w - z) ** 2
-                               + setup.norm(w - z_next) ** 2) + eps / 2.0:
+            if eps is None:
+                break
+            lhs = float((phi_w - phi_z) @ (w - z_next))
+            if not math.isfinite(lhs):
+                raise RuntimeError("non-finite objective value")
+            if lhs <= 0.5 * M * (setup.norm(w - z) ** 2
+                                 + setup.norm(w - z_next) ** 2) + eps / 2.0:
                 break
         else:
             raise RuntimeError("inner doubling exceeded the cap; operator "
@@ -67,6 +72,8 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
         gap = math.nan if op.linear_part is None else saddle_gap(
             op, weighted / wsum,
             None if stopped or k == N else phi_weighted / wsum)
+        if not (op.linear_part is None or math.isfinite(gap)):
+            raise RuntimeError("non-finite objective value")
         trace.append(TraceRow(k, gap, step=1.0 / M, M_k=M,
                               oracle_calls=phi.calls, bound_value=bound))
         if stopped:
@@ -108,19 +115,6 @@ def ump_rate_bound(nu, *, l_nu, eps, k, max_v):
         * max_v + eps / 2.0
 
 
-def _max_linear(feasible_set, t):
-    """max over the set of <t, z> (closed form per set variant)."""
-    t = np.asarray(t, dtype=float)
-    s = feasible_set
-    if s.kind == "simplex":
-        return float(s.scale * t.max())
-    if s.kind == "box":
-        return float(np.sum(np.maximum(s.lower * t, s.upper * t)))
-    if s.kind == "ball":
-        return float(t @ s.center + s.radius * np.linalg.norm(t))
-    raise ValueError(f"cannot maximize a linear form over '{s.kind}'")
-
-
 def saddle_gap(op, w_hat, phi_hat=None):
     """Exact max_z <Phi(z), w_hat - z> for affine Phi(z) = G z + c, G skew.
 
@@ -141,7 +135,6 @@ def saddle_gap(op, w_hat, phi_hat=None):
                    for i in range(0, len(G), 64)):
             raise ValueError("gap certificate requires a skew linear part")
         phi_hat = op(w_hat)
-    blocks = op.domain.split(-phi_hat)
-    best = sum(_max_linear(p.set, b) for p, b in zip(op.domain.parts, blocks))
+    best = op.domain.max_linear(-phi_hat)
     c = op.affine_part
     return float(best if c is None else best + c @ w_hat)

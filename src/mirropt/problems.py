@@ -271,10 +271,10 @@ def gen_matrix_game(A, setup_choice="entropy"):
     """Saddle operator Phi(x, u) = (A^T u, -A x) over simplex x simplex.
 
     ``linear_part`` is the skew matrix G = [[0, A^T], [-A, 0]], but Phi
-    multiplies only views of G's two off-diagonal blocks (two gemv calls
-    of about m n each instead of one of (n + m)^2).  With one BLAS thread
-    its bytes equal those of ``G @ z``; a threaded OpenBLAS splits a large
-    product at other rows, so at several threads the two may differ.
+    multiplies only contiguous copies of G's two off-diagonal blocks (two
+    gemv calls of about m n each instead of one of (n + m)^2).  With one BLAS
+    thread its bytes equal those of ``G @ z``; a threaded OpenBLAS splits a
+    large product at other rows, so at several threads the two may differ.
 
     No LP runs here: ``matrix_game_equilibrium(op)`` computes the game's
     value and equilibrium on request.
@@ -306,10 +306,12 @@ def gen_matrix_game(A, setup_choice="entropy"):
     # sum in other lanes than G @ z whenever n % 4 != 0: each view is widened
     # with zero entries of G to 4-aligned bounds.  The lower view also starts
     # one group of rows early, so it never has a single row (m = 1), which
-    # numpy computes as a dot product instead of a gemv.
+    # numpy computes as a dot product instead of a gemv.  A contiguous copy
+    # of a view sums in the same order, without the gaps of G's long rows.
     lo4, hi4 = n - n % 4, min(n + m, -(-n // 4) * 4)
     r0 = max(0, lo4 - 4)
-    top, bottom = G[:hi4, lo4:], G[r0:, :hi4]
+    top = np.ascontiguousarray(G[:hi4, lo4:])
+    bottom = np.ascontiguousarray(G[r0:, :hi4])
 
     def phi(z):
         out = np.empty(n + m)

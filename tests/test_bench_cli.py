@@ -797,6 +797,24 @@ class TestCli:
         assert run.stderr == \
             "error: the run failed: non-finite objective value\n"
 
+    # a constant far below the operator's makes the first step's exponents
+    # overflow, so Phi of the second query point is NaN
+    @pytest.mark.parametrize("method", [
+        {"name": "mirror_prox", "L": 1e-320, "N": 5},
+        {"name": "universal_mirror_prox", "eps": 0.1, "M_init": 1e-320,
+         "N": 5}])
+    def test_non_finite_operator_exit(self, tmp_path, capsys, method):
+        """A Mirror Prox run whose Phi turns non-finite exits 4 with one
+        error line, not with NaN gap rows or the doubling cap's message."""
+        p = self.write(tmp_path, {
+            "seed": 1, "method": method,
+            "problem": {"generator": "matrix_game", "rows": 3, "cols": 4}})
+        assert main(["solve", "--config", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: the run failed: non-finite objective value\n"
+
     def test_rates_roundtrip(self, tmp_path, capsys):
         cfg = {
             "seed": 5,

@@ -11,7 +11,8 @@ from mirropt.constrained import (InfeasibleAtEpsError, _add_repeated,
                                  solve_constrained_nonsmooth)
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import (ConstraintBundle, FunctionOracle, InexactOracle,
-                             LinearOracle, ProblemInstance, aggregate_max)
+                             LinearOracle, OracleResponse, ProblemInstance,
+                             aggregate_max)
 from mirropt.report import Report, RunTrace, TraceRow
 
 
@@ -556,3 +557,39 @@ def test_non_finite_or_zero_input_rejected_before_any_call(
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         solver(problem, setup, values["eps"], max_iter=10)
     assert f.calls == g.calls == 0
+
+
+class _NonFiniteAtSecond:
+    """``oracle`` answered once, then with the value ``value``."""
+
+    def __init__(self, oracle, value):
+        self.oracle, self.value, self.calls = oracle, value, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        resp = self.oracle(x)
+        if self.calls > 1:
+            resp = OracleResponse(self.value, resp.subgradient)
+        return resp
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("which", ["objective", "constraint"])
+@pytest.mark.parametrize("solver", [solve_constrained_nonsmooth,
+                                    solve_constrained_general])
+def test_non_finite_value_raises(solver, which, value):
+    """A non-finite f or g value stops the run before any step is taken
+    from it; a NaN g value would otherwise count as non-productive and step
+    along g's subgradient.  Every step of this run is productive, so both
+    oracles are asked twice by the second iteration."""
+    problem = toy_lp()
+    if which == "objective":
+        oracle = problem.objective = _NonFiniteAtSecond(problem.objective,
+                                                        value)
+    else:
+        oracle = _NonFiniteAtSecond(problem.constraints.pieces[0], value)
+        problem.constraints = ConstraintBundle([oracle])
+    setup = euclidean_setup(problem.set, theta0_sq=0.25)
+    with pytest.raises(RuntimeError, match="^non-finite objective value$"):
+        solver(problem, setup, 0.5, max_iter=50)
+    assert oracle.calls == 2

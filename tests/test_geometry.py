@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mirropt.geometry import (FEASIBILITY_TOL, NORMALIZATION_TOL,
-                              OPTIMALITY_TOL, DimensionMismatchError,
+from mirropt.geometry import (ENTROPY_CLAMP, FEASIBILITY_TOL,
+                              NORMALIZATION_TOL, OPTIMALITY_TOL,
+                              DimensionMismatchError,
                               FeasibleSet, GeometryDomainError, ProductSetup,
                               _check_dim, doubled_to_signed,
                               entropy_l1_ball_setup, entropy_setup,
@@ -255,6 +258,47 @@ def box_step(draw):
     return setup, draw(vectors(n)), draw(vectors(n))
 
 
+@st.composite
+def entropy_step(draw):
+    """An entropy setup (simplex, scaled simplex or l1 ball), x and p."""
+    n = draw(st.integers(1, 40))
+    setup = draw(st.sampled_from([entropy_setup(n), entropy_setup(n, 2.5),
+                                  entropy_l1_ball_setup(n, radius=0.5)]))
+    return (setup, draw(vectors(setup.dim, min_value=0.0, max_value=1.0)),
+            draw(vectors(setup.dim)))
+
+
+def blocks(prod, z):
+    """z cut at the parts' dimensions, without ProductSetup's own slicing."""
+    return np.split(z, np.cumsum([part.dim for part in prod.parts])[:-1])
+
+
+@st.composite
+def product_case(draw):
+    """A product of 1-4 entropy, box, ball and simplex parts of 1-40 dims
+    each, an x (entropy blocks in the simplex, others anywhere) and a p."""
+    parts, xs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        kind = draw(st.sampled_from(["entropy", "box", "ball", "simplex"]))
+        if kind == "entropy":
+            w = draw(vectors(n, min_value=0.0, max_value=1.0))
+            parts.append(entropy_setup(n))
+            xs.append(w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n))
+            continue
+        if kind == "box":
+            fs = FeasibleSet.box(np.full(n, -1.0), np.full(n, 2.0))
+        elif kind == "ball":
+            fs = FeasibleSet.ball(np.linspace(-1.0, 1.0, n), 1.5)
+        else:
+            fs = FeasibleSet.simplex(n, scale=2.0)
+        parts.append(euclidean_setup(fs))
+        xs.append(draw(vectors(n, min_value=-1e3, max_value=1e3)))
+    prod = ProductSetup(*parts)
+    return (prod, np.concatenate(xs),
+            draw(vectors(prod.dim, min_value=-1e3, max_value=1e3)))
+
+
 class TestFastPaths:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan
     @settings(max_examples=300, deadline=None)
@@ -301,3 +345,109 @@ class TestFastPaths:
             got = _check_dim(n, ok)
             assert type(got) is np.ndarray and got.dtype == np.float64
             assert same_bits(got, x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(entropy_step())
+    def test_entropy_step_is_the_allocating_formula(self, case):
+        setup, x, p = case
+        before = x.copy(), p.copy()
+        out = setup.mirror_step(x, p)
+        logw = np.log(np.maximum(x, ENTROPY_CLAMP)) - p
+        logw -= logw.max()
+        w = np.exp(logw)
+        assert same_bits(out, w * (setup.set.scale / w.sum()))
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, p)
+        assert same_bits(x, before[0]) and same_bits(p, before[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_case())
+    def test_product_step_is_the_parts_steps(self, case):
+        prod, x, p = case
+        before = x.copy(), p.copy()
+        out = prod.mirror_step(x, p)
+        ref = np.concatenate([part.mirror_step(bx, bp) for part, bx, bp
+                              in zip(prod.parts, blocks(prod, x),
+                                     blocks(prod, p))])
+        assert same_bits(out, ref)
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, p)
+        assert same_bits(x, before[0]) and same_bits(p, before[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_case())
+    def test_product_norm_is_the_parts_formula(self, case):
+        prod, x, _ = case
+        before = x.copy()
+        ref = float(np.sqrt(sum(part.norm(b) ** 2 for part, b
+                                in zip(prod.parts, blocks(prod, x)))))
+        assert same_bits(prod.norm(x), ref)
+        assert same_bits(x, before)
+
+
+# -- the closed-form maximum of a linear form over a set ---------------------
+
+@st.composite
+def set_and_direction(draw):
+    n = draw(st.integers(1, 30))
+    finite = dict(min_value=-1e3, max_value=1e3)
+    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    if kind == "box":
+        a, b = draw(vectors(n, **finite)), draw(vectors(n, **finite))
+        fs = FeasibleSet.box(np.minimum(a, b), np.maximum(a, b))
+    elif kind == "ball":
+        fs = FeasibleSet.ball(draw(vectors(n, **finite)),
+                              draw(st.floats(1e-3, 1e3)))
+    else:
+        fs = FeasibleSet.simplex(n, scale=draw(st.floats(1e-3, 1e3)))
+    return fs, draw(vectors(n, **finite)), draw(st.integers(0, 2**32 - 1))
+
+
+def argmax_linear(fs, t):
+    """The vertex, corner or boundary point where <t, z> is largest."""
+    if fs.kind == "simplex":
+        z = np.zeros(fs.dim)
+        z[int(np.argmax(t))] = fs.scale
+        return z
+    if fs.kind == "box":
+        return np.where(t >= 0, fs.upper, fs.lower)
+    nrm = np.linalg.norm(t)
+    return fs.center + (fs.radius / nrm) * t if nrm > 0 else fs.center
+
+
+def max_abs_member(fs):
+    """A bound on |z_i| over the set's members z."""
+    if fs.kind == "simplex":
+        return fs.scale
+    if fs.kind == "box":
+        return float(np.maximum(np.abs(fs.lower), np.abs(fs.upper)).max())
+    return float(np.abs(fs.center).max()) + fs.radius
+
+
+def random_member(fs, rng):
+    if fs.kind == "simplex":
+        return fs.scale * rng.dirichlet(np.ones(fs.dim))
+    if fs.kind == "box":
+        return fs.lower + rng.uniform(size=fs.dim) * (fs.upper - fs.lower)
+    v = rng.standard_normal(fs.dim)
+    return fs.center + v * (fs.radius * rng.uniform() / np.linalg.norm(v))
+
+
+class TestMaxLinear:
+    @settings(max_examples=300, deadline=None)
+    @given(set_and_direction())
+    def test_bounds_every_member_and_is_attained(self, case):
+        fs, t, seed = case
+        value = fs.max_linear(t)
+        # rounding of <t, z> is relative to sum |t_i| max |z_i|
+        scale = 1.0 + float(np.abs(t).sum()) * max_abs_member(fs)
+        best = argmax_linear(fs, t)
+        assert fs.contains(best, tol=1e-9 * scale)
+        assert math.isclose(value, float(t @ best), rel_tol=1e-12,
+                            abs_tol=1e-12 * scale)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            assert value >= float(t @ random_member(fs, rng)) - 1e-12 * scale
+
+    def test_unbounded_set_refused(self):
+        with pytest.raises(ValueError, match="cannot maximize"):
+            FeasibleSet.all_space(2).max_linear(np.ones(2))

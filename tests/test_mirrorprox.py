@@ -201,3 +201,36 @@ class TestUniversalMirrorProx:
                              linear_part=np.eye(2), affine_part=np.zeros(2))
         with pytest.raises(ValueError):
             saddle_gap(bad, np.zeros(2))
+
+
+class _NonFiniteAtSecond:
+    """``phi`` answered once, then ``value`` in every coordinate."""
+
+    def __init__(self, phi, value):
+        self.phi, self.value, self.calls = phi, value, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        out = self.phi(z)
+        return out if self.calls == 1 else np.full_like(out, self.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("method, affine", [
+    ("mirror_prox", True), ("universal_mirror_prox", True),
+    ("universal_mirror_prox", False)])
+def test_non_finite_operator_raises(method, affine, value):
+    """The first non-finite Phi stops the run, as it stops the subgradient
+    loops: through the row's gap (affine Phi) or the universal method's
+    Lipschitz check, not through NaN rows or the doubling cap."""
+    op = gen_matrix_game(np.random.default_rng(3).uniform(-1, 1, (3, 4)))
+    phi = _NonFiniteAtSecond(op.phi, value)
+    op = dataclasses.replace(op, phi=phi,
+                             linear_part=op.linear_part if affine else None)
+    with pytest.raises(RuntimeError, match="^non-finite objective value$"):
+        if method == "mirror_prox":
+            mirror_prox_solve(op, op.domain, op.lipschitz, 5)
+        else:
+            universal_mirror_prox_solve(op, op.domain, 0.01, 1.0, 5)
+    assert phi.calls == 2
