@@ -256,24 +256,11 @@ class ProxSetup:
         return self._project(self.origin.copy())
 
     def max_d(self):
-        """max_x d(x) over the set, for Theta_0^2 bookkeeping (compact sets)."""
-        s = self.set
+        """max_x d(x) over the set, for Theta_0^2 bookkeeping (compact sets):
+        ln n for entropy, else max V[origin](.) since d = V[origin]."""
         if self.kind == "entropy":
             return float(np.log(self.dim))
-        if s.kind == "box":
-            far = np.where(np.abs(s.upper - self.origin) >= np.abs(s.lower - self.origin),
-                           s.upper, s.lower)
-            return self.d(far)
-        if s.kind == "ball":
-            return 0.5 * (np.linalg.norm(s.center - self.origin) + s.radius) ** 2
-        if s.kind == "simplex":
-            best = 0.0
-            for i in range(s.dim):
-                v = np.zeros(s.dim)
-                v[i] = s.scale
-                best = max(best, self.d(v))
-            return best
-        raise ValueError("max_d undefined for unbounded sets")
+        return self.max_bregman_from(self.origin)
 
     def max_bregman_from(self, x0):
         """max_y V[x0](y) over the set (compact sets only).
@@ -287,9 +274,9 @@ class ProxSetup:
             sc = s.scale
             return float(np.max(sc * np.log(sc / np.maximum(x0, ENTROPY_CLAMP))))
         if s.kind == "box":
-            far = np.where(np.abs(s.upper - x0) >= np.abs(s.lower - x0),
-                           s.upper, s.lower)
-            return 0.5 * float(np.sum((far - x0) ** 2))
+            diff = np.where(np.abs(s.upper - x0) >= np.abs(s.lower - x0),
+                            s.upper, s.lower) - x0
+            return 0.5 * float(np.dot(diff, diff))
         if s.kind == "ball":
             return 0.5 * (np.linalg.norm(x0 - s.center) + s.radius) ** 2
         if s.kind == "simplex":

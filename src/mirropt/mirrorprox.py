@@ -27,7 +27,8 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
     D / sum_i 1/M_i <= eps/2.  Here D = max_z V[z^0](z).  Each row's gap is
     certified by ``saddle_gap`` from the running weighted average of Phi(w),
     the last row's from one uncounted Phi(w_hat); nan if Phi is not affine.
-    A non-finite gap (affine Phi) or left side of the Lipschitz check raises.
+    A non-finite gap (affine Phi), Phi(w) (any other Phi) or left side of the
+    Lipschitz check raises.
     """
     phi = Counted(op)
     z = setup.prox_center()
@@ -45,6 +46,8 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
             M = L * 2.0 ** (i - 1)
             w = setup.mirror_step(z, phi_z / M)
             phi_w = phi(w)
+            if op.linear_part is None and not np.isfinite(phi_w).all():
+                raise RuntimeError("non-finite objective value")
             z_next = setup.mirror_step(z, phi_w / M)
             if eps is None:
                 break

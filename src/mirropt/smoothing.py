@@ -31,8 +31,9 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     is a known Lipschitz constant and the one trial is accepted unchecked.
     Otherwise L_1 = L, a trial is accepted once the inexact descent condition
     with slack alpha*eps/(2C) holds (at most MAX_BACKTRACKS trials) and
-    L_{k+1} = M_k / 2.  ``bound(v0, k)`` gives row k's guarantee when x_star
-    is known.
+    L_{k+1} = M_k / 2; on a compact set the run stops once D / C_k <= eps/2,
+    with D = max_y V[x^0](y) (Nesterov 2015).  ``bound(v0, k)`` gives row k's
+    guarantee when x_star is known, else D / C_k + eps/2 does if D is known.
     """
     f = Counted(problem.objective)
     x0 = y = z = setup.prox_center()
@@ -40,6 +41,9 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     trace = RunTrace()
     inner_trials = []
     v0 = None if problem.x_star is None else setup.bregman(x0, problem.x_star)
+    D = None if eps is None or setup.set.kind == "all" \
+        else setup.max_bregman_from(x0)
+    stopped = False
     for k in range(1, N + 1):
         for i in range(1, (1 if eps is None else MAX_BACKTRACKS) + 1):
             M = L * 2.0 ** (i - 1)
@@ -67,16 +71,20 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
         if eps is not None:
             L = M / 2.0
         inner_trials.append(i)
+        stopped = D is not None and D / C <= eps / 2.0
         trace.append(TraceRow(
             k, fy, step=alpha, M_k=M, oracle_calls=f.calls,
-            bound_value=math.nan if v0 is None or bound is None
-            else bound(v0, k)))
+            bound_value=bound(v0, k) if v0 is not None and bound is not None
+            else math.nan if D is None else D / C + eps / 2.0))
+        if stopped:
+            break
     f_out = fy if N else f(y).value
     return Report(
-        method=method, x_out=y, f_out=f_out, iterations=N,
+        method=method, x_out=y, f_out=f_out, iterations=len(inner_trials),
         oracle_calls=f.calls, trace=trace,
         gap=None if problem.f_star is None else f_out - problem.f_star,
-        inner_trials=inner_trials, extras={"V0": v0, "C": C})
+        inner_trials=inner_trials,
+        extras={"V0": v0, "C": C, "stopped_adaptive": stopped})
 
 
 def agm_solve(problem, setup, L, N):

@@ -766,11 +766,12 @@ class TestCli:
             method={"name": "fixed_md", "R": 1.0, "M": 0.3, "N": 4}))
         assert main(["solve", "--config", str(p), "--check-bounds"]) == 3
 
-    # universal AGM's M_k halves at every accepted step on a linear
-    # objective until its iterate overflows and its non-finite guard stops
-    # the run
-    FAILING = {"seed": 2,
-               "problem": {"generator": "simplex_linear", "dim": 10},
+    # on all space universal AGM has no stop of its own; here |x| is 0 from
+    # the first step on, so M_k halves at every accepted step until its
+    # iterate overflows and its non-finite guard stops the run
+    FAILING = {"seed": 1,
+               "problem": {"generator": "abs_value", "dim": 1},
+               "setup": {"origin": [1.0]},
                "method": {"name": "universal_agm", "eps": 0.01, "L0": 1.0,
                           "N": 1100}}
 

@@ -451,3 +451,93 @@ class TestMaxLinear:
     def test_unbounded_set_refused(self):
         with pytest.raises(ValueError, match="cannot maximize"):
             FeasibleSet.all_space(2).max_linear(np.ones(2))
+
+
+# -- the farthest point of a set from a center --------------------------------
+
+def reference_max_d(setup):
+    """max_x d(x) by the per-set formulas ``ProxSetup.max_d`` had before it
+    became max_bregman_from(origin)."""
+    s = setup.set
+    if s.kind == "box":
+        far = np.where(np.abs(s.upper - setup.origin)
+                       >= np.abs(s.lower - setup.origin), s.upper, s.lower)
+        return setup.d(far)
+    if s.kind == "ball":
+        return 0.5 * (np.linalg.norm(s.center - setup.origin) + s.radius) ** 2
+    best = 0.0
+    for i in range(s.dim):
+        v = np.zeros(s.dim)
+        v[i] = s.scale
+        best = max(best, setup.d(v))
+    return best
+
+
+@st.composite
+def set_and_center(draw):
+    """A box, ball or simplex, a center inside or (mostly) outside it, and
+    a seed for drawing members."""
+    fs, t, seed = draw(set_and_direction())
+    inside = draw(st.booleans())
+    center = random_member(fs, np.random.default_rng(seed)) if inside else t
+    return fs, center, seed
+
+
+class TestFarthestPoint:
+    @settings(max_examples=300, deadline=None)
+    @given(set_and_center())
+    def test_max_d_is_the_old_formula(self, case):
+        fs, origin, _ = case
+        setup = euclidean_setup(fs, origin=origin)
+        assert same_bits(setup.max_d(), reference_max_d(setup))
+
+    @pytest.mark.parametrize("fs, origin, inside", [
+        (FeasibleSet.box(np.full(3, -1.0), np.full(3, 2.0)), np.zeros(3),
+         True),
+        (FeasibleSet.box(np.full(3, -1.0), np.full(3, 2.0)),
+         np.array([5.0, -4.0, 0.5]), False),
+        (FeasibleSet.ball(np.ones(3), 1.5), np.ones(3), True),
+        (FeasibleSet.ball(np.ones(3), 1.5), np.array([4.0, 0.0, -2.0]),
+         False),
+        (FeasibleSet.simplex(4, scale=2.0), np.full(4, 0.5), True),
+        (FeasibleSet.simplex(4, scale=2.0), np.array([3.0, -1.0, 0.0, 7.0]),
+         False),
+    ], ids=["box-in", "box-out", "ball-in", "ball-out", "simplex-in",
+            "simplex-out"])
+    def test_max_d_inside_and_outside(self, fs, origin, inside):
+        assert fs.contains(origin) == inside
+        setup = euclidean_setup(fs, origin=origin)
+        assert same_bits(setup.max_d(), reference_max_d(setup))
+
+    def test_entropy_max_d_is_log_n(self):
+        assert entropy_setup(7).max_d() == math.log(7)
+        assert entropy_l1_ball_setup(3).max_d() == math.log(6)
+
+    def test_max_d_refuses_all_space(self):
+        with pytest.raises(ValueError, match="unbounded"):
+            euclidean_setup(FeasibleSet.all_space(3)).max_d()
+
+    @settings(max_examples=300, deadline=None)
+    @given(set_and_center())
+    def test_euclidean_bounds_every_member(self, case):
+        fs, x0, seed = case
+        setup = euclidean_setup(fs)
+        value = setup.max_bregman_from(x0)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            v = setup.bregman(x0, random_member(fs, rng))
+            assert value >= v - 1e-12 * (1.0 + v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_entropy_bounds_every_member(self, n, l1_ball, seed):
+        setup = entropy_l1_ball_setup(n) if l1_ball else entropy_setup(n)
+        rng = np.random.default_rng(seed)
+        x0 = rng.dirichlet(np.ones(setup.dim))
+        x0 = np.maximum(x0, 1e-300) / np.maximum(x0, 1e-300).sum()
+        value = setup.max_bregman_from(x0)
+        members = [rng.dirichlet(np.full(setup.dim, a)) for a in (0.1, 1.0)]
+        members += list(np.eye(setup.dim))
+        for y in members:
+            v = setup.bregman(x0, y)
+            assert value >= v - 1e-9 * (1.0 + v)

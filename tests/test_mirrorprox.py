@@ -218,12 +218,13 @@ class _NonFiniteAtSecond:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("method, affine", [
-    ("mirror_prox", True), ("universal_mirror_prox", True),
-    ("universal_mirror_prox", False)])
+    ("mirror_prox", True), ("mirror_prox", False),
+    ("universal_mirror_prox", True), ("universal_mirror_prox", False)])
 def test_non_finite_operator_raises(method, affine, value):
     """The first non-finite Phi stops the run, as it stops the subgradient
-    loops: through the row's gap (affine Phi) or the universal method's
-    Lipschitz check, not through NaN rows or the doubling cap."""
+    loops: through the row's gap (affine Phi), Phi(w) itself (any other
+    Phi) or the universal method's Lipschitz check, not through NaN rows or
+    the doubling cap."""
     op = gen_matrix_game(np.random.default_rng(3).uniform(-1, 1, (3, 4)))
     phi = _NonFiniteAtSecond(op.phi, value)
     op = dataclasses.replace(op, phi=phi,

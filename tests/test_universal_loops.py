@@ -312,6 +312,70 @@ class TestAccelerated:
             assert len(set(rep.trace.column("M_k"))) > 1
 
 
+def _linear_box():
+    """<c, x> over [-1, 1]^5 without a Hoelder meta: the rows' bound can
+    only come from D."""
+    c = np.array([0.5, -1.0, 0.25, 2.0, -0.75])
+    problem = ProblemInstance(
+        FunctionOracle(lambda x: float(c @ x), lambda x: c.copy()),
+        FeasibleSet.box(np.full(5, -1.0), np.full(5, 1.0)),
+        f_star=-float(np.abs(c).sum()), x_star=-np.sign(c))
+    return problem, euclidean_setup(problem.set)
+
+
+def _without_holder(generator, params, seed, setup=None):
+    problem, setup = _bench(generator, params, seed, setup)
+    problem.meta = {}
+    return problem, setup
+
+
+class TestUniversalAgmStop:
+    """On a compact set universal AGM stops once D / C_k <= eps/2, with
+    D = max_y V[x^0](y), and row k's bound is D / C_k + eps/2."""
+
+    @pytest.mark.parametrize("build, eps, N", [
+        (lambda: _bench("simplex_linear", {"dim": 10}, 2), 0.01, 1100),
+        (lambda: _bench("simplex_linear", {"dim": 10}, 2,
+                        {"kind": "euclidean"}), 0.01, 1100),
+        (lambda: _without_holder("quadratic_box", {"dim": 4}, 1), 0.01, 1000),
+        (_linear_box, 0.05, 1000),
+    ], ids=["simplex-entropy", "simplex-euclidean", "quadratic_box",
+            "linear_box"])
+    def test_stops_on_its_guarantee(self, build, eps, N):
+        problem, setup = build()
+        rep = universal_agm(problem, setup, eps, 1.0, N)
+        assert rep.extras["stopped_adaptive"] is True
+        assert 0 < rep.iterations == len(rep.trace.rows) < N
+        assert len(rep.inner_trials) == rep.iterations
+        assert rep.gap <= eps
+        D = setup.max_bregman_from(setup.prox_center())
+        C = 0.0
+        for row in rep.trace:
+            C += row.step
+            assert _bits(row.bound_value) == _bits(D / C + eps / 2.0)
+            # the run ends at the first row that meets the stop
+            assert (D / C <= eps / 2.0) == (row.k == rep.iterations)
+        assert _bits(C) == _bits(rep.extras["C"])
+        verdicts = bench._check_bounds(rep, "universal_agm", problem,
+                                       "convex", eps)
+        assert [v["k"] for v in verdicts] == list(range(1, rep.iterations + 1))
+        assert all(v["ok"] for v in verdicts)
+
+    @pytest.mark.parametrize("build, eps, N", [
+        (lambda: _bench("transport_dual", {"rows": 2, "cols": 3}, 9),
+         0.1, 50),
+        (lambda: _bench("abs_value", {"dim": 2}, 0,
+                        {"origin": [1.0, -0.5]}), 0.01, 300),
+        (_free_quadratic, 0.01, 40),
+    ], ids=["transport-2x3", "abs_value", "free_quadratic"])
+    def test_no_stop_on_all_space(self, build, eps, N):
+        problem, setup = build()
+        rep = universal_agm(problem, setup, eps, 1.0, N)
+        assert rep.extras["stopped_adaptive"] is False
+        assert_same_run(rep, reference_universal_agm(problem, setup, eps,
+                                                     1.0, N))
+
+
 def _game(rows, cols, setup, seed=31):
     A = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, cols))
     return gen_matrix_game(A, setup)
