@@ -100,7 +100,8 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
     the run if M_k = 0.  ``hook(x, h_k, f_resp, M_k, t)`` sees each
     productive step, t times in a row (t > 1 only for the bulk repeats),
     and ``hook.output(lam_raw)`` gives x_out, f_out (None: evaluate f at
-    x_out) and further Report fields.  A non-productive step takes h_k =
+    x_out) and further Report fields; ``hook.certifies_f`` says whether the
+    theorem bounds f_out - f* by eps.  A non-productive step takes h_k =
     eps / M_k^2 and stop term 1/M_k^2 from M_k = ||grad g(x)||_*.  A
     non-finite g or f value raises before any step is taken from it.
     """
@@ -177,13 +178,23 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         if f_out is None:
             f_out = f(x_out).value
     fields["extras"]["stationary_at"] = stationary_at
+    gap = None if problem.f_star is None else f_out - problem.f_star
+    n_bound = _iteration_bound(hook.lipschitz_f, problem.lipschitz_g,
+                               theta0_sq, eps)
+    # the theorem: f_out - f* <= eps if the hook certifies f, g(x_out) <= eps
+    # and k <= the iteration bound
+    checks = []
+    if hook.certifies_f and gap is not None and math.isfinite(f_out):
+        checks.append((k, gap, eps))
+    if math.isfinite(g_out):
+        checks.append((k, g_out, eps))
+    if n_bound is not None:
+        checks.append((k, float(k), float(n_bound)))
     return Report(
         method=hook.method, x_out=x_out, f_out=f_out, iterations=k,
-        oracle_calls=f.calls + g.calls + reused, trace=trace,
-        gap=None if problem.f_star is None else f_out - problem.f_star,
-        g_bar=g_out, productive=n_prod, **fields,
-        iteration_bound=_iteration_bound(hook.lipschitz_f, problem.lipschitz_g,
-                                         theta0_sq, eps))
+        oracle_calls=f.calls + g.calls + reused, trace=trace, gap=gap,
+        g_bar=g_out, productive=n_prod, **fields, iteration_bound=n_bound,
+        checks=checks)
 
 
 class _Average:
@@ -191,6 +202,7 @@ class _Average:
     productive points; sum h also scales the multipliers."""
 
     method = "constrained_nonsmooth"
+    certifies_f = True      # f_out - f* <= eps
 
     def __init__(self, lipschitz_f):
         self.lipschitz_f = lipschitz_f
@@ -215,6 +227,7 @@ class _Best:
     is the last productive point again and changes nothing."""
 
     method = "constrained_general"
+    certifies_f = False
     lipschitz_f = 1.0   # the step eps/||grad f||_* is eps along a unit vector
 
     def __init__(self, x_star):

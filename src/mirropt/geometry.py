@@ -11,7 +11,7 @@ domains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,8 +49,8 @@ class FeasibleSet:
     """One of: all-space, box, euclidean ball, scaled unit simplex.
 
     An l1-ball of radius r in R^n is encoded as the scaled simplex over 2n
-    doubled coordinates (+e_i / -e_i directions); ``signed_dim`` keeps the
-    original dimension and :func:`doubled_to_signed` maps back.
+    doubled coordinates (+e_i / -e_i directions); :func:`doubled_to_signed`
+    maps a point back.
     """
 
     kind: str  # "all" | "box" | "ball" | "simplex"
@@ -60,7 +60,6 @@ class FeasibleSet:
     center: np.ndarray | None = None
     radius: float = 0.0
     scale: float = 1.0
-    signed_dim: int | None = None
 
     @staticmethod
     def all_space(dim):
@@ -89,8 +88,7 @@ class FeasibleSet:
 
     @staticmethod
     def l1_ball(dim, radius=1.0):
-        s = FeasibleSet("simplex", 2 * dim, scale=float(radius), signed_dim=dim)
-        return s
+        return FeasibleSet.simplex(2 * dim, radius)
 
     def contains(self, x, tol=FEASIBILITY_TOL):
         x = _check_dim(self.dim, x)
@@ -257,8 +255,11 @@ class ProxSetup:
 
     def max_d(self):
         """max_x d(x) over the set, for Theta_0^2 bookkeeping (compact sets):
-        ln n for entropy, else max V[origin](.) since d = V[origin]."""
+        ln n for entropy on the unit simplex, else max V[origin](.) since
+        d = V[origin].  Entropy on a scaled simplex has no such d."""
         if self.kind == "entropy":
+            if self.set.scale != 1.0:
+                raise ValueError("entropy max_d needs the unit simplex")
             return float(np.log(self.dim))
         return self.max_bregman_from(self.origin)
 
@@ -370,11 +371,13 @@ def euclidean_setup(feasible_set, origin=None, theta0_sq=None):
     return setup
 
 def entropy_setup(dim, scale=1.0, theta0_sq=None):
+    """Theta_0^2 defaults to ``max_d()`` on the unit simplex, else None."""
     setup = ProxSetup(FeasibleSet.simplex(dim, scale), "entropy",
-                      theta0_sq=theta0_sq if theta0_sq is not None else float(np.log(dim)))
+                      theta0_sq=theta0_sq)
+    if theta0_sq is None and scale == 1.0:
+        setup = replace(setup, theta0_sq=setup.max_d())
     return setup
 
 def entropy_l1_ball_setup(dim, radius=1.0):
-    fs = FeasibleSet.l1_ball(dim, radius)
-    return ProxSetup(fs, "entropy", theta0_sq=float(np.log(fs.dim)))
+    return entropy_setup(2 * dim, radius)
 

@@ -28,7 +28,7 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
     certified by ``saddle_gap`` from the running weighted average of Phi(w),
     the last row's from one uncounted Phi(w_hat); nan if Phi is not affine.
     A non-finite gap (affine Phi), Phi(w) (any other Phi) or left side of the
-    Lipschitz check raises.
+    Lipschitz check raises.  Each row with a finite gap is a check of it.
     """
     phi = Counted(op)
     z = setup.prox_center()
@@ -86,7 +86,10 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
                   oracle_calls=phi.calls, trace=trace,
                   inner_trials=inner_trials,
                   extras={"max_v": d_max, "z_last": z,
-                          "stopped_adaptive": stopped, "weight_sum": wsum})
+                          "stopped_adaptive": stopped, "weight_sum": wsum},
+                  checks=[(row.k, row.f_value, row.bound_value)
+                          for row in trace if math.isfinite(row.f_value)
+                          and math.isfinite(row.bound_value)])
 
 
 def mirror_prox_solve(op, setup, L, N):
@@ -119,25 +122,22 @@ def ump_rate_bound(nu, *, l_nu, eps, k, max_v):
 
 
 def saddle_gap(op, w_hat, phi_hat=None):
-    """Exact max_z <Phi(z), w_hat - z> for affine Phi(z) = G z + c, G skew.
+    """Exact max_z <Phi(z), w_hat - z> for linear Phi(z) = G z, G skew.
 
-    <G z, z> vanishes, so the maximand <z, -Phi(w_hat)> + <c, w_hat> is
-    linear in z and the block-wise closed-form maximum is exact; for a
-    bilinear game it is max_u f(x_hat, u) - min_x f(x, u_hat).  The solvers
-    pass ``phi_hat``, the average of the Phi(w) they computed, which equals
-    Phi(w_hat) for affine Phi.  Without it G is checked for skewness and
-    Phi(w_hat) costs one operator call.
+    <G z, z> vanishes, so the maximand <z, -Phi(w_hat)> is linear in z and
+    the block-wise closed-form maximum is exact; for a bilinear game it is
+    max_u f(x_hat, u) - min_x f(x, u_hat).  The solvers pass ``phi_hat``,
+    the average of the Phi(w) they computed, which equals Phi(w_hat) for
+    linear Phi.  Without it G is checked for skewness and Phi(w_hat) costs
+    one operator call.
     """
     G = op.linear_part
     if G is None:
         raise ValueError("gap certificate needs an affine operator")
-    w_hat = np.asarray(w_hat, dtype=float)
     if phi_hat is None:
         # in bands of 64 rows, so no temporary is the size of G
         if not all(np.allclose(G[i:i + 64], -G[:, i:i + 64].T, atol=1e-12)
                    for i in range(0, len(G), 64)):
             raise ValueError("gap certificate requires a skew linear part")
         phi_hat = op(w_hat)
-    best = op.domain.max_linear(-phi_hat)
-    c = op.affine_part
-    return float(best if c is None else best + c @ w_hat)
+    return float(op.domain.max_linear(-phi_hat))

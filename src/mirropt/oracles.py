@@ -207,8 +207,8 @@ class ProblemInstance:
 class SaddleOperator:
     """Monotone operator Phi(z) over a product feasible set.
 
-    For a bilinear game Phi is affine: Phi(z) = G z + c (G skew-symmetric),
-    which the certificates in mirrorprox.py exploit.
+    For a bilinear game Phi is linear: Phi(z) = G z with ``linear_part`` G
+    skew-symmetric, which the certificates in mirrorprox.py exploit.
     """
 
     phi: object
@@ -217,7 +217,6 @@ class SaddleOperator:
     holder_nu: float | None = None
     holder_l: float | None = None
     linear_part: np.ndarray | None = None
-    affine_part: np.ndarray | None = None
     meta: dict | None = None
 
     def __call__(self, z):

@@ -321,7 +321,7 @@ def gen_matrix_game(A, setup_choice="entropy"):
 
     return SaddleOperator(
         phi=phi, domain=domain, lipschitz=lip, holder_nu=1.0, holder_l=lip,
-        linear_part=G, affine_part=np.zeros(n + m),
+        linear_part=G,
         meta={"A": A, "setup_choice": setup_choice},
     )
 

@@ -124,7 +124,8 @@ class RunTrace:
 class Report:
     """What every solver returns.  For a VI, ``x_out`` is the averaged point
     and ``f_out`` its certified gap; optional fields stay None or empty for
-    the methods they do not describe."""
+    the methods they do not describe.  ``checks`` lists the (k, error,
+    bound) pairs the method's theorem certifies besides gap <= bound."""
 
     method: str
     x_out: np.ndarray
@@ -143,3 +144,4 @@ class Report:
     violations: list = field(default_factory=list)
     min_dist: float | None = None       # min over iterates of ||x^k - x_star||
     extras: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)  # (k, error, bound) triples

@@ -33,7 +33,8 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     with slack alpha*eps/(2C) holds (at most MAX_BACKTRACKS trials) and
     L_{k+1} = M_k / 2; on a compact set the run stops once D / C_k <= eps/2,
     with D = max_y V[x^0](y) (Nesterov 2015).  ``bound(v0, k)`` gives row k's
-    guarantee when x_star is known, else D / C_k + eps/2 does if D is known.
+    guarantee when x_star is known, else D / C_k + eps/2 does if D is known;
+    with a known f* each row with a finite bound is a check of f(y_k) - f*.
     """
     f = Counted(problem.objective)
     x0 = y = z = setup.prox_center()
@@ -84,7 +85,10 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
         oracle_calls=f.calls, trace=trace,
         gap=None if problem.f_star is None else f_out - problem.f_star,
         inner_trials=inner_trials,
-        extras={"V0": v0, "C": C, "stopped_adaptive": stopped})
+        extras={"V0": v0, "C": C, "stopped_adaptive": stopped},
+        checks=[] if problem.f_star is None else [
+            (row.k, row.f_value - problem.f_star, row.bound_value)
+            for row in trace if math.isfinite(row.bound_value)])
 
 
 def agm_solve(problem, setup, L, N):
@@ -136,11 +140,11 @@ class SmoothedMaxResidual:
 
     def inner_argmax(self, x):
         """u_mu(x) in the l1-ball (folded back from the doubled simplex)."""
-        return self._inner_argmax(self.residual(x))
+        r = self.residual(x)
+        return self._inner_argmax(np.concatenate([r, -r]) / self.mu)
 
-    def _inner_argmax(self, r):
-        """u_mu at the point whose residual is ``r``."""
-        stacked = np.concatenate([r, -r]) / self.mu
+    def _inner_argmax(self, stacked):
+        """u_mu from the doubled residual [r, -r] / mu, which it overwrites."""
         stacked -= stacked.max()
         v = np.exp(stacked)
         v /= v.sum()
@@ -151,8 +155,7 @@ class SmoothedMaxResidual:
         r = self.residual(x)
         stacked = np.concatenate([r, -r]) / self.mu
         value = self.mu * (float(logsumexp(stacked)) - np.log(2 * self.m))
-        u = self._inner_argmax(r)
-        grad = self.A.T @ u
+        grad = self.A.T @ self._inner_argmax(stacked)
         if self.h_oracle is not None:
             hr = self.h_oracle(x)
             value += hr.value

@@ -347,7 +347,6 @@ def bilinear_box_operator():
     G = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return SaddleOperator(phi=lambda z: G @ z, domain=domain, lipschitz=1.0,
                           holder_nu=1.0, holder_l=1.0, linear_part=G,
-                          affine_part=np.zeros(2),
                           meta={"A": np.array([[1.0]]), "value": 0.0})
 
 

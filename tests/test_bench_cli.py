@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import mirropt
 from mirropt import (bench, constrained, oracles, problems, smoothing,
                      subgradient)
-from mirropt.bench import (METHODS, ConfigError, fit_rate, run_experiment,
-                           trace_csv_text, trace_hash)
+from mirropt.bench import (BOUND_SLACK, METHODS, ConfigError, fit_rate,
+                           run_experiment, trace_csv_text, trace_hash)
 from mirropt.cli import main
 from mirropt.report import TRACE_COLUMNS, RepeatSpan, RunTrace, TraceRow
 
@@ -531,13 +531,138 @@ def test_oracle_calls_are_the_calls_made(monkeypatch, name):
     assert summary["oracle_calls"] == state["calls"] - uncounted + reused
 
 
-def _perfbench_patch_points():
-    """perfbench's list of (owner, attribute, span name, ...) it wraps."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer._patch_points()
+# the runner's bound check as it was before each solver listed its own
+# checks in ``Report.checks``: the runner chose them by method name
+def reference_check_bounds(report, mname, problem, kind, eps=None):
+    """Collect (error, bound) comparisons the run certifies."""
+    verdicts = []
+
+    def check(k, error, bound):
+        verdicts.append({"k": k, "error": error, "bound": bound,
+                         "ok": error <= bound + BOUND_SLACK})
+
+    if kind == "vi":
+        for row in report.trace:
+            if math.isfinite(row.bound_value) and math.isfinite(row.f_value):
+                check(row.k, row.f_value, row.bound_value)
+        return verdicts
+    f_star, gap, bound = problem.f_star, report.gap, report.bound
+    n = report.iterations
+    if gap is not None and bound is not None and math.isfinite(bound):
+        check(n, gap, bound)
+    if mname.startswith("constrained") and eps is not None:
+        f_bar, g_bar = report.f_out, report.g_bar
+        if mname == "constrained_nonsmooth" and f_star is not None \
+                and math.isfinite(f_bar):
+            check(n, f_bar - f_star, eps)
+        if math.isfinite(g_bar):
+            check(n, g_bar, eps)
+        if report.iteration_bound is not None:
+            check(n, float(n), float(report.iteration_bound))
+    if f_star is not None and mname in ("agm", "universal_agm"):
+        for row in report.trace:
+            if math.isfinite(row.bound_value):
+                check(row.k, row.f_value - f_star, row.bound_value)
+    return verdicts
+
+
+def verdict_bits(verdicts):
+    """Each verdict's k, raw error and bound bytes, and ok."""
+    return [(v["k"], np.float64(v["error"]).tobytes(),
+             np.float64(v["bound"]).tobytes(), v["ok"]) for v in verdicts]
+
+
+def checked_run(monkeypatch, cfg):
+    """Run ``cfg`` with its bounds checked.  Returns the exit code, the
+    Report, and the verdicts of ``_check_bounds`` and of
+    ``reference_check_bounds`` on that Report, as ``verdict_bits``."""
+    seen = {}
+    pname = cfg["problem"]["generator"]
+    build, check = bench.PROBLEMS[pname], bench._check_bounds
+
+    def building(*args):
+        seen["problem"], seen["kind"] = build(*args)
+        return seen["problem"], seen["kind"]
+
+    def checking(report):
+        seen["report"], seen["verdicts"] = report, check(report)
+        return seen["verdicts"]
+
+    monkeypatch.setitem(bench.PROBLEMS, pname, building)
+    monkeypatch.setattr(bench, "_check_bounds", checking)
+    code, summary = run_experiment(cfg, check_bounds=True)
+    reference = reference_check_bounds(
+        seen["report"], cfg["method"]["name"], seen["problem"], seen["kind"],
+        eps=cfg["method"].get("eps"))
+    assert summary["bounds_checked"] == len(reference)
+    return (code, seen["report"], verdict_bits(seen["verdicts"]),
+            verdict_bits(reference))
+
+
+CHECKED_CONFIGS = {**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING, **GAMES,
+                   **EXTRA_CONFIGS}
+
+
+@pytest.mark.parametrize("name", CHECKED_CONFIGS)
+def test_checks_match_the_reference(monkeypatch, name):
+    """The runner checks what each solver's Report lists, and that is what
+    it checked when it chose the checks by method name."""
+    code, _, verdicts, reference = checked_run(monkeypatch,
+                                               CHECKED_CONFIGS[name])
+    assert verdicts == reference
+    assert code == (0 if all(ok for *_, ok in verdicts) else 3)
+
+
+# one config per kind of check whose bound is understated, so that check
+# fails: M below fixed_md's subgradient norm (the headline gap <= bound),
+# agm's and mirror_prox's L below the Lipschitz constant (their rows), and
+# an iteration bound of 1 (a switching run's k <= bound)
+SHRUNK = {
+    "headline": fixed_md_config(method={"name": "fixed_md", "R": 1.0,
+                                        "M": 0.3, "N": 4}),
+    "switching": METHOD_CONFIGS["constrained_nonsmooth"],
+    "agm_row": {**METHOD_CONFIGS["agm"],
+                "method": {"name": "agm", "N": 64, "L": 0.25}},
+    "mirror_prox_row": {**METHOD_CONFIGS["mirror_prox"],
+                        "method": {"name": "mirror_prox", "N": 100,
+                                   "L": 0.1}},
+}
+
+
+@pytest.mark.parametrize("name", SHRUNK)
+def test_shrunk_bounds_fail_as_before(monkeypatch, name):
+    if name == "switching":
+        monkeypatch.setattr(constrained, "_iteration_bound", lambda *args: 1)
+    code, report, verdicts, reference = checked_run(monkeypatch, SHRUNK[name])
+    assert verdicts == reference
+    assert code == 3
+    # the headline verdict, when there is one, comes first
+    own = verdicts[len(verdicts) - len(report.checks):]
+    failed = verdicts[:1] if name == "headline" else own
+    assert not all(ok for *_, ok in failed)
+
+
+def _perfbench_module(name):
+    """perfbench's module ``name``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_points_resolve(monkeypatch):
+    """Every (owner, attribute) perfbench wraps or times is an attribute of
+    its owner, or a key of a dict owner.  ``CallTimer`` looks its points up
+    with getattr, so a renamed one would fail only when the benchmark runs."""
+    tracer = _perfbench_module("tracer")
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # workloads imports it
+    points = tracer._patch_points() + \
+        _perfbench_module("workloads")._latency_points()
+    missing = [(owner, attr) for owner, attr, *_ in points
+               if not (attr in owner if isinstance(owner, dict)
+                       else hasattr(owner, attr))]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", METHOD_CONFIGS)
@@ -553,7 +678,7 @@ def test_runner_calls_the_patched_solver(monkeypatch, name):
             return solver(*args, **kwargs)
         return call
 
-    for owner, attr, span, *_ in _perfbench_patch_points():
+    for owner, attr, span, *_ in _perfbench_module("tracer")._patch_points():
         if span in ("subgradient", "constrained", "smoothing", "mirrorprox"):
             monkeypatch.setattr(owner, attr, recording(getattr(owner, attr)))
     run_experiment(METHOD_CONFIGS[name])

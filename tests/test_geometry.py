@@ -513,6 +513,23 @@ class TestFarthestPoint:
         assert entropy_setup(7).max_d() == math.log(7)
         assert entropy_l1_ball_setup(3).max_d() == math.log(6)
 
+    def test_entropy_theta0_sq_on_the_unit_simplex_only(self):
+        """d = ln n + sum x ln x is max at a vertex: ln n on the unit simplex,
+        more on a scaled one (ln 4 + 2 ln 2 at 2 e_1), where entropy is not
+        1-strongly convex either.  There max_d raises and Theta_0^2 has no
+        default."""
+        for setup in (entropy_setup(4, 2.0), entropy_l1_ball_setup(3, 2.0)):
+            vertex = np.zeros(setup.dim)
+            vertex[0] = 2.0
+            assert setup.d(vertex) > math.log(setup.dim) + 1.0
+            assert setup.theta0_sq is None
+            with pytest.raises(ValueError, match="unit simplex"):
+                setup.max_d()
+        assert entropy_setup(4, 2.0, theta0_sq=3.0).theta0_sq == 3.0
+        for setup, n in ((entropy_setup(4), 4), (entropy_l1_ball_setup(3), 6)):
+            assert same_bits(setup.theta0_sq, float(np.log(n)))
+            assert same_bits(setup.max_d(), setup.theta0_sq)
+
     def test_max_d_refuses_all_space(self):
         with pytest.raises(ValueError, match="unbounded"):
             euclidean_setup(FeasibleSet.all_space(3)).max_d()

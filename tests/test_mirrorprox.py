@@ -20,7 +20,6 @@ def bilinear_box_op(half=1.0):
     G = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return SaddleOperator(phi=lambda z: G @ z, domain=domain, lipschitz=1.0,
                           holder_nu=1.0, holder_l=1.0, linear_part=G,
-                          affine_part=np.zeros(2),
                           meta={"A": np.array([[1.0]]), "value": 0.0})
 
 
@@ -198,7 +197,7 @@ class TestUniversalMirrorProx:
     def test_skew_required_for_residual(self):
         op = bilinear_box_op()
         bad = SaddleOperator(phi=op.phi, domain=op.domain,
-                             linear_part=np.eye(2), affine_part=np.zeros(2))
+                             linear_part=np.eye(2))
         with pytest.raises(ValueError):
             saddle_gap(bad, np.zeros(2))
 

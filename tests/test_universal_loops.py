@@ -18,6 +18,8 @@ from mirropt.report import Report, RunTrace, TraceRow
 from mirropt.smoothing import (MAX_BACKTRACKS, agm_solve, alpha_root,
                                universal_agm, universal_conv_bound)
 
+from test_bench_cli import reference_check_bounds, verdict_bits
+
 
 # -- the separate loops, as they were -------------------------------------
 
@@ -356,10 +358,11 @@ class TestUniversalAgmStop:
             # the run ends at the first row that meets the stop
             assert (D / C <= eps / 2.0) == (row.k == rep.iterations)
         assert _bits(C) == _bits(rep.extras["C"])
-        verdicts = bench._check_bounds(rep, "universal_agm", problem,
-                                       "convex", eps)
+        verdicts = bench._check_bounds(rep)
         assert [v["k"] for v in verdicts] == list(range(1, rep.iterations + 1))
         assert all(v["ok"] for v in verdicts)
+        assert verdict_bits(verdicts) == verdict_bits(reference_check_bounds(
+            rep, "universal_agm", problem, "convex", eps))
 
     @pytest.mark.parametrize("build, eps, N", [
         (lambda: _bench("transport_dual", {"rows": 2, "cols": 3}, 9),
@@ -374,6 +377,9 @@ class TestUniversalAgmStop:
         assert rep.extras["stopped_adaptive"] is False
         assert_same_run(rep, reference_universal_agm(problem, setup, eps,
                                                      1.0, N))
+        assert verdict_bits(bench._check_bounds(rep)) == verdict_bits(
+            reference_check_bounds(rep, "universal_agm", problem, "convex",
+                                   eps))
 
 
 def _game(rows, cols, setup, seed=31):
