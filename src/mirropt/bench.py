@@ -3,8 +3,9 @@
 One JSON config describes one experiment: a problem (generator name, sizes,
 seed), a method with its parameters, and a prox setup choice.  The runner
 writes a trace CSV plus a summary JSON and can check the recorded theorem
-bounds.  Identical configs produce byte-identical CSVs; the elapsed_ns
-column is informational and excluded from the determinism hash.
+bounds.  Identical configs produce byte-identical CSVs, and the summary's
+``trace_sha256`` is the SHA-256 of the written file; the run's wall time is
+the summary's ``elapsed_ns``.
 """
 
 from __future__ import annotations
@@ -43,44 +44,36 @@ class ConfigError(ValueError):
 # "%.17g" for the floats, which also prints nan, inf, -inf and -0.
 _TEMPLATE = {c: "%d" if c in ("k", "oracle_calls", "elapsed_ns") else "%.17g"
              for c in TRACE_COLUMNS}
+_ROW = ",".join(_TEMPLATE.values()) + "\n"
+_CELLS = attrgetter(*TRACE_COLUMNS)
 _HEADER = (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
 # the columns of a RepeatSpan that count up from one row to the next
 _COUNTERS = ("k", "oracle_calls")
-# stands in for every elapsed_ns cell while one run's body is formatted;
-# no formatted number contains it
-_ELAPSED_MARK = "\x00"
 # most rows formatted at once, so serialization memory is O(chunk)
 _CHUNK_ROWS = 1 << 16
 
 
-def _chunks(trace, elapsed_cell=None):
+def _chunks(trace):
     """Header plus every row as ASCII chunks of at most ``_CHUNK_ROWS``
     rows.  A list of rows is formatted by one ``%`` over a flat tuple of
-    its cells.  With ``elapsed_cell`` every elapsed_ns cell is that string
-    instead of the row's value."""
-    template, cols = dict(_TEMPLATE), list(TRACE_COLUMNS)
-    if elapsed_cell is not None:
-        template["elapsed_ns"] = elapsed_cell
-        cols.remove("elapsed_ns")
-    row = ",".join(template.values()) + "\n"
+    its cells."""
     yield _HEADER
     for part in getattr(trace, "parts", [trace]):
         if isinstance(part, RepeatSpan):
-            yield from _span_chunks(part, template, cols)
+            yield from _span_chunks(part)
             continue
         rows = iter(part)
         while batch := list(islice(rows, _CHUNK_ROWS)):
-            cells = tuple(chain.from_iterable(map(attrgetter(*cols), batch)))
-            yield ((row * len(batch)) % cells).encode("ascii")
+            cells = tuple(chain.from_iterable(map(_CELLS, batch)))
+            yield ((_ROW * len(batch)) % cells).encode("ascii")
 
 
-def _span_chunks(span, template, cols):
+def _span_chunks(span):
     """A RepeatSpan's rows: its shared cells formatted once, its counters
     written as digits into a uint8 row matrix.  A chunk ends where either
     counter gains a digit, so each has one row width.  ``RunTrace.repeat``
     keeps the counters ints below 2**63, so int64 holds them."""
-    cells = {c: template[c] % getattr(span.row, c) if c in cols
-             else template[c] for c in TRACE_COLUMNS}
+    cells = {c: _TEMPLATE[c] % getattr(span.row, c) for c in TRACE_COLUMNS}
     first = {c: getattr(span.row, c) for c in _COUNTERS}
     step = {"k": 1, "oracle_calls": span.calls_step}
     start = 0
@@ -118,31 +111,27 @@ def _counted_rows(line, n, counters):
     return rows.tobytes()
 
 
-def _stream(trace, path=None, elapsed_ns=0):
-    """The trace hash, from one format pass that also writes the CSV, with
-    every elapsed_ns cell ``elapsed_ns``, to ``path`` when one is given."""
+def _stream(trace, path=None):
+    """The trace hash, from one format pass that also writes the same bytes
+    to ``path`` when one is given."""
     digest = hashlib.sha256()
-    mark, stamp = _ELAPSED_MARK.encode("ascii"), b"%d" % elapsed_ns
     with contextlib.nullcontext() if path is None else open(path, "wb") as fh:
-        for chunk in _chunks(trace, _ELAPSED_MARK):
-            digest.update(chunk.replace(mark, b"0"))
+        for chunk in _chunks(trace):
+            digest.update(chunk)
             if fh is not None:
-                fh.write(chunk.replace(mark, stamp))
+                fh.write(chunk)
             del chunk   # freed before the next chunk is formatted
     return digest.hexdigest()
 
 
-def trace_csv_text(trace, elapsed_ns=None):
+def trace_csv_text(trace):
     """CSV body with the fixed header; LF endings, '.' decimal, 17 digits.
-    ``elapsed_ns``, when given, fills every row's elapsed_ns cell.  It
-    builds the whole text, for inspection and tests; the runner streams."""
-    cell = None if elapsed_ns is None else "%d" % elapsed_ns
-    return b"".join(_chunks(trace, cell)).decode("ascii")
+    It builds the whole text, for tests and inspection; the runner streams."""
+    return b"".join(_chunks(trace)).decode("ascii")
 
 
 def trace_hash(trace):
-    """SHA-256 of the CSV serialization with elapsed_ns forced to zero,
-    computed one chunk at a time."""
+    """SHA-256 of the CSV serialization, computed one chunk at a time."""
     return _stream(trace)
 
 
@@ -459,12 +448,22 @@ def _coerce(params, required, optional):
 # the runner
 # ---------------------------------------------------------------------------
 
+def _known(where, params, allowed):
+    """Refuse the first key of ``params`` that is not in ``allowed``: a
+    misspelt key would otherwise leave its default in force unseen."""
+    for key in params:
+        if key not in allowed:
+            raise ConfigError(f"unknown {where} key '{key}'; allowed: "
+                              + ", ".join(sorted(allowed)))
+
+
 def _validate(config):
     """Names, kinds, seed and setup of a config, checked before anything
     is built.  Returns the names, the seed and the coerced setup; a ``vi``
     problem ignores the setup."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    _known("config", config, ("seed", "problem", "method", "setup"))
     for key in ("problem", "method"):
         if not isinstance(config.get(key), dict):
             raise ConfigError(f"config needs a '{key}' object")
@@ -478,11 +477,14 @@ def _validate(config):
     if not isinstance(mname, str) or mname not in METHODS:
         raise ConfigError(f"unknown method '{mname}'; available: "
                           + ", ".join(sorted(METHODS)))
+    kinds, required, optional, _ = _METHODS[mname]
+    _known("method", config["method"], ("name", *required, *optional))
     pkind = _PROBLEM_KINDS[pname]
-    if pkind not in _METHODS[mname][0]:
+    if pkind not in kinds:
         raise ConfigError(f"method '{mname}' does not apply to '{pname}', "
                           f"a {pkind} problem")
     seed = _coerce(config, {"seed": integer}, {})["seed"]
+    _known("setup", config.get("setup", {}), ("kind", "theta0_sq", "origin"))
     if pkind == "vi":
         return pname, mname, seed, None
     setup = _coerce(config.get("setup", {}), {},
@@ -528,8 +530,7 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    digest = _stream(trace, None if out is None else out / f"{stem}_trace.csv",
-                     elapsed)
+    digest = _stream(trace, None if out is None else out / f"{stem}_trace.csv")
 
     verdicts = _check_bounds(report) if check_bounds else []
     all_ok = all(v["ok"] for v in verdicts)
@@ -543,7 +544,9 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
         "trace_rows": len(trace),
         "trace_sha256": digest,
         "bounds_checked": len(verdicts),
-        "bounds_ok": bool(all_ok),
+        # null when nothing was checked: no verdict is not a passed one
+        "bounds_ok": all_ok if verdicts else None,
+        "elapsed_ns": elapsed,
     }
     if kind == "vi":
         summary["final_gap"] = report.f_out
@@ -568,5 +571,5 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
             json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
             + "\n", newline="\n")
 
-    code = 0 if (not check_bounds or all_ok) else 3
+    code = 0 if all_ok else 3
     return code, summary

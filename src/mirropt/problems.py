@@ -128,71 +128,48 @@ def transport_dual_lp_optimum(instance):
 # Truss topology design dual
 # ---------------------------------------------------------------------------
 
-def _grid_positions(nodes):
-    """Node coordinates of a width-2 column grid (left column anchored)."""
-    pos = []
-    r = 0
-    while len(pos) < nodes:
-        pos.append((r, 0.0))
-        if len(pos) < nodes:
-            pos.append((r, 1.0))
-        r += 1
-    return pos
-
-
 def gen_ttd_dual(nodes, bars, seed, box_half_width=2.0):
     """Dual of a 2D grid truss: maximize <f_bar, y> under |<a_i, y>| <= 1.
 
     Returned as the minimization of f(y) = -<f_bar, y> with the constraint
-    bundle of 2*bars linear pieces.  Nodes in the leftmost grid column are
-    anchored (their displacement dofs are removed), every row a_i has at most
-    4 nonzeros.
+    bundle of 2*bars linear pieces.  Node i = 2r + c sits at (r, c), two to
+    a grid column; the nodes of the leftmost column are anchored (their
+    displacement dofs are removed), so free node i has the dofs 2(i - 2) and
+    2(i - 2) + 1.  Every row a_i has at most 4 nonzeros.
     """
     if bars < 1:
         raise ValueError("bars must be >= 1")
-    rng = np.random.default_rng(seed)
-    pos = _grid_positions(nodes)
-    anchored = [i for i, (r, cc) in enumerate(pos) if r == 0]
-    free = [i for i in range(nodes) if i not in anchored]
-    if not free:
+    if nodes < 3:
         raise ValueError("need at least one free node")
-    dof = {node: (2 * k, 2 * k + 1) for k, node in enumerate(free)}
-    dim = 2 * len(free)
+    rng = np.random.default_rng(seed)
+    dim = 2 * (nodes - 2)
 
-    # candidate bars: all pairs at distance <= sqrt(2) with a free endpoint
-    cand = []
-    for p in range(nodes):
-        for q in range(p + 1, nodes):
-            dx = pos[q][0] - pos[p][0]
-            dy = pos[q][1] - pos[p][1]
-            if dx * dx + dy * dy <= 2.0 + 1e-12 and (p in dof or q in dof):
-                cand.append((p, q))
-    if not cand:
-        raise ValueError("no candidate bars for this grid")
+    # candidate bars: the pairs p < q at distance <= sqrt(2) with a free
+    # endpoint, in order.  Node p's forward neighbours are its column mate
+    # p + 1 when p is even and both nodes of the next column; q >= 2 is free.
+    cand = [(p, q) for p in range(nodes)
+            for q in [p + 1] * (p % 2 == 0) + [p - p % 2 + 2, p - p % 2 + 3]
+            if 2 <= q < nodes]
     if bars >= len(cand):
         chosen = list(range(len(cand)))
     else:
         chosen = sorted(rng.choice(len(cand), size=bars, replace=False))
 
-    rows = []
-    for idx in chosen:
+    rows = np.zeros((len(chosen), dim))
+    for a, idx in zip(rows, chosen):
         p, q = cand[idx]
-        d = np.array([pos[q][0] - pos[p][0], pos[q][1] - pos[p][1]])
+        d = np.array([q // 2 - p // 2, q % 2 - p % 2], dtype=float)
         d = d / np.linalg.norm(d)
-        a = np.zeros(dim)
-        if p in dof:
-            a[dof[p][0]], a[dof[p][1]] = -d[0], -d[1]
-        if q in dof:
-            a[dof[q][0]], a[dof[q][1]] = d[0], d[1]
-        rows.append(a)
-    rows = np.array(rows)
+        if p >= 2:
+            a[2 * p - 4:2 * p - 2] = -d
+        a[2 * q - 4:2 * q - 2] = d
 
     # external force at one random free node
     f_bar = np.zeros(dim)
-    node = free[rng.integers(len(free))]
+    k = rng.integers(nodes - 2)
     angle = rng.uniform(0, 2 * np.pi)
-    f_bar[dof[node][0]] = np.cos(angle)
-    f_bar[dof[node][1]] = np.sin(angle)
+    f_bar[2 * k] = np.cos(angle)
+    f_bar[2 * k + 1] = np.sin(angle)
 
     return make_ttd_instance(rows, f_bar, box_half_width)
 

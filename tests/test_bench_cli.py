@@ -287,7 +287,7 @@ def _run_in_process(configs, script=_PROCESS_RUN, **env):
     return json.loads(run.stdout)
 
 
-def reference_csv(trace, elapsed_ns=None):
+def reference_csv(trace):
     """The per-cell formatter the one-pass row template replaced."""
     def fmt(col, x):
         if col in ("k", "oracle_calls", "elapsed_ns"):
@@ -301,9 +301,8 @@ def reference_csv(trace, elapsed_ns=None):
 
     lines = [",".join(TRACE_COLUMNS)]
     for row in trace:
-        lines.append(",".join(
-            fmt(col, elapsed_ns if col == "elapsed_ns" and elapsed_ns
-                is not None else getattr(row, col)) for col in TRACE_COLUMNS))
+        lines.append(",".join(fmt(col, getattr(row, col))
+                              for col in TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -415,7 +414,8 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     @pytest.mark.parametrize("setup", [{"theta0_sq": "abc"},
-                                       {"kind": "bogus"}, {"origin": "x"}])
+                                       {"kind": "bogus"}, {"origin": "x"},
+                                       {"origen": [0.0, 0.0]}])
     def test_setup_checked_before_build(self, monkeypatch, setup):
         # toy_lp's generator solves an LP for f_star
         calls = []
@@ -601,6 +601,27 @@ def checked_run(monkeypatch, cfg):
 
 CHECKED_CONFIGS = {**METHOD_CONFIGS, "ttd_switching": TTD_SWITCHING, **GAMES,
                    **EXTRA_CONFIGS}
+# the golden configs whose Report has no bound and lists no check: Shor's
+# method has none, and the other two run on all of R^n, which has no theta0_sq
+CERTIFY_NOTHING = {"shor", "universal_agm", "adaptive_md_exact"}
+
+
+@pytest.mark.parametrize("name", CHECKED_CONFIGS)
+def test_written_trace_is_the_hashed_bytes(tmp_path, name):
+    """The summary's trace_sha256 is the SHA-256 of the written trace file,
+    the run's wall time is its elapsed_ns, and a run with nothing to check
+    says so with bounds_ok null, not true."""
+    code, summary = run_experiment(CHECKED_CONFIGS[name], out_dir=tmp_path,
+                                   check_bounds=True, stem=name)
+    written = (tmp_path / f"{name}_trace.csv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == summary["trace_sha256"]
+    assert type(summary["elapsed_ns"]) is int and summary["elapsed_ns"] >= 0
+    assert json.loads((tmp_path / f"{name}_summary.json").read_text()) == \
+        summary
+    assert code == 0
+    certifies = name not in CERTIFY_NOTHING
+    assert (summary["bounds_checked"] > 0) == certifies
+    assert summary["bounds_ok"] is (True if certifies else None)
 
 
 @pytest.mark.parametrize("name", CHECKED_CONFIGS)
@@ -665,6 +686,34 @@ def test_perfbench_points_resolve(monkeypatch):
     assert missing == []
 
 
+def test_perfbench_observers_read_the_reports(monkeypatch):
+    """perfbench's tracer reads ``productive``, ``iterations`` and
+    ``inner_trials`` off a switching and a universal method's Report, so a
+    Report without them would fail only when ``--trace 1`` runs."""
+    tracer = _perfbench_module("tracer")
+    observers = {attr: options["observe"] for owner, attr, _, *opts
+                 in tracer._patch_points() for options in opts
+                 if "observe" in options}
+    rec = tracer.SpanRecorder()
+    for name, owner, solver in (
+            ("constrained_nonsmooth", constrained,
+             "solve_constrained_nonsmooth"),
+            ("universal_agm", smoothing, "universal_agm")):
+        reports = []
+        solve = getattr(owner, solver)
+        monkeypatch.setattr(owner, solver,
+                            lambda *a, solve=solve: reports.append(solve(*a))
+                            or reports[-1])
+        run_experiment(METHOD_CONFIGS[name])
+        report, = reports
+        for attr in ("productive", "iterations", "inner_trials"):
+            assert hasattr(report, attr)
+        observers[solver](rec, (), report)
+    counted = {key for _, key in rec.counters}
+    assert counted == {"constrained.productive", "constrained.iterations",
+                       "smoothing.trials", "smoothing.trial_iters"}
+
+
 @pytest.mark.parametrize("name", METHOD_CONFIGS)
 def test_runner_calls_the_patched_solver(monkeypatch, name):
     """Every method reaches exactly one of the solver functions perfbench
@@ -724,14 +773,11 @@ class TestTraceSerialization:
                  oracle_calls=np.float64(5.0), bound_value=np.float32(0.1)),
     ]
 
-    @pytest.mark.parametrize("elapsed_ns", [None, 0, 987654321])
-    def test_edge_rows_match_reference(self, elapsed_ns):
-        assert trace_csv_text(self.EDGE_ROWS, elapsed_ns=elapsed_ns) == \
-            reference_csv(self.EDGE_ROWS, elapsed_ns)
+    def test_edge_rows_match_reference(self):
+        assert trace_csv_text(self.EDGE_ROWS) == reference_csv(self.EDGE_ROWS)
         assert trace_csv_text([]) == reference_csv([])
 
-    @pytest.mark.parametrize("elapsed_ns", [None, 0, 987654321])
-    def test_repeated_spans_match_reference(self, elapsed_ns):
+    def test_repeated_spans_match_reference(self):
         # spans that share each edge row's odd cells, a span of one, one
         # with a constant counter, and plain rows between and after them
         trace = RunTrace()
@@ -744,11 +790,10 @@ class TestTraceSerialization:
         trace.repeat(TraceRow(0, 1.0), 0, 1)
         assert sum(isinstance(p, RepeatSpan) for p in trace.parts) == \
             2 * len(self.EDGE_ROWS)
-        text = trace_csv_text(trace, elapsed_ns=elapsed_ns)
+        text = trace_csv_text(trace)
         rows = list(trace)          # builds the spans' rows
         assert len(rows) == len(trace) and len(trace.parts) == 1
-        assert text == reference_csv(rows, elapsed_ns) == \
-            trace_csv_text(trace, elapsed_ns=elapsed_ns)
+        assert text == reference_csv(rows) == trace_csv_text(trace)
         assert [r.oracle_calls - rows[0].oracle_calls for r in rows[:3]] == \
             [0, 0, 0]
         assert [r.k for r in rows[:3]] == [0, 1, 2]
@@ -790,8 +835,8 @@ class TestTraceSerialization:
         trace = RunTrace()
         trace.repeat(TraceRow(2**63 - 3, 1.0, oracle_calls=2.0**62), 3,
                      2**61 - 1)
-        text = trace_csv_text(trace, 0)
-        assert text == reference_csv(list(trace), 0)
+        text = trace_csv_text(trace)
+        assert text == reference_csv(list(trace))
         assert text.splitlines()[-1].startswith(f"{2**63 - 1},")
 
     @settings(max_examples=20, deadline=None)
@@ -802,12 +847,11 @@ class TestTraceSerialization:
                bench._CHUNK_ROWS // 2, 1)])
     def test_mixed_traces_match_reference(self, parts):
         trace = build_trace(parts)
-        texts = {e: trace_csv_text(trace, e) for e in (None, 0, 10**18 + 1)}
+        text = trace_csv_text(trace)
         digest = trace_hash(trace)
         rows = list(trace)          # builds the spans' rows
-        for elapsed_ns, text in texts.items():
-            assert text == reference_csv(rows, elapsed_ns)
-        assert digest == hashlib.sha256(texts[0].encode("ascii")).hexdigest()
+        assert text == reference_csv(rows)
+        assert digest == hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def test_list_trace_longer_than_a_chunk(self, tmp_path):
         N = 70_000
@@ -818,11 +862,11 @@ class TestTraceSerialization:
         trace = subgradient.run_fixed_md(problem, setup, 1.0, 1.0, N).trace
         assert len(trace) > bench._CHUNK_ROWS and len(trace.parts) == 1
         _, summary = run_experiment(cfg, out_dir=tmp_path, stem="long")
-        written = (tmp_path / "long_trace.csv").read_bytes().decode("ascii")
-        elapsed = int(written.splitlines()[1].split(",")[
-            TRACE_COLUMNS.index("elapsed_ns")])
-        assert written == reference_csv(trace, elapsed)
-        assert summary["trace_sha256"] == trace_hash(trace)
+        written = (tmp_path / "long_trace.csv").read_bytes()
+        assert written.decode("ascii") == trace_csv_text(trace) == \
+            reference_csv(trace)
+        assert hashlib.sha256(written).hexdigest() == \
+            summary["trace_sha256"] == trace_hash(trace)
 
     def test_trace_hash_memory_is_per_chunk(self):
         def peak(count):
@@ -846,19 +890,16 @@ class TestTraceSerialization:
         setup = bench._make_setup(problem, None)
         trace = constrained.solve_constrained_nonsmooth(
             problem, setup, cfg["method"]["eps"]).trace
-        zero = reference_csv(trace, 0)
-        for elapsed_ns in (None, 0, 123456789):
-            assert trace_csv_text(trace, elapsed_ns) == \
-                reference_csv(trace, elapsed_ns)
+        text = reference_csv(trace)
+        assert trace_csv_text(trace) == text
         assert trace_hash(trace) == \
-            hashlib.sha256(zero.encode("ascii")).hexdigest()
+            hashlib.sha256(text.encode("ascii")).hexdigest()
         # the runner's file and hash come from the same rows
         _, summary = run_experiment(cfg, out_dir=tmp_path, stem="ttd")
-        written = (tmp_path / "ttd_trace.csv").read_text()
-        elapsed = int(written.splitlines()[1].split(",")[
-            TRACE_COLUMNS.index("elapsed_ns")])
-        assert written == reference_csv(trace, elapsed)
-        assert summary["trace_sha256"] == trace_hash(trace)
+        written = (tmp_path / "ttd_trace.csv").read_bytes()
+        assert written.decode("ascii") == trace_csv_text(trace) == text
+        assert hashlib.sha256(written).hexdigest() == \
+            summary["trace_sha256"] == trace_hash(trace)
 
 
 class TestCli:
@@ -1061,6 +1102,13 @@ class TestCli:
         ({"seed": 1, "problem": {"generator": "quadratic_box"},
           "method": {"name": "universal_agm", "eps": 0.0, "L0": 1.0,
                      "N": 5}}, "eps must be finite and positive"),
+        (fixed_md_config(method={"name": "fixed_md", "R": 1.0, "M": 1.0,
+                                 "N": 4, "l": 2}), "unknown method key 'l'"),
+        (fixed_md_config(setup={"origen": [0.0]}),
+         "unknown setup key 'origen'"),
+        ({**game_config(), "setup": {"kind": "entropy", "scale": 2}},
+         "unknown setup key 'scale'"),
+        (fixed_md_config(seeds=3), "unknown config key 'seeds'"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
             "M-not-float", "L-not-float", "x0-not-vector",
@@ -1074,7 +1122,9 @@ class TestCli:
             "M-minus-inf", "R-null", "eps-bool", "half_width-nan",
             "origin-null", "origin-nan", "origin-inf", "x0-null",
             "mirror_prox-N-negative", "ump-N-negative", "ump-M_init-0",
-            "agm-N-negative", "agm-L-negative", "uagm-eps-0"])
+            "agm-N-negative", "agm-L-negative", "uagm-eps-0",
+            "method-key-unknown", "setup-key-unknown", "vi-setup-key-unknown",
+            "top-level-key-unknown"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
                                               names):
         """A malformed config, an empty game included, a null, bool,
@@ -1119,6 +1169,14 @@ class TestCli:
         with open(tmp_path / "cfg_trace.csv", newline="") as fh:
             assert [float(r["f_value"]) for r in csv.DictReader(fh)] == \
                 [0.0] * 20
+
+    def test_unchecked_run_is_null(self, tmp_path, capsys):
+        """A run without --check-bounds exits 0 with bounds_ok null: it
+        passed no check."""
+        p = self.write(tmp_path, fixed_md_config())
+        assert main(["solve", "--config", str(p)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["bounds_checked"] == 0 and out["bounds_ok"] is None
 
     def test_summary_is_strict_json(self, tmp_path, capsys):
         """A run without a gap (N = 0) writes null for it: the summary file

@@ -141,7 +141,65 @@ class TestTransportDual:
         assert rep.f_out - prob.f_star <= 0.2
 
 
+def reference_ttd_rows(nodes, bars, seed):
+    """The bar rows and force of ``gen_ttd_dual`` as built by its first,
+    O(nodes**2) scan over every node pair."""
+    rng = np.random.default_rng(seed)
+    pos = []
+    r = 0
+    while len(pos) < nodes:
+        pos.append((r, 0.0))
+        if len(pos) < nodes:
+            pos.append((r, 1.0))
+        r += 1
+    anchored = [i for i, (r, cc) in enumerate(pos) if r == 0]
+    free = [i for i in range(nodes) if i not in anchored]
+    dof = {node: (2 * k, 2 * k + 1) for k, node in enumerate(free)}
+    dim = 2 * len(free)
+    cand = []
+    for p in range(nodes):
+        for q in range(p + 1, nodes):
+            dx = pos[q][0] - pos[p][0]
+            dy = pos[q][1] - pos[p][1]
+            if dx * dx + dy * dy <= 2.0 + 1e-12 and (p in dof or q in dof):
+                cand.append((p, q))
+    if bars >= len(cand):
+        chosen = list(range(len(cand)))
+    else:
+        chosen = sorted(rng.choice(len(cand), size=bars, replace=False))
+    rows = []
+    for idx in chosen:
+        p, q = cand[idx]
+        d = np.array([pos[q][0] - pos[p][0], pos[q][1] - pos[p][1]])
+        d = d / np.linalg.norm(d)
+        a = np.zeros(dim)
+        if p in dof:
+            a[dof[p][0]], a[dof[p][1]] = -d[0], -d[1]
+        if q in dof:
+            a[dof[q][0]], a[dof[q][1]] = d[0], d[1]
+        rows.append(a)
+    f_bar = np.zeros(dim)
+    node = free[rng.integers(len(free))]
+    angle = rng.uniform(0, 2 * np.pi)
+    f_bar[dof[node][0]] = np.cos(angle)
+    f_bar[dof[node][1]] = np.sin(angle)
+    return np.array(rows), f_bar
+
+
 class TestTtd:
+    @pytest.mark.parametrize("nodes, bars", [
+        (3, 1), (3, 5), (4, 2), (5, 6), (6, 8), (7, 30), (10, 20), (40, 120),
+        (41, 1), (101, 250)])
+    def test_rows_match_the_pair_scan(self, nodes, bars):
+        for seed in range(3):
+            prob = gen_ttd_dual(nodes, bars, seed)
+            rows, f_bar = reference_ttd_rows(nodes, bars, seed)
+            assert prob.meta["rows"].tobytes() == rows.tobytes()
+            assert prob.meta["rows"].shape == rows.shape
+            assert prob.meta["f_bar"].tobytes() == f_bar.tobytes()
+            assert prob.x_star.tobytes() == \
+                make_ttd_instance(rows, f_bar).x_star.tobytes()
+
     def test_sparsity(self):
         for seed in range(5):
             prob = gen_ttd_dual(6, 8, seed)

@@ -234,8 +234,7 @@ def assert_same_run(rep, ref):
     """Trace CSV, output, counts, bound, gap, the exact-stop flag, the
     violations, min_dist and every extra are the reference's, byte for
     byte."""
-    assert trace_csv_text(rep.trace, elapsed_ns=0) == \
-        trace_csv_text(ref.trace, elapsed_ns=0)
+    assert trace_csv_text(rep.trace) == trace_csv_text(ref.trace)
     assert rep.x_out.tobytes() == ref.x_out.tobytes()
     for name in ("f_out", "iterations", "oracle_calls", "bound", "gap",
                  "stopped_exact", "violations", "min_dist"):

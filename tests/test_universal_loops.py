@@ -244,8 +244,7 @@ def _bits(value):
 def assert_same_run(rep, ref):
     """Trace CSV, output, counts, bound, gap, every extra the reference
     reports and its trial counts are the reference's, byte for byte."""
-    assert trace_csv_text(rep.trace, elapsed_ns=0) == \
-        trace_csv_text(ref.trace, elapsed_ns=0)
+    assert trace_csv_text(rep.trace) == trace_csv_text(ref.trace)
     assert rep.x_out.tobytes() == ref.x_out.tobytes()
     for name in ("f_out", "iterations", "oracle_calls", "bound", "gap"):
         assert _bits(getattr(rep, name)) == _bits(getattr(ref, name)), name
