@@ -191,21 +191,24 @@ def _size(params, name, default):
 
 
 # generator name -> builder(params, seed) returning (problem, kind), with
-# kind "convex", "constrained" or "vi".  _PROBLEM_KINDS keeps the kinds, so
-# a method is matched to its problem before the build, which may run an LP.
+# kind "convex", "constrained" or "vi".  _PROBLEM_KINDS keeps the kinds and
+# _PROBLEM_KEYS the parameters each builder reads, so a config is checked
+# against its problem before the build, which may run an LP.
 PROBLEMS = {}
 _PROBLEM_KINDS = {}
+_PROBLEM_KEYS = {}
 
 
-def _problem(name, kind):
+def _problem(name, kind, keys):
     def register(build):
         _PROBLEM_KINDS[name] = kind
+        _PROBLEM_KEYS[name] = keys
         PROBLEMS[name] = lambda params, seed: (build(params, seed), kind)
         return build
     return register
 
 
-@_problem("abs_value", "convex")
+@_problem("abs_value", "convex", ("dim",))
 def _build_abs_value(params, seed):
     n = _size(params, "dim", 1)
     oracle = FunctionOracle(lambda x: np.abs(x).sum(), np.sign)
@@ -215,7 +218,7 @@ def _build_abs_value(params, seed):
         meta={"holder": (0.0, 2.0 * math.sqrt(n))})
 
 
-@_problem("quadratic_box", "convex")
+@_problem("quadratic_box", "convex", ("dim",))
 def _build_quadratic_box(params, seed):
     n = _size(params, "dim", 4)
     rng = np.random.default_rng(seed)
@@ -229,7 +232,7 @@ def _build_quadratic_box(params, seed):
         meta={"holder": (1.0, 1.0), "L": 1.0, "mu": 1.0})
 
 
-@_problem("simplex_linear", "convex")
+@_problem("simplex_linear", "convex", ("dim",))
 def _build_simplex_linear(params, seed):
     n = _size(params, "dim", 10)
     rng = np.random.default_rng(seed)
@@ -244,7 +247,7 @@ def _build_simplex_linear(params, seed):
         meta={"c": c})
 
 
-@_problem("toy_lp", "constrained")
+@_problem("toy_lp", "constrained", ("dim", "pieces"))
 def _build_toy_lp(params, seed):
     """Linear objective over a box with linear inequality constraints and a
     Slater point at the origin; f_star from an LP oracle."""
@@ -268,7 +271,7 @@ def _build_toy_lp(params, seed):
         meta={"c": c, "A": A, "b": b})
 
 
-@_problem("max_residual", "convex")
+@_problem("max_residual", "convex", ("rows", "cols"))
 def _build_max_residual(params, seed):
     """f(x) = ||A x - b||_inf over the box [-1, 1]^n with f_star from an LP."""
     m = _size(params, "rows", 8)
@@ -300,7 +303,7 @@ def _build_max_residual(params, seed):
         meta={"A": A, "b": b})
 
 
-@_problem("matrix_game", "vi")
+@_problem("matrix_game", "vi", ("A", "rows", "cols", "setup"))
 def _build_matrix_game(params, seed):
     if "A" in params:
         A = np.asarray(params["A"], dtype=float)
@@ -311,7 +314,7 @@ def _build_matrix_game(params, seed):
     return problems.gen_matrix_game(A, params.get("setup", "entropy"))
 
 
-@_problem("bilinear_box", "vi")
+@_problem("bilinear_box", "vi", ("half_width",))
 def _build_bilinear_box(params, seed):
     """Phi(x, u) = (u, -x) for the scalar game f(x, u) = x*u on [-1, 1]^2."""
     half = _coerce(params, {}, {"half_width": real}).get("half_width", 1.0)
@@ -324,13 +327,13 @@ def _build_bilinear_box(params, seed):
     return op
 
 
-@_problem("transport_dual", "convex")
+@_problem("transport_dual", "convex", ("rows", "cols"))
 def _build_transport_dual(params, seed):
     return problems.gen_transport_dual(_size(params, "rows", 3),
                                        _size(params, "cols", 3), seed)
 
 
-@_problem("ttd_dual", "constrained")
+@_problem("ttd_dual", "constrained", ("nodes", "bars"))
 def _build_ttd_dual(params, seed):
     return problems.gen_ttd_dual(_size(params, "nodes", 5),
                                  _size(params, "bars", 6), seed)
@@ -477,6 +480,7 @@ def _validate(config):
     if not isinstance(mname, str) or mname not in METHODS:
         raise ConfigError(f"unknown method '{mname}'; available: "
                           + ", ".join(sorted(METHODS)))
+    _known("problem", config["problem"], ("generator", *_PROBLEM_KEYS[pname]))
     kinds, required, optional, _ = _METHODS[mname]
     _known("method", config["method"], ("name", *required, *optional))
     pkind = _PROBLEM_KINDS[pname]

@@ -207,14 +207,15 @@ class ProxSetup:
 
     # -- mirror step -------------------------------------------------------
 
-    def mirror_step(self, x, p):
-        """argmin_{z in set} <p, z> + V[x](z)."""
+    def mirror_step(self, x, p, out=None):
+        """argmin_{z in set} <p, z> + V[x](z), written into ``out`` when one
+        is given: a float n-vector that may be x but must not be p."""
         x = _check_dim(self.dim, x)
         p = _check_dim(self.dim, p)
-        if self.kind == "entropy":
-            return self._step(x, p, np.empty(self.dim))
-        # Euclidean V[x](z) = 0.5*||z - x||^2 independent of the d-origin.
-        return self._project(x - p)
+        if out is None and self.kind == "euclidean":
+            # V[x](z) = 0.5*||z - x||^2 independent of the d-origin.
+            return self._project(x - p)
+        return self._step(x, p, np.empty(self.dim) if out is None else out)
 
     def _step(self, x, p, out):
         """The mirror step of checked x and p, written into ``out``."""
@@ -225,18 +226,18 @@ class ProxSetup:
             out -= out.max()
             np.exp(out, out=out)
             out *= self.set.scale / out.sum()
-        else:
-            out[...] = self._project(x - p)
+        else:   # a box clips in place; assigning out to itself is a no-op
+            out[...] = self._project(np.subtract(x, p, out=out), out)
         return out
 
-    def _project(self, y):
+    def _project(self, y, out=None):
         s = self.set
         if s.kind == "all":
             return y
         if s.kind == "box":
-            # np.clip without its wrapper; clipping y in place (out=y) doubled
-            # the page faults of n=1e5 runs and slowed their oracle calls
-            return y.clip(s.lower, s.upper)
+            # np.clip without its wrapper, into ``out`` when one is given,
+            # else into a new array: y may be the caller's
+            return y.clip(s.lower, s.upper, out=out)
         if s.kind == "ball":
             diff = y - s.center
             nrm = np.linalg.norm(diff)
@@ -338,11 +339,12 @@ class ProductSetup:
         return float(sum(p.bregman(bx, by) for (p, bx), (_, by)
                          in zip(self._blocks(x), self._blocks(y))))
 
-    def mirror_step(self, x, p):
-        """Each part's step, written into its slice of one array."""
+    def mirror_step(self, x, p, out=None):
+        """Each part's step, written into its slice of ``out`` (a new array
+        when None; it may be x but must not be p)."""
         x = _check_dim(self.dim, x)
         p = _check_dim(self.dim, p)
-        out = np.empty(self.dim)
+        out = np.empty(self.dim) if out is None else out
         for part, s in zip(self.parts, self._slices):
             part._step(x[s], p[s], out[s])
         return out

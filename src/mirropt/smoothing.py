@@ -9,6 +9,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
+from .geometry import _check_dim
 from .oracles import Counted, OracleResponse, require_positive
 from .report import Report, RunTrace, TraceRow
 
@@ -37,7 +38,10 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     with a known f* each row with a finite bound is a check of f(y_k) - f*.
     """
     f = Counted(problem.objective)
-    x0 = y = z = setup.prox_center()
+    x0 = y = setup.prox_center()
+    # the run's n-vectors, written in place; tmp is p, then y_try - x
+    z = y.copy()
+    x, y_try, z_try, cy, tmp = (np.empty_like(y) for _ in range(5))
     C = 0.0
     trace = RunTrace()
     inner_trials = []
@@ -46,29 +50,36 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
         else setup.max_bregman_from(x0)
     stopped = False
     for k in range(1, N + 1):
+        np.multiply(y, C, out=cy)   # C y, the same for every trial
         for i in range(1, (1 if eps is None else MAX_BACKTRACKS) + 1):
             M = L * 2.0 ** (i - 1)
             alpha = alpha_root(C, M)
             C_next = C + alpha
-            x = (alpha * z + C * y) / C_next
+            np.multiply(z, alpha, out=x)   # x = (alpha z + C y) / C_next
+            x += cy
+            x /= C_next
             rx = f(x)
             if not math.isfinite(rx.value):
                 raise RuntimeError("non-finite objective value")
-            z_try = setup.mirror_step(z, alpha * rx.subgradient)
-            y_try = (alpha * z_try + C * y) / C_next
+            np.multiply(_check_dim(tmp.size, rx.subgradient), alpha, out=tmp)
+            setup.mirror_step(z, tmp, out=z_try)
+            np.multiply(z_try, alpha, out=y_try)
+            y_try += cy
+            y_try /= C_next
             fy = f(y_try).value
             if not math.isfinite(fy):
                 raise RuntimeError("non-finite objective value")
             if eps is None:
                 break
-            if fy <= rx.value + float(rx.subgradient @ (y_try - x)) \
-                    + 0.5 * M * setup.norm(y_try - x) ** 2 \
+            np.subtract(y_try, x, out=tmp)
+            if fy <= rx.value + float(rx.subgradient @ tmp) \
+                    + 0.5 * M * setup.norm(tmp) ** 2 \
                     + alpha * eps / (2.0 * C_next):
                 break
         else:
             raise RuntimeError("backtracking failed to terminate; "
                                "oracle likely inconsistent")
-        z, y, C = z_try, y_try, C_next
+        z, z_try, y, y_try, C = z_try, z, y_try, y, C_next
         if eps is not None:
             L = M / 2.0
         inner_trials.append(i)

@@ -34,7 +34,9 @@ class _Descent:
         """Yield (k, answer, h_k, M_k) of up to N iterations, each before
         its step.  ``rule(k, g, M_k)`` gives h_k for the trace and the step
         vector, or None to stop at an exact optimum.  x^k is ``self.x``, not
-        yielded: a caller's loop variable would keep it alive like p below."""
+        yielded, and each step is written into the array of x^(k-1), so a
+        caller that keeps an iterate copies it."""
+        spare = np.empty_like(self.x)
         for k in range(N):
             x = self.x
             resp = self.f(x)
@@ -49,10 +51,7 @@ class _Descent:
             yield k, resp, h, M_k
             if p is None:
                 return
-            self.x = self.setup.mirror_step(x, p)
-            # an n-vector kept alive across the next oracle call makes the
-            # heap trim and regrow each iteration at large n
-            p = None
+            self.x, spare = self.setup.mirror_step(x, p, out=spare), x
 
     def report(self, method, x_out, f_out=None, **fields):
         """The run's Report; f(x_out) is evaluated unless f_out is given."""
@@ -67,11 +66,14 @@ class _Descent:
 
 
 def _scaled(step):
-    """The rule h_k g^k with h_k = step(k, M_k); None from step stops the
-    run, with h_k inf in the trace."""
+    """The rule h_k g^k with h_k = step(k, M_k), written into one array per
+    run; None from step stops the run, with h_k inf in the trace."""
+    p = None
     def rule(k, g, M_k):
+        nonlocal p
         h = step(k, M_k)
-        return (math.inf, None) if h is None else (h, h * g)
+        p = None if h is None else np.multiply(h, g, out=p)
+        return math.inf if h is None else h, p
     return rule
 
 
@@ -138,14 +140,14 @@ def run_adaptive_md(problem, setup, eps, N):
     _require(N, eps=eps)
     run = _Descent(problem, setup)
     steps = []
-    weighted = np.zeros_like(run.x)
+    weighted, scratch = np.zeros_like(run.x), np.empty_like(run.x)
     rule = _scaled(lambda k, M_k: None if M_k == 0.0 else eps / M_k**2)
     for _, _, h, _ in run.steps(N, rule):
         if run.stopped_exact:
             weighted, steps = run.x.copy(), [1.0]
         else:
             steps.append(h)
-            weighted += h * run.x
+            weighted += np.multiply(h, run.x, out=scratch)
     h_sum = float(np.sum(steps))
     r_sq = setup.theta0_sq
     if r_sq is None and problem.x_star is not None:
@@ -192,13 +194,14 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None):
     _require(N, mu=mu, **({} if M is None else {"M": M}))
     run = _Descent(problem, setup)
     m_obs = 0.0
-    weighted = np.zeros_like(run.x)
+    weighted, scratch = np.zeros_like(run.x), np.empty_like(run.x)
     wsum = N * (N + 1) / 2.0
     rule = _scaled(lambda k, M_k: 2.0 / (mu * (k + 1)))
     for k, _, _, M_k in run.steps(N, rule):
         m_obs = max(m_obs, M_k)
         if k:   # x^k, weight 2k/(N(N+1))
-            weighted += k * run.x / wsum
+            np.multiply(k, run.x, out=scratch)
+            weighted += np.divide(scratch, wsum, out=scratch)
     weighted += N * run.x / wsum
     return run.report("strongly_convex_md", weighted,
                       bound=2.0 * (m_obs if M is None else M)**2

@@ -1109,6 +1109,11 @@ class TestCli:
         ({**game_config(), "setup": {"kind": "entropy", "scale": 2}},
          "unknown setup key 'scale'"),
         (fixed_md_config(seeds=3), "unknown config key 'seeds'"),
+        ({"seed": 1, "problem": {"generator": "ttd_dual", "node": 40},
+          "method": {"name": "constrained_nonsmooth", "eps": 0.05}},
+         "unknown problem key 'node'"),
+        (game_config(rows=3, col=4),
+         "unknown problem key 'col'"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
             "M-not-float", "L-not-float", "x0-not-vector",
@@ -1124,7 +1129,8 @@ class TestCli:
             "mirror_prox-N-negative", "ump-N-negative", "ump-M_init-0",
             "agm-N-negative", "agm-L-negative", "uagm-eps-0",
             "method-key-unknown", "setup-key-unknown", "vi-setup-key-unknown",
-            "top-level-key-unknown"])
+            "top-level-key-unknown", "problem-key-unknown",
+            "vi-problem-key-unknown"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
                                               names):
         """A malformed config, an empty game included, a null, bool,

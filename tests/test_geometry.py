@@ -299,7 +299,44 @@ def product_case(draw):
             draw(vectors(prod.dim, min_value=-1e3, max_value=1e3)))
 
 
+@st.composite
+def any_step(draw):
+    """A setup of any kind with an x and a p: Euclidean all-space (nan and
+    inf included), box, ball or simplex, entropy, or a product of parts."""
+    kind = draw(st.sampled_from(["all", "box", "ball", "simplex", "entropy",
+                                 "product"]))
+    if kind == "box":
+        return draw(box_step())
+    if kind == "entropy":
+        return draw(entropy_step())
+    if kind == "product":
+        return draw(product_case())
+    n = draw(st.integers(1, 40))
+    if kind == "all":
+        return (euclidean_setup(FeasibleSet.all_space(n)), draw(vectors(n)),
+                draw(vectors(n)))
+    fs = (FeasibleSet.ball(np.linspace(-1.0, 1.0, n), 1.5) if kind == "ball"
+          else FeasibleSet.simplex(n, scale=2.0))
+    finite = vectors(n, min_value=-1e3, max_value=1e3)
+    return euclidean_setup(fs), draw(finite), draw(finite)
+
+
 class TestFastPaths:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(any_step(), st.booleans())
+    def test_step_into_out_is_the_allocating_step(self, case, into_x):
+        """mirror_step(x, p, out=buf) writes the bytes of mirror_step(x, p)
+        into buf and returns it, buf = x included, and leaves p alone."""
+        setup, x, p = case
+        ref = setup.mirror_step(x, p)
+        before = x.copy(), p.copy()
+        buf = x.copy() if into_x else np.full(setup.dim, np.nan)
+        got = setup.mirror_step(buf if into_x else x, p, out=buf)
+        assert got is buf
+        assert same_bits(buf, ref)
+        assert same_bits(x, before[0]) and same_bits(p, before[1])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan
     @settings(max_examples=300, deadline=None)
     @given(euclidean_and_vector())
