@@ -111,9 +111,10 @@ def _counted_rows(line, n, counters):
     return rows.tobytes()
 
 
-def _stream(trace, path=None):
-    """The trace hash, from one format pass that also writes the same bytes
-    to ``path`` when one is given."""
+def trace_hash(trace, path=None):
+    """SHA-256 of the CSV serialization, computed one chunk at a time, from
+    one format pass that also writes the same bytes to ``path`` when one is
+    given."""
     digest = hashlib.sha256()
     with contextlib.nullcontext() if path is None else open(path, "wb") as fh:
         for chunk in _chunks(trace):
@@ -128,11 +129,6 @@ def trace_csv_text(trace):
     """CSV body with the fixed header; LF endings, '.' decimal, 17 digits.
     It builds the whole text, for tests and inspection; the runner streams."""
     return b"".join(_chunks(trace)).decode("ascii")
-
-
-def trace_hash(trace):
-    """SHA-256 of the CSV serialization, computed one chunk at a time."""
-    return _stream(trace)
 
 
 def fit_rate(k, values):
@@ -534,7 +530,8 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    digest = _stream(trace, None if out is None else out / f"{stem}_trace.csv")
+    digest = trace_hash(trace,
+                        None if out is None else out / f"{stem}_trace.csv")
 
     verdicts = _check_bounds(report) if check_bounds else []
     all_ok = all(v["ok"] for v in verdicts)

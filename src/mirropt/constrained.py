@@ -7,7 +7,7 @@ general, possibly non-Lipschitz objectives.  Steps alternate between
 satisfied at level eps) and "non-productive" iterations driven by the
 constraint subgradient; the variants differ only in their productive steps.
 Once a step leaves x unchanged, every later iteration repeats the last one,
-and the loop does the rest of the run in bulk (see ``_step``).
+and the loop does the rest of the run in bulk (see ``_switching``).
 """
 
 from __future__ import annotations
@@ -41,22 +41,6 @@ def _iteration_bound(m_f, m_g, theta0_sq, eps):
     if m_f is None or m_g is None:
         return None
     return math.ceil(2.0 * max(m_f**2, m_g**2) * theta0_sq / eps**2)
-
-
-def _step(setup, x, p):
-    """The mirror step from x along p, and whether it moved x.
-
-    x is compared by raw bytes, so -0.0 against 0.0 counts as a move.  A
-    step that leaves x unchanged makes every later iteration query the
-    same point with the same eps: since an oracle is a deterministic
-    function of x, each of them gets the last answers, M_k and step again.
-    The loop then stops calling the oracles and the step and does the
-    remaining iterations' bookkeeping in bulk (``_stop_count``,
-    ``_add_repeated``, ``RunTrace.repeat``): the same float operations in
-    the same order, so every trace value and output is unchanged.
-    """
-    x_next = setup.mirror_step(x, p)
-    return x_next, x_next.tobytes() != x.tobytes()
 
 
 _BLOCK = 1 << 16        # floats per block of the bulk sums
@@ -109,6 +93,7 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
     f = Counted(problem.objective)
     g = Counted(lambda x: aggregate_max(problem.constraints, x))
     x = setup.prox_center()
+    spare = np.empty_like(x)    # x and spare are the run's iterate buffers
     trace = RunTrace()
     stop_target = 2.0 * theta0_sq / eps**2
     stop_sum = 0.0
@@ -116,7 +101,7 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
     lam_raw = np.zeros(len(problem.constraints))
     k = 0
     stationary_at = None
-    reused = 0      # answers counted as calls but reused (see _step)
+    reused = 0      # answers counted as calls but reused (the repeats)
     while True:
         g_resp = g(x)
         productive = g_resp.value <= eps
@@ -142,7 +127,12 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         k += 1
         if m_k == 0.0:      # a productive x with grad f = 0 is optimal
             break
-        x, moved = _step(setup, x, h_k * drive.subgradient)
+        x, spare = setup.mirror_step(x, h_k * drive.subgradient,
+                                     out=spare), x
+        # compared by bytes, so -0.0 against 0.0 is a move.  Oracles are
+        # deterministic: after an unmoved x every iteration gets the same
+        # answers, M_k and step, so their bookkeeping is done in bulk below
+        moved = x.tobytes() != spare.tobytes()
         stop_sum += term
         if stop_sum >= stop_target:
             break

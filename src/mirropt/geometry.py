@@ -212,9 +212,6 @@ class ProxSetup:
         is given: a float n-vector that may be x but must not be p."""
         x = _check_dim(self.dim, x)
         p = _check_dim(self.dim, p)
-        if out is None and self.kind == "euclidean":
-            # V[x](z) = 0.5*||z - x||^2 independent of the d-origin.
-            return self._project(x - p)
         return self._step(x, p, np.empty(self.dim) if out is None else out)
 
     def _step(self, x, p, out):
@@ -227,17 +224,17 @@ class ProxSetup:
             np.exp(out, out=out)
             out *= self.set.scale / out.sum()
         else:   # a box clips in place; assigning out to itself is a no-op
-            out[...] = self._project(np.subtract(x, p, out=out), out)
+            out[...] = self._project(np.subtract(x, p, out=out))
         return out
 
-    def _project(self, y, out=None):
+    def _project(self, y):
+        """The projection of y, an array the caller owns: a box clips y in
+        place (np.clip without its wrapper)."""
         s = self.set
         if s.kind == "all":
             return y
         if s.kind == "box":
-            # np.clip without its wrapper, into ``out`` when one is given,
-            # else into a new array: y may be the caller's
-            return y.clip(s.lower, s.upper, out=out)
+            return y.clip(s.lower, s.upper, out=y)
         if s.kind == "ball":
             diff = y - s.center
             nrm = np.linalg.norm(diff)
@@ -332,13 +329,6 @@ class ProductSetup:
     def dual_norm(self, g):
         return math.sqrt(sum(p.dual_norm(b) ** 2 for p, b in self._blocks(g)))
 
-    def d(self, z):
-        return float(sum(p.d(b) for p, b in self._blocks(z)))
-
-    def bregman(self, x, y):
-        return float(sum(p.bregman(bx, by) for (p, bx), (_, by)
-                         in zip(self._blocks(x), self._blocks(y))))
-
     def mirror_step(self, x, p, out=None):
         """Each part's step, written into its slice of ``out`` (a new array
         when None; it may be x but must not be p)."""
@@ -355,9 +345,6 @@ class ProductSetup:
 
     def prox_center(self):
         return np.concatenate([p.prox_center() for p in self.parts])
-
-    def max_d(self):
-        return float(sum(p.max_d() for p in self.parts))
 
     def max_bregman_from(self, x0):
         return float(sum(p.max_bregman_from(b) for p, b in self._blocks(x0)))

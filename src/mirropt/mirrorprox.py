@@ -32,6 +32,7 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
     """
     phi = Counted(op)
     z = setup.prox_center()
+    w, z_next = np.empty_like(z), np.empty_like(z)     # the steps' run arrays
     d_max = setup.max_bregman_from(z)
     weighted = np.zeros_like(z)
     phi_weighted = np.zeros_like(z)
@@ -44,11 +45,12 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
         phi_z = phi(z)
         for i in range(1, (1 if eps is None else MAX_INNER_TRIALS + 1) + 1):
             M = L * 2.0 ** (i - 1)
-            w = setup.mirror_step(z, phi_z / M)
+            # Phi / M is a temporary, so that mirror_step checks its shape
+            setup.mirror_step(z, phi_z / M, out=w)
             phi_w = phi(w)
             if op.linear_part is None and not np.isfinite(phi_w).all():
                 raise RuntimeError("non-finite objective value")
-            z_next = setup.mirror_step(z, phi_w / M)
+            setup.mirror_step(z, phi_w / M, out=z_next)
             if eps is None:
                 break
             lhs = float((phi_w - phi_z) @ (w - z_next))
@@ -60,7 +62,7 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
         else:
             raise RuntimeError("inner doubling exceeded the cap; operator "
                                "likely non-Hoelder or oracle inconsistent")
-        z = z_next
+        z, z_next = z_next, z
         inner_trials.append(i)
         weight = 1.0 if eps is None else M
         weighted += w / weight

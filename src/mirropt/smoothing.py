@@ -32,10 +32,15 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     is a known Lipschitz constant and the one trial is accepted unchecked.
     Otherwise L_1 = L, a trial is accepted once the inexact descent condition
     with slack alpha*eps/(2C) holds (at most MAX_BACKTRACKS trials) and
-    L_{k+1} = M_k / 2; on a compact set the run stops once D / C_k <= eps/2,
-    with D = max_y V[x^0](y) (Nesterov 2015).  ``bound(v0, k)`` gives row k's
-    guarantee when x_star is known, else D / C_k + eps/2 does if D is known;
-    with a known f* each row with a finite bound is a check of f(y_k) - f*.
+    L_{k+1} = max(M_k / 2, L_min); on a compact set the run stops once
+    D / C_k <= eps/2, with D = max_y V[x^0](y) (Nesterov 2015).  As
+    C_{k+1} = M alpha^2, sqrt(C_{k+1}) - sqrt(C_k) <= 1/sqrt(M): with
+    L_min = (N+1)^2 2^-1000 the iterations after the first add less than
+    2^500 to sqrt(C), so C and alpha stay far from overflow (2^1024) even
+    where f is flat on all space and M_k / 2 alone would halve toward 0.
+    ``bound(v0, k)`` gives row k's guarantee when x_star is known, else
+    D / C_k + eps/2 does if D is known; with a known f* each row with a
+    finite bound is a check of f(y_k) - f*.
     """
     f = Counted(problem.objective)
     x0 = y = setup.prox_center()
@@ -49,6 +54,7 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     D = None if eps is None or setup.set.kind == "all" \
         else setup.max_bregman_from(x0)
     stopped = False
+    L_min = (N + 1) ** 2 * 2.0 ** -1000
     for k in range(1, N + 1):
         np.multiply(y, C, out=cy)   # C y, the same for every trial
         for i in range(1, (1 if eps is None else MAX_BACKTRACKS) + 1):
@@ -81,7 +87,7 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
                                "oracle likely inconsistent")
         z, z_try, y, y_try, C = z_try, z, y_try, y, C_next
         if eps is not None:
-            L = M / 2.0
+            L = max(M / 2.0, L_min)
         inner_trials.append(i)
         stopped = D is not None and D / C <= eps / 2.0
         trace.append(TraceRow(

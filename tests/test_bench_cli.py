@@ -932,14 +932,11 @@ class TestCli:
             method={"name": "fixed_md", "R": 1.0, "M": 0.3, "N": 4}))
         assert main(["solve", "--config", str(p), "--check-bounds"]) == 3
 
-    # on all space universal AGM has no stop of its own; here |x| is 0 from
-    # the first step on, so M_k halves at every accepted step until its
-    # iterate overflows and its non-finite guard stops the run
+    # a constant far below the operator's makes the first step's exponents
+    # overflow, so Phi of the second query point is NaN
     FAILING = {"seed": 1,
-               "problem": {"generator": "abs_value", "dim": 1},
-               "setup": {"origin": [1.0]},
-               "method": {"name": "universal_agm", "eps": 0.01, "L0": 1.0,
-                          "N": 1100}}
+               "problem": {"generator": "matrix_game", "rows": 3, "cols": 4},
+               "method": {"name": "mirror_prox", "L": 1e-320, "N": 5}}
 
     def test_failed_run_exit(self, tmp_path, capsys):
         """A run that raises RuntimeError exits 4 with one error line and no
@@ -964,8 +961,19 @@ class TestCli:
         assert run.stderr == \
             "error: the run failed: non-finite objective value\n"
 
-    # a constant far below the operator's makes the first step's exponents
-    # overflow, so Phi of the second query point is NaN
+    def test_flat_run_on_all_space_passes(self, tmp_path, capsys):
+        """|x| is 0 from universal AGM's first step on, so M_k / 2 halves at
+        every accepted step; its floor L_min keeps C finite to the end."""
+        p = self.write(tmp_path, {
+            "seed": 1, "problem": {"generator": "abs_value", "dim": 1},
+            "setup": {"origin": [1.0]},
+            "method": {"name": "universal_agm", "eps": 0.01, "L0": 1.0,
+                       "N": 1100}})
+        assert main(["solve", "--config", str(p), "--check-bounds"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["bounds_ok"] and out["bounds_checked"] == 1100
+        assert out["gap"] == 0.0
+
     @pytest.mark.parametrize("method", [
         {"name": "mirror_prox", "L": 1e-320, "N": 5},
         {"name": "universal_mirror_prox", "eps": 0.1, "M_init": 1e-320,

@@ -11,8 +11,8 @@ from mirropt.constrained import (InfeasibleAtEpsError, _add_repeated,
                                  solve_constrained_nonsmooth)
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import (ConstraintBundle, FunctionOracle, InexactOracle,
-                             LinearOracle, OracleResponse, ProblemInstance,
-                             aggregate_max)
+                             LinearMaxBundle, LinearOracle, OracleResponse,
+                             ProblemInstance, aggregate_max)
 from mirropt.report import Report, RunTrace, TraceRow
 
 
@@ -266,6 +266,9 @@ def reference_nonsmooth(problem, setup, eps, max_iter=10**7):
             raise RuntimeError("iteration cap reached before the stop rule")
     it_bound = _iteration_bound(problem.lipschitz_f, problem.lipschitz_g,
                                 theta0_sq, eps)
+    if n_prod == 0:
+        return _never_feasible("constrained_nonsmooth", x, k, calls, trace,
+                               iterates, iteration_bound=it_bound)
     x_bar = weighted / h_prod_sum
     f_bar = problem.objective(x_bar).value
     g_bar = aggregate_max(problem.constraints, x_bar).value
@@ -329,6 +332,9 @@ def reference_general(problem, setup, eps, max_iter=10**7):
             break
         if k >= max_iter:
             raise RuntimeError("iteration cap reached before the stop rule")
+    if n_prod == 0:
+        return _never_feasible("constrained_general", x, k, calls, trace,
+                               iterates)
     g_best = aggregate_max(problem.constraints, best_x).value
     calls += 1
     rep = Report(method="constrained_general", x_out=best_x, f_out=best_f,
@@ -341,6 +347,14 @@ def reference_general(problem, setup, eps, max_iter=10**7):
             directional_merit(problem, setup, problem.x_star, p)
             for p in productive_points)
     return rep
+
+
+def _never_feasible(method, x, k, calls, trace, iterates, **fields):
+    """A reference run with no productive step: no output point is
+    averaged or chosen, so x_out is the last iterate and f_out, g_bar nan."""
+    return Report(method=method, x_out=x, f_out=math.nan, iterations=k,
+                  oracle_calls=calls, trace=trace, g_bar=math.nan,
+                  productive=0, extras={"iterates": iterates}, **fields)
 
 
 class TestBulkSums:
@@ -411,6 +425,16 @@ def _bench_toy_lp(dim, pieces, seed):
     return problem, bench._make_setup(problem, None)
 
 
+def _never_feasible_lp():
+    """g >= 1 on the whole box: every step is non-productive, and x stops
+    at the corner (-1, -1) after 21 steps of the 400."""
+    box = FeasibleSet.box(np.full(2, -1.0), np.full(2, 1.0))
+    problem = ProblemInstance(
+        objective=LinearOracle(np.array([1.0, -0.5])), set=box,
+        constraints=LinearMaxBundle([[1.0, 1.0], [0.5, 1.0]], [3.0, 2.0]))
+    return problem, euclidean_setup(box, theta0_sq=setup_theta(problem))
+
+
 def _local_toy_lp():
     problem = toy_lp()
     return problem, euclidean_setup(problem.set,
@@ -419,13 +443,14 @@ def _local_toy_lp():
 
 # (instance builder, args, eps): the truss duals stop moving after a few
 # hundred of their 6-11k steps; the toy LPs mostly never do (bench toy_lp
-# 2x2 seed 0 and 3x3 seed 3 do)
+# 2x2 seed 0 and 3x3 seed 3 do); the never-feasible LP stops non-productive
 REUSE_INSTANCES = (
     [(_ttd, (nodes, bars, seed), 0.1)
      for nodes, bars in ((10, 20), (12, 24), (16, 36)) for seed in range(4)]
     + [(_bench_toy_lp, (dim, dim, seed), 0.1)
        for dim in (2, 3) for seed in range(4)]
-    + [(_local_toy_lp, (), eps) for eps in (0.1, 0.05)])
+    + [(_local_toy_lp, (), eps) for eps in (0.1, 0.05)]
+    + [(_never_feasible_lp, (), 0.1)])
 
 
 class _Counted:
@@ -481,6 +506,8 @@ class TestAnswerReuse:
                   .extras["stationary_at"] is not None
                   for build, args, eps in REUSE_INSTANCES]
         assert 12 <= sum(frozen) < len(frozen)
+        never = solve_constrained_nonsmooth(*_never_feasible_lp(), 0.1)
+        assert (never.productive, never.extras["stationary_at"]) == (0, 21)
 
     @pytest.mark.parametrize("solver, audits", [
         (solve_constrained_nonsmooth, 2), (solve_constrained_general, 1)])
@@ -493,7 +520,8 @@ class TestAnswerReuse:
         steps = _Counted(type(setup).mirror_step)
         monkeypatch.setattr(constrained, "aggregate_max", g)
         monkeypatch.setattr(type(setup), "mirror_step",
-                            lambda self, x, p: steps(self, x, p))
+                            lambda self, x, p, out=None:
+                            steps(self, x, p, out))
         rep = solver(problem, setup, 0.1)
         rows = list(rep.trace)
         start = rep.extras["stationary_at"]

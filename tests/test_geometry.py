@@ -10,7 +10,7 @@ from mirropt.geometry import (ENTROPY_CLAMP, FEASIBILITY_TOL,
                               NORMALIZATION_TOL, OPTIMALITY_TOL,
                               DimensionMismatchError,
                               FeasibleSet, GeometryDomainError, ProductSetup,
-                              _check_dim, doubled_to_signed,
+                              _check_dim, _project_simplex, doubled_to_signed,
                               entropy_l1_ball_setup, entropy_setup,
                               euclidean_setup, signed_to_doubled)
 
@@ -321,15 +321,41 @@ def any_step(draw):
     return euclidean_setup(fs), draw(finite), draw(finite)
 
 
+def reference_step(setup, x, p):
+    """The allocating mirror step, formula by formula: entropy reweights
+    x by exp(-p), a Euclidean step projects x - p, and a product steps part
+    by part."""
+    if isinstance(setup, ProductSetup):
+        return np.concatenate([reference_step(part, bx, bp) for part, bx, bp
+                               in zip(setup.parts, blocks(setup, x),
+                                      blocks(setup, p))])
+    if setup.kind == "entropy":
+        logw = np.log(np.maximum(x, ENTROPY_CLAMP)) - p
+        logw -= logw.max()
+        w = np.exp(logw)
+        return w * (setup.set.scale / w.sum())
+    s, y = setup.set, x - p
+    if s.kind == "box":
+        return np.clip(y, s.lower, s.upper)
+    if s.kind == "ball":
+        diff = y - s.center
+        nrm = np.linalg.norm(diff)
+        return y if nrm <= s.radius else s.center + diff * (s.radius / nrm)
+    if s.kind == "simplex":
+        return _project_simplex(y, s.scale)
+    return y
+
+
 class TestFastPaths:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(any_step(), st.booleans())
     def test_step_into_out_is_the_allocating_step(self, case, into_x):
-        """mirror_step(x, p, out=buf) writes the bytes of mirror_step(x, p)
-        into buf and returns it, buf = x included, and leaves p alone."""
+        """mirror_step(x, p, out=buf) writes the bytes of the allocating
+        step's formula into buf and returns it, buf = x included, and
+        leaves p alone."""
         setup, x, p = case
-        ref = setup.mirror_step(x, p)
+        ref = reference_step(setup, x, p)
         before = x.copy(), p.copy()
         buf = x.copy() if into_x else np.full(setup.dim, np.nan)
         got = setup.mirror_step(buf if into_x else x, p, out=buf)
@@ -390,10 +416,7 @@ class TestFastPaths:
         setup, x, p = case
         before = x.copy(), p.copy()
         out = setup.mirror_step(x, p)
-        logw = np.log(np.maximum(x, ENTROPY_CLAMP)) - p
-        logw -= logw.max()
-        w = np.exp(logw)
-        assert same_bits(out, w * (setup.set.scale / w.sum()))
+        assert same_bits(out, reference_step(setup, x, p))
         assert not np.shares_memory(out, x) and not np.shares_memory(out, p)
         assert same_bits(x, before[0]) and same_bits(p, before[1])
 

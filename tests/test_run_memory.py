@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from mirropt.geometry import (DimensionMismatchError, FeasibleSet,
-                              euclidean_setup)
-from mirropt.oracles import FunctionOracle, LinearOracle, ProblemInstance
+                              ProductSetup, euclidean_setup)
+from mirropt.mirrorprox import mirror_prox_solve, universal_mirror_prox_solve
+from mirropt.oracles import (FunctionOracle, LinearOracle, ProblemInstance,
+                             SaddleOperator)
 from mirropt.smoothing import agm_solve, universal_agm
 from mirropt.subgradient import run_adaptive_md, run_fixed_md
 
@@ -60,10 +62,26 @@ def test_no_iteration_allocates_an_n_vector(solve):
     assert watched.growth < 8 * DIM
 
 
-@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES)
+def _operator(problem, setup):
+    """The objective's subgradient as Phi, over a one-part product."""
+    return SaddleOperator(lambda z: problem.objective(z).subgradient,
+                          ProductSetup(setup))
+
+
+# Mirror Prox's steps are also written into run arrays
+SHAPE_SOLVES = {
+    **SOLVES,
+    "mirror_prox": lambda p, s: mirror_prox_solve(
+        _operator(p, s), ProductSetup(s), L=1.0, N=N),
+    "universal_mirror_prox": lambda p, s: universal_mirror_prox_solve(
+        _operator(p, s), ProductSetup(s), eps=1e-3, M_init=1.0, N=N),
+}
+
+
+@pytest.mark.parametrize("solve", SHAPE_SOLVES.values(), ids=SHAPE_SOLVES)
 def test_a_subgradient_of_another_shape_is_refused(solve):
-    """Written into a run array, a (1,) subgradient would broadcast over
-    all 3 coordinates; the loops refuse it as an allocating step did."""
+    """Written into a run array, a (1,) subgradient or Phi would broadcast
+    over all 3 coordinates; the loops refuse it as an allocating step did."""
     box = FeasibleSet.box(np.full(3, -1.0), np.full(3, 1.0))
     problem = ProblemInstance(
         objective=FunctionOracle(lambda x: float(x @ x), lambda x: np.ones(1)),
