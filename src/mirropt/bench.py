@@ -25,8 +25,7 @@ from scipy.optimize import linprog
 from . import constrained, mirrorprox, problems, smoothing, subgradient
 from .geometry import (FeasibleSet, ProductSetup, ProxSetup, entropy_setup,
                        euclidean_setup)
-from .oracles import (FunctionOracle, LinearMaxBundle, LinearOracle,
-                      ProblemInstance, SaddleOperator)
+from .oracles import FunctionOracle, ProblemInstance, SaddleOperator
 from .report import TRACE_COLUMNS, RepeatSpan
 
 BOUND_SLACK = 1e-9
@@ -253,18 +252,8 @@ def _build_toy_lp(params, seed):
     c = rng.uniform(-1.0, 1.0, size=n)
     A = rng.uniform(-1.0, 1.0, size=(m, n))
     b = -rng.uniform(0.2, 1.0, size=m)    # g_i(0) = b_i < 0
-    lo, hi = np.full(n, -1.0), np.full(n, 1.0)
-    res = linprog(c, A_ub=A, b_ub=-b, bounds=list(zip(lo, hi)), method="highs")
-    if not res.success:
-        raise ConfigError(f"toy LP infeasible: {res.message}")
-    return ProblemInstance(
-        objective=LinearOracle(c),
-        set=FeasibleSet.box(lo, hi),
-        constraints=LinearMaxBundle(A, b),
-        lipschitz_f=float(np.linalg.norm(c)),
-        lipschitz_g=float(max(np.linalg.norm(A[i]) for i in range(m))),
-        f_star=float(res.fun), x_star=np.asarray(res.x, dtype=float),
-        meta={"c": c, "A": A, "b": b})
+    return problems.linear_box_instance(c, A, b, 1.0,
+                                        {"c": c, "A": A, "b": b})
 
 
 @_problem("max_residual", "convex", ("rows", "cols"))

@@ -5,7 +5,7 @@ experiment; ``rates --trace <file.csv> --column <name>`` fits the empirical
 log-log convergence slope of a recorded trace.
 
 Exit codes: 0 ok, 1 I/O error, 2 invalid config, 3 theorem-bound violation,
-4 the run failed (a solver raised RuntimeError).
+4 the run failed (a solver raised RuntimeError, or memory ran out).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _cmd_solve(args):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"error: the run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
     print(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False))

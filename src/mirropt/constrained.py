@@ -150,12 +150,13 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
                               M_k=m_k, oracle_calls=f.calls + g.calls + per),
                      t, per)
+        # the repeats add nothing to lam_raw: an x that its own g-step leaves
+        # unmoved minimizes the convex g > eps over the set (a rounding stall
+        # needs a stop sum past the cap), so no step was productive and
+        # hook.output never reads lam_raw; any lam >= 0 keeps certify valid
         if productive:
             hook(x, h_k, drive, m_k, t)
             n_prod += t
-        else:
-            i = g_resp.active_index - 1
-            lam_raw[i] = _add_repeated(lam_raw[i], h_k, t)
         reused = per * t
         k += t
     if n_prod == 0:     # never feasible at level eps: no output value

@@ -86,10 +86,6 @@ class FeasibleSet:
             raise ValueError("scale must be positive")
         return FeasibleSet("simplex", dim, scale=float(scale))
 
-    @staticmethod
-    def l1_ball(dim, radius=1.0):
-        return FeasibleSet.simplex(2 * dim, radius)
-
     def contains(self, x, tol=FEASIBILITY_TOL):
         x = _check_dim(self.dim, x)
         if self.kind == "all":
@@ -223,27 +219,26 @@ class ProxSetup:
             out -= out.max()
             np.exp(out, out=out)
             out *= self.set.scale / out.sum()
-        else:   # a box clips in place; assigning out to itself is a no-op
-            out[...] = self._project(np.subtract(x, p, out=out))
+        else:
+            self._project(np.subtract(x, p, out=out))
         return out
 
     def _project(self, y):
-        """The projection of y, an array the caller owns: a box clips y in
-        place (np.clip without its wrapper)."""
+        """Project y, an array the caller owns, in place; returns y."""
         s = self.set
-        if s.kind == "all":
-            return y
         if s.kind == "box":
-            return y.clip(s.lower, s.upper, out=y)
-        if s.kind == "ball":
+            y.clip(s.lower, s.upper, out=y)     # np.clip without its wrapper
+        elif s.kind == "ball":
             diff = y - s.center
             nrm = np.linalg.norm(diff)
-            if nrm <= s.radius:
-                return y
-            return s.center + diff * (s.radius / nrm)
-        if s.kind == "simplex":
-            return _project_simplex(y, s.scale)
-        raise ValueError(s.kind)
+            if not nrm <= s.radius:     # a NaN norm scales y too
+                np.multiply(diff, s.radius / nrm, out=y)
+                y += s.center
+        elif s.kind == "simplex":
+            _project_simplex(y, s.scale)
+        elif s.kind != "all":
+            raise ValueError(s.kind)
+        return y
 
     def prox_center(self):
         """Minimizer of d over the feasible set."""
@@ -289,14 +284,15 @@ class ProxSetup:
 
 
 def _project_simplex(y, scale):
-    """Euclidean projection onto {x >= 0, sum x = scale} (sort-based)."""
+    """Euclidean projection of y onto {x >= 0, sum x = scale}, written into
+    y (sort-based); returns y."""
     u = np.sort(y)[::-1]
     css = np.cumsum(u) - scale
     ks = np.arange(1, y.size + 1)
     cond = u - css / ks > 0
     rho = int(np.nonzero(cond)[0][-1])
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(y - tau, 0.0)
+    y -= css[rho] / (rho + 1.0)
+    return np.maximum(y, 0.0, out=y)
 
 
 class ProductSetup:

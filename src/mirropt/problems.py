@@ -10,6 +10,7 @@ neither.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,25 @@ def transport_dual_lp_optimum(instance):
 
 
 # ---------------------------------------------------------------------------
-# Truss topology design dual
+# Linear programs over a box; the truss topology design dual
 # ---------------------------------------------------------------------------
+
+def linear_box_instance(c, A, b, half_width, meta):
+    """min <c, x> over [-half_width, half_width]^n subject to
+    max_i <a_i, x> + b_i <= 0 (c, A, b float arrays), with f_star and x_star
+    from HiGHS.  L_g = sqrt(max_i <a_i, a_i>) has the bits of
+    ``np.linalg.norm`` taken row by row, at less cost."""
+    lo, hi = np.full(c.size, -half_width), np.full(c.size, half_width)
+    res = linprog(c, A_ub=A, b_ub=-b, bounds=list(zip(lo, hi)), method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP over the box failed: {res.message}")
+    return ProblemInstance(
+        objective=LinearOracle(c), set=FeasibleSet.box(lo, hi),
+        constraints=LinearMaxBundle(A, b),
+        lipschitz_f=float(np.linalg.norm(c)),
+        lipschitz_g=math.sqrt(max(a @ a for a in A)),
+        f_star=float(res.fun), x_star=np.asarray(res.x, dtype=float), meta=meta)
+
 
 def gen_ttd_dual(nodes, bars, seed, box_half_width=2.0):
     """Dual of a 2D grid truss: maximize <f_bar, y> under |<a_i, y>| <= 1.
@@ -178,25 +196,9 @@ def make_ttd_instance(rows, f_bar, box_half_width=2.0):
     """TTD dual instance from explicit bar rows and force vector."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     f_bar = np.asarray(f_bar, dtype=float)
-    dim = f_bar.size
-    lo = np.full(dim, -box_half_width)
-    hi = np.full(dim, box_half_width)
-    res = linprog(-f_bar, A_ub=np.vstack([rows, -rows]),
-                  b_ub=np.ones(2 * len(rows)), bounds=list(zip(lo, hi)),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"TTD dual LP failed: {res.message}")
-    signed = np.vstack([rows, -rows])
-    return ProblemInstance(
-        objective=LinearOracle(-f_bar),
-        set=FeasibleSet.box(lo, hi),
-        constraints=LinearMaxBundle(signed, np.full(2 * len(rows), -1.0)),
-        lipschitz_f=float(np.linalg.norm(f_bar)),
-        lipschitz_g=float(max(np.linalg.norm(a) for a in rows)),
-        f_star=float(res.fun),
-        x_star=np.asarray(res.x, dtype=float),
-        meta={"rows": rows, "f_bar": f_bar, "n_bars": len(rows)},
-    )
+    return linear_box_instance(
+        -f_bar, np.vstack([rows, -rows]), np.full(2 * len(rows), -1.0),
+        box_half_width, {"rows": rows, "f_bar": f_bar, "n_bars": len(rows)})
 
 
 @dataclass

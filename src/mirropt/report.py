@@ -141,7 +141,6 @@ class Report:
     iteration_bound: int | None = None
     inner_trials: list = field(default_factory=list)    # line-search trials
     stopped_exact: bool = False
-    violations: list = field(default_factory=list)
     min_dist: float | None = None       # min over iterates of ||x^k - x_star||
     extras: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)  # (k, error, bound) triples

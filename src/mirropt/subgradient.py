@@ -117,7 +117,8 @@ def run_fixed_md(problem, setup, R, M, N):
 
     Euclidean setup: h = R/(M sqrt(N)) with guarantee M R / sqrt(N)
     (R = ||x^0 - x_star||).  General setup: h = sqrt(2) R / (M sqrt(N)) with
-    guarantee sqrt(2) M R / sqrt(N) (R^2 >= V[x^0](x_star)).
+    guarantee sqrt(2) M R / sqrt(N) (R^2 >= V[x^0](x_star)).  Both assume
+    ||g^k||_* <= M: ``checks`` holds (N, max_k ||g^k||_*, M (1 + 1e-12)).
     """
     _require(N, R=R, M=M)
     c = 1.0 if setup.kind == "euclidean" else math.sqrt(2.0)
@@ -125,13 +126,13 @@ def run_fixed_md(problem, setup, R, M, N):
     bound = c * M * R / math.sqrt(N)
     run = _Descent(problem, setup)
     total = np.zeros_like(run.x)
-    violations = []
-    for k, _, _, M_k in run.steps(N, _scaled(lambda k, M_k: h), bound):
-        if M_k > M * (1 + 1e-12):
-            violations.append(f"dual norm {M_k:.6g} exceeds M={M} at k={k}")
+    m_obs = 0.0
+    for _, _, _, M_k in run.steps(N, _scaled(lambda k, M_k: h), bound):
+        m_obs = max(m_obs, M_k)
         total += run.x
     return run.report("fixed_md", total / N, bound=bound,
-                      violations=violations, extras={"h": h, "x_last": run.x})
+                      checks=[(N, m_obs, M * (1 + 1e-12))],
+                      extras={"h": h, "x_last": run.x})
 
 
 def run_adaptive_md(problem, setup, eps, N):
@@ -188,6 +189,7 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None):
 
     h_k = 2 / (mu (k+1)), d(x) = 0.5*||x - x^0||_2^2; output is the weighted
     average sum_{k=1..N} 2k/(N(N+1)) x^k with guarantee 2 M^2 / (mu (N+1)).
+    A given M is checked as fixed_md's is; else the largest ||g^k||_2 is M.
     """
     if setup.kind != "euclidean":
         raise ValueError("strongly convex variant requires the Euclidean setup")
@@ -206,4 +208,5 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None):
     return run.report("strongly_convex_md", weighted,
                       bound=2.0 * (m_obs if M is None else M)**2
                       / (mu * (N + 1)),
+                      checks=[] if M is None else [(N, m_obs, M * (1 + 1e-12))],
                       extras={"M_observed": m_obs})

@@ -419,8 +419,8 @@ class TestRunExperiment:
     def test_setup_checked_before_build(self, monkeypatch, setup):
         # toy_lp's generator solves an LP for f_star
         calls = []
-        lp = bench.linprog
-        monkeypatch.setattr(bench, "linprog",
+        lp = problems.linprog
+        monkeypatch.setattr(problems, "linprog",
                             lambda *a, **kw: calls.append(1) or lp(*a, **kw))
         cfg = {"seed": 1, "problem": {"generator": "toy_lp"}, "setup": setup,
                "method": {"name": "constrained_nonsmooth", "eps": 0.1}}
@@ -532,8 +532,10 @@ def test_oracle_calls_are_the_calls_made(monkeypatch, name):
 
 
 # the runner's bound check as it was before each solver listed its own
-# checks in ``Report.checks``: the runner chose them by method name
-def reference_check_bounds(report, mname, problem, kind, eps=None):
+# checks in ``Report.checks``: the runner chose them by method name.  The
+# premise max_k ||g^k||_* <= M of fixed_md, and of strongly_convex_md given
+# an M, follows the headline check
+def reference_check_bounds(report, mname, problem, kind, eps=None, M=None):
     """Collect (error, bound) comparisons the run certifies."""
     verdicts = []
 
@@ -550,6 +552,8 @@ def reference_check_bounds(report, mname, problem, kind, eps=None):
     n = report.iterations
     if gap is not None and bound is not None and math.isfinite(bound):
         check(n, gap, bound)
+    if mname in ("fixed_md", "strongly_convex_md") and M is not None:
+        check(n, max(row.M_k for row in report.trace), M * (1 + 1e-12))
     if mname.startswith("constrained") and eps is not None:
         f_bar, g_bar = report.f_out, report.g_bar
         if mname == "constrained_nonsmooth" and f_star is not None \
@@ -593,7 +597,7 @@ def checked_run(monkeypatch, cfg):
     code, summary = run_experiment(cfg, check_bounds=True)
     reference = reference_check_bounds(
         seen["report"], cfg["method"]["name"], seen["problem"], seen["kind"],
-        eps=cfg["method"].get("eps"))
+        eps=cfg["method"].get("eps"), M=cfg["method"].get("M"))
     assert summary["bounds_checked"] == len(reference)
     return (code, seen["report"], verdict_bits(seen["verdicts"]),
             verdict_bits(reference))
@@ -931,6 +935,35 @@ class TestCli:
         p = self.write(tmp_path, fixed_md_config(
             method={"name": "fixed_md", "R": 1.0, "M": 0.3, "N": 4}))
         assert main(["solve", "--config", str(p), "--check-bounds"]) == 3
+
+    # M below the largest subgradient norm (1.457 on this box), with a
+    # headline gap that still passes: only the premise check fails
+    SMALL_M = {
+        "fixed_md": {"name": "fixed_md", "R": 2.0, "M": 0.5, "N": 100},
+        "strongly_convex_md": {"name": "strongly_convex_md", "mu": 1.0,
+                               "M": 0.3, "N": 100}}
+
+    @pytest.mark.parametrize("method", SMALL_M)
+    def test_small_M_fails_the_premise(self, tmp_path, capsys, method):
+        p = self.write(tmp_path, {
+            "seed": 1, "problem": {"generator": "quadratic_box", "dim": 4},
+            "method": self.SMALL_M[method]})
+        assert main(["solve", "--config", str(p), "--check-bounds"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["bounds_ok"] is False and out["bounds_checked"] == 2
+        assert out["gap"] <= out["bound"]
+
+    def test_memory_error_exit(self, tmp_path, capsys, monkeypatch):
+        """A run that exhausts memory exits 4 with one line, like a failed
+        run.  The generator raises MemoryError; nothing is allocated."""
+        def exhausted(params, seed):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        monkeypatch.setitem(bench.PROBLEMS, "abs_value", exhausted)
+        p = self.write(tmp_path, fixed_md_config())
+        assert main(["solve", "--config", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == \
+            "error: the run failed: Unable to allocate 7.28 TiB\n"
 
     # a constant far below the operator's makes the first step's exponents
     # overflow, so Phi of the second query point is NaN

@@ -363,6 +363,15 @@ class TestFastPaths:
         assert same_bits(buf, ref)
         assert same_bits(x, before[0]) and same_bits(p, before[1])
 
+    def test_ball_step_with_a_nan_is_the_allocating_step(self):
+        """A NaN norm fails ``nrm <= radius``, so the whole step is scaled
+        to NaN, as the allocating formula does, not only the NaN entry."""
+        setup = euclidean_setup(FeasibleSet.ball(np.zeros(3), 1.0))
+        x, p = np.zeros(3), np.array([0.5, np.nan, 0.0])
+        got = setup.mirror_step(x, p)
+        assert np.isnan(got).all()
+        assert same_bits(got, reference_step(setup, x, p))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan
     @settings(max_examples=300, deadline=None)
     @given(euclidean_and_vector())

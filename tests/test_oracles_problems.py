@@ -9,11 +9,11 @@ from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.oracles import (AbsLinearOracle, ConstraintBundle,
                              FunctionOracle, InexactOracle, LinearMaxBundle,
                              LinearOracle, aggregate_max)
-from mirropt import problems
+from mirropt import bench, problems
 from mirropt.mirrorprox import mirror_prox_solve, saddle_gap
 from mirropt.problems import (gen_matrix_game, gen_transport_dual,
-                              gen_ttd_dual, make_ttd_instance,
-                              matrix_game_equilibrium,
+                              gen_ttd_dual, linear_box_instance,
+                              make_ttd_instance, matrix_game_equilibrium,
                               reconstruct_ttd_primal,
                               transport_dual_lp_optimum)
 from mirropt.subgradient import run_adaptive_md
@@ -235,6 +235,26 @@ class TestTtd:
         prob = make_ttd_instance(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             reconstruct_ttd_primal(prob, np.zeros(1), np.zeros(2), T=1.0)
+
+
+class TestLinearBoxInstance:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lipschitz_constants_are_the_norms(self, seed):
+        """toy_lp and the truss dual both go through linear_box_instance:
+        L_f is ||c|| and L_g the largest row norm, bit for bit."""
+        toy, _ = bench.PROBLEMS["toy_lp"]({"dim": 7, "pieces": 9}, seed)
+        ttd = gen_ttd_dual(40, 120, seed)
+        for prob, c, rows in ((toy, toy.meta["c"], toy.meta["A"]),
+                              (ttd, -ttd.meta["f_bar"], ttd.meta["rows"])):
+            assert prob.lipschitz_f == float(np.linalg.norm(c))
+            assert prob.lipschitz_g == max(np.linalg.norm(a) for a in rows)
+            assert np.array_equal(prob.objective.a, c)
+
+    def test_lp_failure_raises(self):
+        # x + 5 <= 0 has no point in [-1, 1]
+        with pytest.raises(RuntimeError, match="LP over the box failed"):
+            linear_box_instance(np.ones(1), np.ones((1, 1)), np.full(1, 5.0),
+                                1.0, {})
 
 
 def _game(m, n, seed, simplex):

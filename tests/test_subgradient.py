@@ -94,7 +94,8 @@ class TestFixedMd:
     def test_violation_flagged(self):
         setup = euclidean_setup(FeasibleSet.all_space(1), origin=np.array([1.0]))
         rep = run_fixed_md(abs_problem(), setup, R=1.0, M=0.5, N=4)
-        assert rep.violations
+        (k, m_obs, M), = rep.checks
+        assert k == 4 and m_obs == 1.0 and M == 0.5 * (1 + 1e-12)
 
     def test_eq7_boundedness(self):
         rng = np.random.default_rng(12)

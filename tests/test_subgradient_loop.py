@@ -77,12 +77,11 @@ def reference_fixed_md(problem, setup, R, M, N):
     x = setup.prox_center()
     total = np.zeros_like(x)
     trace = RunTrace()
-    violations = []
+    m_obs = 0.0
     for k in range(N):
         resp = f(x)
         gd = setup.dual_norm(resp.subgradient)
-        if gd > M * (1 + 1e-12):
-            violations.append(f"dual norm {gd:.6g} exceeds M={M} at k={k}")
+        m_obs = max(m_obs, gd)
         total += x
         trace.append(TraceRow(k, resp.value, step=h, M_k=gd,
                               oracle_calls=f.calls, bound_value=bound))
@@ -91,7 +90,8 @@ def reference_fixed_md(problem, setup, R, M, N):
     f_bar = f(x_bar).value
     return Report(
         method="fixed_md", x_out=x_bar, f_out=f_bar, iterations=N,
-        oracle_calls=f.calls, trace=trace, bound=bound, violations=violations,
+        oracle_calls=f.calls, trace=trace, bound=bound,
+        checks=[(N, m_obs, M * (1 + 1e-12))],
         gap=None if problem.f_star is None else f_bar - problem.f_star,
         extras={"h": h, "x_last": x},
     )
@@ -216,6 +216,7 @@ def reference_strongly_convex_md(problem, setup, mu, N, M=None):
         method="strongly_convex_md", x_out=weighted, f_out=f_bar,
         iterations=N, oracle_calls=f.calls, trace=trace, bound=bound,
         gap=None if problem.f_star is None else f_bar - problem.f_star,
+        checks=[] if M is None else [(N, m_obs, M * (1 + 1e-12))],
         extras={"M_observed": m_obs},
     )
 
@@ -232,13 +233,14 @@ def _bits(value):
 
 def assert_same_run(rep, ref):
     """Trace CSV, output, counts, bound, gap, the exact-stop flag, the
-    violations, min_dist and every extra are the reference's, byte for
-    byte."""
+    checks, min_dist and every extra are the reference's, byte for byte."""
     assert trace_csv_text(rep.trace) == trace_csv_text(ref.trace)
     assert rep.x_out.tobytes() == ref.x_out.tobytes()
     for name in ("f_out", "iterations", "oracle_calls", "bound", "gap",
-                 "stopped_exact", "violations", "min_dist"):
+                 "stopped_exact", "min_dist"):
         assert _bits(getattr(rep, name)) == _bits(getattr(ref, name)), name
+    assert [tuple(map(_bits, c)) for c in rep.checks] == \
+        [tuple(map(_bits, c)) for c in ref.checks]
     assert rep.extras.keys() == ref.extras.keys()
     assert {k: _bits(v) for k, v in rep.extras.items()} == \
         {k: _bits(v) for k, v in ref.extras.items()}
@@ -323,6 +325,8 @@ CASES = {
     # dual norms above M
     "fixed-violations": ("fixed_md", lambda: _abs(1.0, -0.5),
                          {"R": 1.0, "M": 0.5, "N": 4}),
+    "strongly-violations": ("strongly_convex_md", lambda: _abs(2.0, -1.5),
+                            {"mu": 1.0, "N": 6, "M": 0.5}),
 }
 
 
@@ -348,7 +352,9 @@ def test_cases_cover_exact_stops_and_violations():
         rep, N = run(case)
         assert not rep.stopped_exact and rep.iterations == N
         assert rep.trace.column("M_k")[-1] == 0.0
-    assert run("fixed-violations")[0].violations
+    for case in ("fixed-violations", "strongly-violations"):
+        (_, m_obs, M), = run(case)[0].checks
+        assert m_obs > M
     assert run("shor-box")[0].min_dist is not None
 
 
