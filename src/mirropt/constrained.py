@@ -43,12 +43,14 @@ def _iteration_bound(m_f, m_g, theta0_sq, eps):
     return math.ceil(2.0 * max(m_f**2, m_g**2) * theta0_sq / eps**2)
 
 
-_BLOCK = 1 << 16        # floats per block of the bulk sums
+_BLOCK = 1 << 16        # floats per block of the stop-rule cumsum
 
 
 def _stop_count(stop_sum, term, stop_target, limit):
     """The first t <= limit at which stop_sum plus t terms, added one at a
     time, reaches stop_target; None if none does."""
+    if stop_sum + term == stop_sum or math.isnan(stop_sum):   # stalled
+        return 1 if limit > 0 and stop_sum >= stop_target else None
     done = 0
     while done < limit:
         sums = np.full(min(_BLOCK, limit - done), term)
@@ -64,18 +66,46 @@ def _stop_count(stop_sum, term, stop_target, limit):
 
 def _add_repeated(acc, term, count):
     """acc plus count terms, added one at a time as ``acc += term`` would;
-    acc and term are floats or arrays of one shape."""
+    acc and term are floats or arrays of one shape.
+
+    Exact in closed form, one binade per pass.  Take |s| in [2^e, 2^(e+1))
+    on the grid u = 2^(e-52).  While each exact s_j + c stays in that
+    binade, the add rounds c to one multiple D of u, so j adds give
+    s + j*D, exact in floats; a half-ulp c is a tie, and from an even s/u
+    every add takes the even neighbour, rint's.  (A sum that ends on
+    2^(e+1) rounds there from either side; below 2^-1021 every sum is
+    exact.)  Each pass makes one real ``s + c`` per element: it crosses
+    binade edges and zero, and handles signed zeros, subnormals and
+    overflow.  An add that leaves the bits unchanged is a fixed point
+    (c = 0, |c| < u/2, inf, NaN) and ends the element.  Then each element
+    jumps k*D, k the most adds whose sums stay in its binade and a grid
+    step above 2^e, where the grid gets finer.
+    """
     term = np.asarray(term, dtype=float)
-    rows = max(1, min(count, _BLOCK // max(term.size, 1)))
-    buf = np.empty((rows + 1,) + term.shape)
-    buf[0] = acc
-    while count > 0:
-        n = min(rows, count)
-        buf[1:n + 1] = term
-        np.add.accumulate(buf[:n + 1], axis=0, out=buf[:n + 1])
-        buf[0] = buf[n]
-        count -= n
-    return buf[0].copy() if term.ndim else float(buf[0])
+    out = np.array(np.broadcast_to(acc, term.shape), dtype=float)
+    s = flat = out.reshape(-1)
+    c, idx = term.reshape(-1), np.arange(flat.size)     # the moving elements
+    left = np.full(flat.size, count, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        while idx.size and count > 0:
+            s, old = s + c, s
+            left -= 1
+            live = (s.view(np.int64) != old.view(np.int64)) & (left > 0)
+            ue = np.frexp(s)[1] - 53        # u = 2^ue
+            p = np.ldexp(np.abs(s), -ue)    # |s| / u, in [2^52, 2^53)
+            t = np.ldexp(c, -ue)
+            m = np.rint(t)                  # D / u
+            room = np.where(m * s > 0, 2.0**53 - p, p - (2.0**52 + 1.0))
+            k = np.floor_divide(room, np.maximum(np.abs(m), 1.0))
+            tie = (t - m) ** 2 == 0.25
+            ok = live & np.isfinite(s) & ~(tie & (p % 2 == 1))
+            k = np.where(ok, np.clip(k, 0, left), 0.0)
+            np.add(s, np.ldexp(k * m, ue), out=s, where=k > 0)
+            left -= k.astype(np.int64)
+            flat[idx] = s
+            keep = live & (left > 0)
+            idx, s, c, left = idx[keep], s[keep], c[keep], left[keep]
+    return out if term.ndim else float(out)
 
 
 def _switching(problem, setup, eps, max_iter, rule, hook):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirropt import bench, constrained, problems
 from mirropt.constrained import (InfeasibleAtEpsError, _add_repeated,
@@ -396,6 +398,154 @@ class TestBulkSums:
                     want = t
                     break
             assert _stop_count(start, term, target, limit) == want
+
+
+def _accumulate_repeated(acc, term, count, block=1 << 16):
+    """The plain loop's floats by brute force: count adds of term into acc,
+    one at a time and in order, by blocked np.add.accumulate."""
+    term = np.asarray(term, dtype=float)
+    rows = max(1, min(count, block // max(term.size, 1)))
+    buf = np.empty((rows + 1,) + term.shape)
+    buf[0] = acc
+    while count > 0:
+        n = min(rows, count)
+        buf[1:n + 1] = term
+        np.add.accumulate(buf[:n + 1], axis=0, out=buf[:n + 1])
+        buf[0] = buf[n]
+        count -= n
+    return buf[0].copy() if term.ndim else float(buf[0])
+
+
+_INF = float("inf")
+_SPECIAL = st.sampled_from([0.0, -0.0, _INF, -_INF, float("nan"), 5e-324,
+                            -5e-324, 2.0**-1022, 1.7976931348623157e308])
+# 53-bit significands, the first two ranges next to a binade's edges
+_SIGNIFICAND = st.one_of(st.integers(2**52, 2**52 + 2**12),
+                         st.integers(2**53 - 2**12, 2**53 - 1),
+                         st.integers(2**52, 2**53 - 1))
+
+
+@st.composite
+def _floats(draw):
+    """sign * significand * 2^(exponent - 52), exponents -1074..1023: below
+    2^-1022 it rounds to a subnormal (or zero).  1 in 16 draws is a special
+    value."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(_SPECIAL)
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    exponent = draw(st.integers(-1074, 1023))
+    return sign * math.ldexp(draw(_SIGNIFICAND), exponent - 52)
+
+
+@st.composite
+def _sum_element(draw):
+    """One (acc, term) pair: unrelated, a half-ulp tie or a near-ulp step
+    (odd and even acc/ulp), or a term of the opposite sign whose sum
+    crosses zero within the counts drawn."""
+    acc = draw(_floats())
+    kind = draw(st.sampled_from(["free", "tie", "ulps", "cross"]))
+    if kind == "free" or not math.isfinite(acc) or acc == 0.0:
+        return acc, draw(_floats())
+    if kind == "cross":
+        return acc, -acc / draw(st.integers(1, 5000))
+    ulp = math.ulp(acc)
+    if draw(st.booleans()):     # the parity of acc/ulp
+        acc = acc + ulp if acc > 0 else acc - ulp
+    m = draw(st.integers(-64, 64))
+    half = 0.5 if kind == "tie" else draw(
+        st.sampled_from([0.0, 0.25, 0.375, 0.625, 0.75]))
+    return acc, (m + half) * ulp
+
+
+class TestClosedFormSums:
+    """_add_repeated jumps a binade per pass; its bytes must still be the
+    one-at-a-time loop's, at any count."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_sum_element(), min_size=1, max_size=8),
+           st.integers(0, 5000))
+    def test_matches_one_at_a_time(self, pairs, count):
+        acc, term = np.array(pairs).T.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _accumulate_repeated(acc, term, count)
+            want_scalar = _accumulate_repeated(acc[0], term[0], count)
+            got = _add_repeated(acc, term, count)
+            got_scalar = _add_repeated(float(acc[0]), float(term[0]), count)
+        assert got.tobytes() == want.tobytes()
+        assert _bits(got_scalar) == _bits(want_scalar)
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0, 2.0**-1022, 2.0**-1073,
+                                      2.0**53, 2.0**1023])
+    def test_binade_edges_match_one_at_a_time(self, edge):
+        """Every acc within 4 floats of a binade edge, against terms of
+        (m + f) ulps on the grids below, at and above the edge (f = 1/2:
+        ties), 40 adds each way: the walk reaches, lands on and crosses
+        the edge."""
+        acc = [edge]
+        for _ in range(4):
+            acc = [np.nextafter(acc[0], 0.0)] + acc + [
+                np.nextafter(acc[-1], np.sign(edge) * _INF)]
+        ulp = math.ulp(edge)
+        term = np.array([sign * (m + f) * ulp * scale for sign in (1, -1)
+                         for m in range(4)
+                         for f in (0.0, 0.25, 0.375, 0.5, 0.625, 0.75)
+                         for scale in (0.5, 1.0, 2.0)])
+        acc, term = np.meshgrid(acc, term)
+        with np.errstate(over="ignore"):
+            want = _accumulate_repeated(acc, term, 40)
+            got = _add_repeated(acc, term, 40)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("acc, term, count, want", [
+        (0.0, 1.0, 2**60, 2.0**53),
+        (0.0, 0.5, 2**60, 2.0**52),
+        (1.0, 2.0**-53, 10**15, 1.0),
+        (-(2.0**53), 1.0, 2**60, 2.0**53),   # up through zero
+    ])
+    def test_counts_no_loop_finishes(self, acc, term, count, want):
+        assert _bits(_add_repeated(acc, term, count)) == _bits(want)
+
+    def test_vector_saturates_in_closed_form(self):
+        """76 elements at 10^12 adds, each with a sum known in closed form:
+        it saturates at a binade edge, or stays exact all the way."""
+        count, acc, term, want = 10**12, [], [], []
+        for j in range(-40, 40, 8):     # 10 scales
+            unit = 2.0**j
+            a = 10**12 - 7 * (j + 41)   # adds left once it saturates
+            # +-(2^53 - a) units saturate at +-2^53 units: a tie, to even
+            acc += [(2.0**53 - a) * unit, -(2.0**53 - a) * unit]
+            term += [unit, -unit]
+            want += [2.0**53 * unit, -(2.0**53) * unit]
+            # 1.5 units round up to 2 on the grid below 2^54 units, and to
+            # 0 on the grid above it
+            acc.append(2.0**54 * unit - 2 * a * unit)
+            term.append(1.5 * unit)
+            want.append(2.0**54 * unit)
+            # exact sums: from zero, and through zero from below
+            acc += [0.0, -a * unit, 0.0]
+            term += [3 * unit, unit, 0.0]
+            want += [3 * count * unit, (count - a) * unit, 0.0]
+            # below half an ulp of acc: a fixed point from the start
+            acc.append(unit)
+            term.append(unit * 2.0**-54)
+            want.append(unit)
+        # subnormal steps, non-finite terms, -0.0 and overflow
+        acc += [0.0, 5e-324, 7.0, 1.0, -0.0, 1e300]
+        term += [5e-324, -5e-324, _INF, float("nan"), -0.0, 1e300]
+        want += [count * 5e-324, (1 - count) * 5e-324, _INF, float("nan"),
+                 -0.0, _INF]
+        acc, term = np.array(acc), np.array(term)
+        assert acc.size == 76
+        with np.errstate(over="ignore"):
+            got = _add_repeated(acc, term, count)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("stop_sum, term", [(1e3, 2.0**-60), (0.3, 0.0),
+                                                (float("nan"), 1.0)])
+    def test_stop_count_stalled(self, stop_sum, term):
+        assert _stop_count(stop_sum, term, 2e3, 10**7) is None
+        assert _stop_count(stop_sum, term, -1.0, 10**7) == (
+            None if math.isnan(stop_sum) else 1)
 
 
 def _bits(*values):
