@@ -11,6 +11,7 @@ the summary's ``elapsed_ns``.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import constrained, mirrorprox, problems, smoothing, subgradient
-from .geometry import (FeasibleSet, ProductSetup, ProxSetup, entropy_setup,
+from .geometry import (FeasibleSet, ProductSetup, entropy_setup,
                        euclidean_setup)
 from .oracles import FunctionOracle, ProblemInstance, SaddleOperator
 from .report import TRACE_COLUMNS, RepeatSpan
@@ -53,9 +54,9 @@ _CHUNK_ROWS = 1 << 16
 
 
 def _chunks(trace):
-    """Header plus every row as ASCII chunks of at most ``_CHUNK_ROWS``
-    rows.  A list of rows is formatted by one ``%`` over a flat tuple of
-    its cells."""
+    """Header plus every row in ASCII chunks of at most ``_CHUNK_ROWS``
+    rows, bytes or uint8 row matrices.  A list of rows is formatted by one
+    ``%`` over a flat tuple of its cells."""
     yield _HEADER
     for part in getattr(trace, "parts", [trace]):
         if isinstance(part, RepeatSpan):
@@ -95,9 +96,9 @@ def _span_chunks(span):
 
 
 def _counted_rows(line, n, counters):
-    """``n`` copies of ``line``, whose counter cells are zeros, with row
-    i's value low + step * i of each (at, width, low, step) counter written
-    into its cell as ASCII digits."""
+    """``n`` copies of ``line``, whose counter cells are zeros, as a uint8
+    row matrix whose buffer is their bytes, with row i's value low + step * i
+    of each (at, width, low, step) counter written in as ASCII digits."""
     rows = np.empty((n, len(line)), dtype=np.uint8)
     rows[:] = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
     i = np.arange(n, dtype=np.int64)
@@ -107,7 +108,7 @@ def _counted_rows(line, n, counters):
             tens = values // 10
             rows[:, col] += (values - 10 * tens).astype(np.uint8)
             values = tens
-    return rows.tobytes()
+    return rows
 
 
 def trace_hash(trace, path=None):
@@ -144,68 +145,113 @@ def fit_rate(k, values):
 
 
 # ---------------------------------------------------------------------------
-# problem builders
+# config values and problem builders
 # ---------------------------------------------------------------------------
 
 def integer(value):
-    """An int from an int, an integral float or a decimal string.  Null,
-    bool and fractional values raise ValueError instead of truncating."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or isinstance(value, (bool, np.bool_)) or \
+    """An int from an int, an integral float or a decimal string, never
+    from null, a bool or a fractional value, which it would truncate."""
+    n = int(value)
+    if isinstance(value, (bool, np.bool_)) or \
             (not isinstance(value, str) and n != value):
-        raise ValueError(f"not an integer: {value!r}")
+        raise ValueError(value)
     return n
 
 
 def real(value):
-    """A finite float from a number or a decimal string.  Null, bool, nan
-    and infinite values raise ValueError."""
-    try:
-        x = None if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):
-        x = None
-    if x is None or not math.isfinite(x):
-        raise ValueError(f"not a finite number: {value!r}")
+    """A finite float from a number or a decimal string, not a bool."""
+    x = float(value)
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(x):
+        raise ValueError(value)
     return x
 
 
-def _size(params, name, default):
-    """Problem parameter ``name`` as an integer >= 1."""
-    value = params.get(name, default)
-    try:
-        n = integer(value)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"parameter '{name}' must be an integer >= 1, "
-                          f"got {value!r}") from None
+def size(value):
+    """An integer >= 1."""
+    if (n := integer(value)) < 1:
+        raise ValueError(value)
     return n
 
 
-# generator name -> builder(params, seed) returning (problem, kind), with
-# kind "convex", "constrained" or "vi".  _PROBLEM_KINDS keeps the kinds and
-# _PROBLEM_KEYS the parameters each builder reads, so a config is checked
-# against its problem before the build, which may run an LP.
+def positive(value):
+    """A real > 0."""
+    if (x := real(value)) <= 0:
+        raise ValueError(value)
+    return x
+
+
+def prox_kind(value):
+    """A setup kind: null for the set's default, "euclidean" or "entropy"."""
+    if value not in (None, "euclidean", "entropy"):
+        raise ValueError(value)
+    return value
+
+
+def vector(value):
+    """A 1-D array of finite floats."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1 or not np.isfinite(v).all():
+        raise ValueError(value)
+    return v
+
+
+def matrix(value):
+    """A float array; ``gen_matrix_game`` checks its shape and entries."""
+    return np.asarray(value, dtype=float)
+
+
+def mapping(value):
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(value)
+    return value
+
+
+def _coerce(where, params, required, optional):
+    """Section ``where`` of a config, ``params``, with each value converted
+    by its key's converter.  An unknown key (a misspelt one would leave its
+    default in force unseen), a missing required key or a value whose
+    converter raises TypeError, ValueError or OverflowError raises a
+    ConfigError naming the section, the key and the converter."""
+    declared = {**required, **optional}
+    for key in params:
+        if key not in declared:
+            raise ConfigError(f"unknown {where} key '{key}'; allowed: "
+                              + ", ".join(sorted(declared)))
+    for key in required:
+        if key not in params:
+            raise ConfigError(f"missing {where} key '{key}'")
+    out = {}
+    for key, value in params.items():
+        convert = declared[key]
+        try:
+            out[key] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where} key '{key}' must be "
+                              f"{convert.__name__}, got {value!r}") from None
+    return out
+
+
+# generator name -> builder(params, seed) returning (problem, kind), kind
+# "convex", "constrained" or "vi"; it checks params first.  _GENERATORS
+# holds each kind and the converters of the keys its builder reads, so a
+# config is checked before any build, which may run an LP.
 PROBLEMS = {}
-_PROBLEM_KINDS = {}
-_PROBLEM_KEYS = {}
+_GENERATORS = {}
 
 
-def _problem(name, kind, keys):
+def _problem(name, kind, **params):
     def register(build):
-        _PROBLEM_KINDS[name] = kind
-        _PROBLEM_KEYS[name] = keys
-        PROBLEMS[name] = lambda params, seed: (build(params, seed), kind)
+        _GENERATORS[name] = kind, params
+        PROBLEMS[name] = lambda raw, seed: (
+            build(_coerce("problem", raw, {}, params), seed), kind)
         return build
     return register
 
 
-@_problem("abs_value", "convex", ("dim",))
+@_problem("abs_value", "convex", dim=size)
 def _build_abs_value(params, seed):
-    n = _size(params, "dim", 1)
+    n = params.get("dim", 1)
     oracle = FunctionOracle(lambda x: np.abs(x).sum(), np.sign)
     return ProblemInstance(
         objective=oracle, set=FeasibleSet.all_space(n),
@@ -213,9 +259,9 @@ def _build_abs_value(params, seed):
         meta={"holder": (0.0, 2.0 * math.sqrt(n))})
 
 
-@_problem("quadratic_box", "convex", ("dim",))
+@_problem("quadratic_box", "convex", dim=size)
 def _build_quadratic_box(params, seed):
-    n = _size(params, "dim", 4)
+    n = params.get("dim", 4)
     rng = np.random.default_rng(seed)
     t = rng.uniform(-1.0, 1.0, size=n)
     oracle = FunctionOracle(lambda x: 0.5 * np.sum((x - t) ** 2),
@@ -227,9 +273,9 @@ def _build_quadratic_box(params, seed):
         meta={"holder": (1.0, 1.0), "L": 1.0, "mu": 1.0})
 
 
-@_problem("simplex_linear", "convex", ("dim",))
+@_problem("simplex_linear", "convex", dim=size)
 def _build_simplex_linear(params, seed):
-    n = _size(params, "dim", 10)
+    n = params.get("dim", 10)
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.0, 1.0, size=n)
     i = int(np.argmin(c))
@@ -242,12 +288,12 @@ def _build_simplex_linear(params, seed):
         meta={"c": c})
 
 
-@_problem("toy_lp", "constrained", ("dim", "pieces"))
+@_problem("toy_lp", "constrained", dim=size, pieces=size)
 def _build_toy_lp(params, seed):
     """Linear objective over a box with linear inequality constraints and a
     Slater point at the origin; f_star from an LP oracle."""
-    n = _size(params, "dim", 2)
-    m = _size(params, "pieces", 2)
+    n = params.get("dim", 2)
+    m = params.get("pieces", 2)
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, size=n)
     A = rng.uniform(-1.0, 1.0, size=(m, n))
@@ -256,11 +302,11 @@ def _build_toy_lp(params, seed):
                                         {"c": c, "A": A, "b": b})
 
 
-@_problem("max_residual", "convex", ("rows", "cols"))
+@_problem("max_residual", "convex", rows=size, cols=size)
 def _build_max_residual(params, seed):
     """f(x) = ||A x - b||_inf over the box [-1, 1]^n with f_star from an LP."""
-    m = _size(params, "rows", 8)
-    n = _size(params, "cols", 16)
+    m = params.get("rows", 8)
+    n = params.get("cols", 16)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     b = A @ rng.uniform(-0.5, 0.5, size=n) + 0.1 * rng.standard_normal(m)
@@ -288,21 +334,19 @@ def _build_max_residual(params, seed):
         meta={"A": A, "b": b})
 
 
-@_problem("matrix_game", "vi", ("A", "rows", "cols", "setup"))
+@_problem("matrix_game", "vi", A=matrix, rows=size, cols=size, setup=str)
 def _build_matrix_game(params, seed):
-    if "A" in params:
-        A = np.asarray(params["A"], dtype=float)
-    else:
-        m = _size(params, "rows", 4)
-        n = _size(params, "cols", 4)
-        A = np.random.default_rng(seed).uniform(0.0, 1.0, size=(m, n))
+    A = params.get("A")
+    if A is None:
+        A = np.random.default_rng(seed).uniform(
+            0.0, 1.0, size=(params.get("rows", 4), params.get("cols", 4)))
     return problems.gen_matrix_game(A, params.get("setup", "entropy"))
 
 
-@_problem("bilinear_box", "vi", ("half_width",))
+@_problem("bilinear_box", "vi", half_width=real)
 def _build_bilinear_box(params, seed):
     """Phi(x, u) = (u, -x) for the scalar game f(x, u) = x*u on [-1, 1]^2."""
-    half = _coerce(params, {}, {"half_width": real}).get("half_width", 1.0)
+    half = params.get("half_width", 1.0)
     box = FeasibleSet.box(np.array([-half]), np.array([half]))
     domain = ProductSetup(euclidean_setup(box), euclidean_setup(box))
     G = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -312,16 +356,16 @@ def _build_bilinear_box(params, seed):
     return op
 
 
-@_problem("transport_dual", "convex", ("rows", "cols"))
+@_problem("transport_dual", "convex", rows=size, cols=size)
 def _build_transport_dual(params, seed):
-    return problems.gen_transport_dual(_size(params, "rows", 3),
-                                       _size(params, "cols", 3), seed)
+    return problems.gen_transport_dual(params.get("rows", 3),
+                                       params.get("cols", 3), seed)
 
 
-@_problem("ttd_dual", "constrained", ("nodes", "bars"))
+@_problem("ttd_dual", "constrained", nodes=size, bars=size)
 def _build_ttd_dual(params, seed):
-    return problems.gen_ttd_dual(_size(params, "nodes", 5),
-                                 _size(params, "bars", 6), seed)
+    return problems.gen_ttd_dual(params.get("nodes", 5),
+                                 params.get("bars", 6), seed)
 
 
 def _make_setup(problem, setup_cfg):
@@ -331,9 +375,8 @@ def _make_setup(problem, setup_cfg):
     dimension."""
     setup_cfg = setup_cfg or {}
     theta0_sq = setup_cfg.get("theta0_sq")
-    kind = setup_cfg.get("kind")
-    if kind is None:
-        kind = "entropy" if problem.set.kind == "simplex" else "euclidean"
+    kind = setup_cfg.get("kind") or (
+        "entropy" if problem.set.kind == "simplex" else "euclidean")
     if kind == "entropy":
         if problem.set.kind != "simplex":
             raise ConfigError("entropy setup requires a simplex problem")
@@ -342,8 +385,7 @@ def _make_setup(problem, setup_cfg):
     setup = euclidean_setup(problem.set, origin=setup_cfg.get("origin"),
                             theta0_sq=theta0_sq)
     if setup.theta0_sq is None and problem.set.kind in ("box", "ball", "simplex"):
-        setup = ProxSetup(problem.set, "euclidean", origin=setup.origin,
-                          theta0_sq=setup.max_d())
+        setup = dataclasses.replace(setup, theta0_sq=setup.max_d())
     return setup
 
 
@@ -356,15 +398,6 @@ def _agm(problem, setup, a):
     if L is None:
         raise ConfigError("agm needs L")
     return smoothing.agm_solve(problem, setup, float(L), a["N"])
-
-
-def vector(value):
-    """A 1-D array of finite floats.  Null, nan and infinite entries raise
-    ValueError."""
-    v = np.asarray(value, dtype=float)
-    if v.ndim != 1 or not np.isfinite(v).all():
-        raise ValueError("not a 1-D array of finite numbers")
-    return v
 
 
 # minimize the objective; any constraints of the problem are not used
@@ -415,76 +448,38 @@ _METHODS = {
 METHODS = frozenset(_METHODS)
 
 
-def _coerce(params, required, optional):
-    """``params`` with each required entry present, and each required or
-    optional entry that is present coerced."""
-    out = dict(params)
-    for name, convert in {**required, **optional}.items():
-        if name not in params:
-            if name in required:
-                raise ConfigError(f"missing parameter '{name}'")
-            continue
-        try:
-            out[name] = convert(params[name])
-        except (TypeError, ValueError):
-            raise ConfigError(f"parameter '{name}' must be {convert.__name__}, "
-                              f"got {params[name]!r}") from None
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
 
-def _known(where, params, allowed):
-    """Refuse the first key of ``params`` that is not in ``allowed``: a
-    misspelt key would otherwise leave its default in force unseen."""
-    for key in params:
-        if key not in allowed:
-            raise ConfigError(f"unknown {where} key '{key}'; allowed: "
-                              + ", ".join(sorted(allowed)))
-
-
 def _validate(config):
-    """Names, kinds, seed and setup of a config, checked before anything
-    is built.  Returns the names, the seed and the coerced setup; a ``vi``
-    problem ignores the setup."""
+    """Every name, kind, key and value of a config, checked before anything
+    is built.  Returns the names, the seed, the coerced setup (None for a
+    ``vi`` problem, which ignores it) and the coerced method parameters."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _known("config", config, ("seed", "problem", "method", "setup"))
-    for key in ("problem", "method"):
-        if not isinstance(config.get(key), dict):
-            raise ConfigError(f"config needs a '{key}' object")
-    if not isinstance(config.get("setup", {}), dict):
-        raise ConfigError("'setup' must be a JSON object")
+    config = _coerce("config", config, {"problem": mapping, "method": mapping,
+                                        "seed": integer}, {"setup": mapping})
     pname = config["problem"].get("generator")
-    if not isinstance(pname, str) or pname not in PROBLEMS:
+    if not isinstance(pname, str) or pname not in _GENERATORS:
         raise ConfigError(f"unknown problem '{pname}'; available: "
-                          + ", ".join(sorted(PROBLEMS)))
+                          + ", ".join(sorted(_GENERATORS)))
     mname = config["method"].get("name")
     if not isinstance(mname, str) or mname not in METHODS:
         raise ConfigError(f"unknown method '{mname}'; available: "
                           + ", ".join(sorted(METHODS)))
-    _known("problem", config["problem"], ("generator", *_PROBLEM_KEYS[pname]))
+    pkind, pparams = _GENERATORS[pname]
+    _coerce("problem", config["problem"], {"generator": str}, pparams)
     kinds, required, optional, _ = _METHODS[mname]
-    _known("method", config["method"], ("name", *required, *optional))
-    pkind = _PROBLEM_KINDS[pname]
+    mparams = _coerce("method", config["method"], {"name": str, **required},
+                      optional)
     if pkind not in kinds:
         raise ConfigError(f"method '{mname}' does not apply to '{pname}', "
                           f"a {pkind} problem")
-    seed = _coerce(config, {"seed": integer}, {})["seed"]
-    _known("setup", config.get("setup", {}), ("kind", "theta0_sq", "origin"))
-    if pkind == "vi":
-        return pname, mname, seed, None
-    setup = _coerce(config.get("setup", {}), {},
-                    {"theta0_sq": real, "origin": vector})
-    theta0_sq = setup.get("theta0_sq")
-    if theta0_sq is not None and theta0_sq <= 0:
-        raise ConfigError(f"parameter 'theta0_sq' must be positive, "
-                          f"got {theta0_sq!r}")
-    if setup.get("kind") not in (None, "euclidean", "entropy"):
-        raise ConfigError(f"unknown setup kind '{setup['kind']}'")
-    return pname, mname, seed, setup
+    setup = _coerce("setup", config.get("setup", {}), {}, {
+        "kind": prox_kind, "theta0_sq": positive, "origin": vector})
+    return (pname, mname, config["seed"], None if pkind == "vi" else setup,
+            mparams)
 
 
 def _check_bounds(report):
@@ -503,16 +498,13 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
 
     A malformed config raises ConfigError before anything is built.
     """
-    pname, mname, seed, setup_cfg = _validate(config)
-    _, required, optional, call = _METHODS[mname]
-    mparams = _coerce({k: v for k, v in config["method"].items()
-                       if k != "name"}, required, optional)
+    pname, mname, seed, setup_cfg, mparams = _validate(config)
     pparams = {k: v for k, v in config["problem"].items() if k != "generator"}
     problem, kind = PROBLEMS[pname](pparams, seed)
     setup = None if kind == "vi" else _make_setup(problem, setup_cfg)
 
     t0 = time.perf_counter_ns()
-    report = call(problem, setup, mparams)
+    report = _METHODS[mname][3](problem, setup, mparams)
     elapsed = time.perf_counter_ns() - t0
 
     trace = report.trace

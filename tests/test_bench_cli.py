@@ -431,6 +431,15 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert calls == [1]
 
+    @pytest.mark.parametrize("name", sorted(bench.PROBLEMS))
+    def test_direct_build_checks_its_keys(self, monkeypatch, name):
+        """A generator called directly refuses a key it does not declare,
+        before its build runs an LP."""
+        monkeypatch.setattr(problems, "linprog",
+                            lambda *a, **kw: pytest.fail("LP ran"))
+        with pytest.raises(ConfigError, match="unknown problem key 'bogus'"):
+            bench.PROBLEMS[name]({"bogus": 1}, 1)
+
     def test_bound_violation_exit(self, tmp_path):
         # M below the true subgradient norm understates the guarantee
         cfg = fixed_md_config(method={"name": "fixed_md", "R": 1.0,
@@ -1155,6 +1164,11 @@ class TestCli:
          "unknown problem key 'node'"),
         (game_config(rows=3, col=4),
          "unknown problem key 'col'"),
+        (game_config(A="x"), "'A'"),
+        ({**game_config(), "setup": {"theta0_sq": 0.0}},
+         "setup key 'theta0_sq'"),
+        (fixed_md_config(method={"name": "fixed_md", "R": 10 ** 400,
+                                 "M": 1.0, "N": 4}), "'R'"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
             "M-not-float", "L-not-float", "x0-not-vector",
@@ -1171,7 +1185,8 @@ class TestCli:
             "agm-N-negative", "agm-L-negative", "uagm-eps-0",
             "method-key-unknown", "setup-key-unknown", "vi-setup-key-unknown",
             "top-level-key-unknown", "problem-key-unknown",
-            "vi-problem-key-unknown"])
+            "vi-problem-key-unknown", "game-A-string", "vi-setup-theta0_sq-0",
+            "R-huge-integer"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
                                               names):
         """A malformed config, an empty game included, a null, bool,
