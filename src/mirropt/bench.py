@@ -5,13 +5,16 @@ seed), a method with its parameters, and a prox setup choice.  The runner
 writes a trace CSV plus a summary JSON and can check the recorded theorem
 bounds.  Identical configs produce byte-identical CSVs, and the summary's
 ``trace_sha256`` is the SHA-256 of the written file; the run's wall time is
-the summary's ``elapsed_ns``.
+the summary's ``elapsed_ns``.  A run uses one thread of numpy's bundled
+OpenBLAS, so its bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -493,6 +496,39 @@ def _check_bounds(report):
              "ok": error <= bound + BOUND_SLACK} for k, error, bound in checks]
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(lib_path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside, its old count restored after: a dot
+    product split over threads sums in another order, which moves the last
+    bits of a long one.  Without numpy's bundled OpenBLAS, nothing."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     """Run one experiment.  Returns (exit_code, summary dict).
 
@@ -500,19 +536,20 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
     """
     pname, mname, seed, setup_cfg, mparams = _validate(config)
     pparams = {k: v for k, v in config["problem"].items() if k != "generator"}
-    problem, kind = PROBLEMS[pname](pparams, seed)
-    setup = None if kind == "vi" else _make_setup(problem, setup_cfg)
+    with _one_blas_thread():
+        problem, kind = PROBLEMS[pname](pparams, seed)
+        setup = None if kind == "vi" else _make_setup(problem, setup_cfg)
 
-    t0 = time.perf_counter_ns()
-    report = _METHODS[mname][3](problem, setup, mparams)
-    elapsed = time.perf_counter_ns() - t0
+        t0 = time.perf_counter_ns()
+        report = _METHODS[mname][3](problem, setup, mparams)
+        elapsed = time.perf_counter_ns() - t0
 
-    trace = report.trace
-    out = None if out_dir is None else Path(out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    digest = trace_hash(trace,
-                        None if out is None else out / f"{stem}_trace.csv")
+        trace = report.trace
+        out = None if out_dir is None else Path(out_dir)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        digest = trace_hash(
+            trace, None if out is None else out / f"{stem}_trace.csv")
 
     verdicts = _check_bounds(report) if check_bounds else []
     all_ok = all(v["ok"] for v in verdicts)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import Counted, aggregate_max, require_positive
-from .report import Report, RunTrace, TraceRow
+from .oracles import aggregate_max, require_positive
+from .report import Recorder, TraceRow
 
 
 class InfeasibleAtEpsError(RuntimeError):
@@ -120,24 +120,23 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
     non-finite g or f value raises before any step is taken from it.
     """
     theta0_sq = _theta0_sq(problem, setup, eps)
-    f = Counted(problem.objective)
-    g = Counted(lambda x: aggregate_max(problem.constraints, x))
+    rec = Recorder(hook.method, problem.f_star)
+    f = rec.count(problem.objective)
+    g = rec.count(lambda x: aggregate_max(problem.constraints, x))
     x = setup.prox_center()
     spare = np.empty_like(x)    # x and spare are the run's iterate buffers
-    trace = RunTrace()
     stop_target = 2.0 * theta0_sq / eps**2
     stop_sum = 0.0
     n_prod = 0
     lam_raw = np.zeros(len(problem.constraints))
     k = 0
     stationary_at = None
-    reused = 0      # answers counted as calls but reused (the repeats)
     while True:
         g_resp = g(x)
         productive = g_resp.value <= eps
         drive = f(x) if productive else g_resp  # steps along its subgradient
-        if not (math.isfinite(g_resp.value) and math.isfinite(drive.value)):
-            raise RuntimeError("non-finite objective value")
+        rec.finite(g_resp.value)
+        rec.finite(drive.value)
         m_k = setup.dual_norm(drive.subgradient)
         if productive:
             h_k, term = rule(m_k)
@@ -152,8 +151,7 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
             term = 1.0 / m_k**2
             lam_raw[g_resp.active_index - 1] += h_k
             f_val = math.nan
-        trace.append(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=f.calls + g.calls))
+        rec.row(k, f_val, g_value=g_resp.value, step=h_k, M_k=m_k)
         k += 1
         if m_k == 0.0:      # a productive x with grad f = 0 is optimal
             break
@@ -177,9 +175,10 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         if t is None:
             raise RuntimeError("iteration cap reached before the stop rule")
         per = 2 if productive else 1
-        trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                              M_k=m_k, oracle_calls=f.calls + g.calls + per),
-                     t, per)
+        rec.trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
+                                  M_k=m_k, oracle_calls=rec.calls + per),
+                         t, per)
+        rec.calls += per * t
         # the repeats add nothing to lam_raw: an x that its own g-step leaves
         # unmoved minimizes the convex g > eps over the set (a rounding stall
         # needs a stop sum past the cap), so no step was productive and
@@ -187,7 +186,6 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         if productive:
             hook(x, h_k, drive, m_k, t)
             n_prod += t
-        reused = per * t
         k += t
     if n_prod == 0:     # never feasible at level eps: no output value
         x_out, f_out, g_out, fields = x, math.nan, math.nan, {"extras": {}}
@@ -199,23 +197,18 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         if f_out is None:
             f_out = f(x_out).value
     fields["extras"]["stationary_at"] = stationary_at
-    gap = None if problem.f_star is None else f_out - problem.f_star
     n_bound = _iteration_bound(hook.lipschitz_f, problem.lipschitz_g,
                                theta0_sq, eps)
     # the theorem: f_out - f* <= eps if the hook certifies f, g(x_out) <= eps
     # and k <= the iteration bound
-    checks = []
-    if hook.certifies_f and gap is not None and math.isfinite(f_out):
-        checks.append((k, gap, eps))
+    if hook.certifies_f and rec.f_star is not None and math.isfinite(f_out):
+        rec.checks.append((k, rec.gap(f_out), eps))
     if math.isfinite(g_out):
-        checks.append((k, g_out, eps))
+        rec.checks.append((k, g_out, eps))
     if n_bound is not None:
-        checks.append((k, float(k), float(n_bound)))
-    return Report(
-        method=hook.method, x_out=x_out, f_out=f_out, iterations=k,
-        oracle_calls=f.calls + g.calls + reused, trace=trace, gap=gap,
-        g_bar=g_out, productive=n_prod, **fields, iteration_bound=n_bound,
-        checks=checks)
+        rec.checks.append((k, float(k), float(n_bound)))
+    return rec.report(x_out, f_out, g_bar=g_out, productive=n_prod, **fields,
+                      iteration_bound=n_bound)
 
 
 class _Average:

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from .oracles import Counted, require_positive
-from .report import Report, RunTrace, TraceRow
+from .oracles import require_positive
+from .report import Recorder
 
 MAX_INNER_TRIALS = 64
 
@@ -30,17 +30,17 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
     A non-finite gap (affine Phi), Phi(w) (any other Phi) or left side of the
     Lipschitz check raises.  Each row with a finite gap is a check of it.
     """
-    phi = Counted(op)
+    rec = Recorder(method)
+    phi = rec.count(op)
     z = setup.prox_center()
     w, z_next = np.empty_like(z), np.empty_like(z)     # the steps' run arrays
     d_max = setup.max_bregman_from(z)
     weighted = np.zeros_like(z)
     phi_weighted = np.zeros_like(z)
     wsum = 0.0
-    trace = RunTrace()
     inner_trials = []
     stopped = False
-    k = 0
+    gap = math.nan
     for k in range(1, N + 1):
         phi_z = phi(z)
         for i in range(1, (1 if eps is None else MAX_INNER_TRIALS + 1) + 1):
@@ -48,14 +48,12 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
             # Phi / M is a temporary, so that mirror_step checks its shape
             setup.mirror_step(z, phi_z / M, out=w)
             phi_w = phi(w)
-            if op.linear_part is None and not np.isfinite(phi_w).all():
-                raise RuntimeError("non-finite objective value")
+            if op.linear_part is None:
+                rec.finite(phi_w)
             setup.mirror_step(z, phi_w / M, out=z_next)
             if eps is None:
                 break
-            lhs = float((phi_w - phi_z) @ (w - z_next))
-            if not math.isfinite(lhs):
-                raise RuntimeError("non-finite objective value")
+            lhs = rec.finite(float((phi_w - phi_z) @ (w - z_next)))
             if lhs <= 0.5 * M * (setup.norm(w - z) ** 2
                                  + setup.norm(w - z_next) ** 2) + eps / 2.0:
                 break
@@ -74,24 +72,18 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
             L = M / 2.0
             stopped = d_max / wsum <= eps / 2.0
             bound = d_max / wsum + eps / 2.0
-        gap = math.nan if op.linear_part is None else saddle_gap(
+        gap = math.nan if op.linear_part is None else rec.finite(saddle_gap(
             op, weighted / wsum,
-            None if stopped or k == N else phi_weighted / wsum)
-        if not (op.linear_part is None or math.isfinite(gap)):
-            raise RuntimeError("non-finite objective value")
-        trace.append(TraceRow(k, gap, step=1.0 / M, M_k=M,
-                              oracle_calls=phi.calls, bound_value=bound))
+            None if stopped or k == N else phi_weighted / wsum))
+        rec.row(k, gap, step=1.0 / M, M_k=M, bound_value=bound)
+        if math.isfinite(gap) and math.isfinite(bound):
+            rec.checks.append((k, gap, bound))
         if stopped:
             break
-    return Report(method=method, x_out=weighted / wsum if wsum > 0 else z,
-                  f_out=gap if k else math.nan, iterations=k,
-                  oracle_calls=phi.calls, trace=trace,
-                  inner_trials=inner_trials,
-                  extras={"max_v": d_max, "z_last": z,
-                          "stopped_adaptive": stopped, "weight_sum": wsum},
-                  checks=[(row.k, row.f_value, row.bound_value)
-                          for row in trace if math.isfinite(row.f_value)
-                          and math.isfinite(row.bound_value)])
+    return rec.report(weighted / wsum if wsum > 0 else z, gap,
+                      inner_trials=inner_trials,
+                      extras={"max_v": d_max, "z_last": z,
+                              "stopped_adaptive": stopped, "weight_sum": wsum})
 
 
 def mirror_prox_solve(op, setup, L, N):

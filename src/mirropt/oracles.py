@@ -8,10 +8,8 @@ it to reuse their last answers once the iterate stops moving.
 ``LinearOracle`` and ``AbsLinearOracle`` cover the linear pieces used by the
 problem generators, and ``InexactOracle`` produces delta-subgradients from
 an exact oracle, seeded from x's bytes.  A returned subgradient may be a
-read-only view of the oracle's own data.  ``Counted`` wraps an oracle or
-operator and counts the calls made through it: the solvers' one oracle-call
-counter.  ``require_positive`` checks a solver's iteration count and
-constants.
+read-only view of the oracle's own data.  ``require_positive`` checks a
+solver's iteration count and constants.
 """
 
 from __future__ import annotations
@@ -36,18 +34,6 @@ def _read_only(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
-
-
-class Counted:
-    """``fn`` with a count of the calls made through it."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.fn(x)
 
 
 def require_positive(N=0, **values):

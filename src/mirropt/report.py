@@ -1,8 +1,9 @@
-"""Per-iteration traces and final solver reports."""
+"""Per-iteration traces, final solver reports and the recorder of a run."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -144,3 +145,46 @@ class Report:
     min_dist: float | None = None       # min over iterates of ||x^k - x_star||
     extras: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)  # (k, error, bound) triples
+
+
+class Recorder:
+    """One solver run's bookkeeping: its one oracle-call counter, its trace,
+    the (k, error, bound) checks it certifies and its Report."""
+
+    def __init__(self, method, f_star=None):
+        self.method = method
+        self.f_star = f_star
+        self.calls = 0
+        self.trace = RunTrace()
+        self.checks = []
+
+    def count(self, fn):
+        """``fn`` with each call counted as one of the run's oracle calls."""
+        def counted(x):
+            self.calls += 1
+            return fn(x)
+        return counted
+
+    def row(self, k, f_value, g_value=math.nan, step=math.nan, M_k=math.nan,
+            bound_value=math.nan):
+        """Append row k, stamped with the calls made so far."""
+        self.trace.append(TraceRow(k, f_value, g_value, step, M_k, self.calls,
+                                   0, bound_value))
+
+    @staticmethod
+    def finite(value):
+        """``value`` if it (or each entry of an array) is finite, else raise."""
+        if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                else math.isfinite(value)):
+            raise RuntimeError("non-finite objective value")
+        return value
+
+    def gap(self, f_out):
+        """f_out - f*, or None with f* unknown."""
+        return None if self.f_star is None else f_out - self.f_star
+
+    def report(self, x_out, f_out, **fields):
+        """The run's Report, with one iteration per trace row."""
+        return Report(self.method, x_out, f_out, len(self.trace), self.calls,
+                      self.trace, gap=self.gap(f_out), checks=self.checks,
+                      **fields)

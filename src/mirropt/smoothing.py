@@ -10,8 +10,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .geometry import _check_dim
-from .oracles import Counted, OracleResponse, require_positive
-from .report import Report, RunTrace, TraceRow
+from .oracles import OracleResponse, require_positive
+from .report import Recorder
 
 MAX_BACKTRACKS = 64
 
@@ -42,13 +42,13 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     D / C_k + eps/2 does if D is known; with a known f* each row with a
     finite bound is a check of f(y_k) - f*.
     """
-    f = Counted(problem.objective)
+    rec = Recorder(method, problem.f_star)
+    f = rec.count(problem.objective)
     x0 = y = setup.prox_center()
     # the run's n-vectors, written in place; tmp is p, then y_try - x
     z = y.copy()
     x, y_try, z_try, cy, tmp = (np.empty_like(y) for _ in range(5))
     C = 0.0
-    trace = RunTrace()
     inner_trials = []
     v0 = None if problem.x_star is None else setup.bregman(x0, problem.x_star)
     D = None if eps is None or setup.set.kind == "all" \
@@ -65,16 +65,13 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
             x += cy
             x /= C_next
             rx = f(x)
-            if not math.isfinite(rx.value):
-                raise RuntimeError("non-finite objective value")
+            rec.finite(rx.value)
             np.multiply(_check_dim(tmp.size, rx.subgradient), alpha, out=tmp)
             setup.mirror_step(z, tmp, out=z_try)
             np.multiply(z_try, alpha, out=y_try)
             y_try += cy
             y_try /= C_next
-            fy = f(y_try).value
-            if not math.isfinite(fy):
-                raise RuntimeError("non-finite objective value")
+            fy = rec.finite(f(y_try).value)
             if eps is None:
                 break
             np.subtract(y_try, x, out=tmp)
@@ -90,22 +87,15 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
             L = max(M / 2.0, L_min)
         inner_trials.append(i)
         stopped = D is not None and D / C <= eps / 2.0
-        trace.append(TraceRow(
-            k, fy, step=alpha, M_k=M, oracle_calls=f.calls,
-            bound_value=bound(v0, k) if v0 is not None and bound is not None
-            else math.nan if D is None else D / C + eps / 2.0))
+        b_k = bound(v0, k) if v0 is not None and bound is not None \
+            else math.nan if D is None else D / C + eps / 2.0
+        rec.row(k, fy, step=alpha, M_k=M, bound_value=b_k)
+        if rec.f_star is not None and math.isfinite(b_k):
+            rec.checks.append((k, rec.gap(fy), b_k))
         if stopped:
             break
-    f_out = fy if N else f(y).value
-    return Report(
-        method=method, x_out=y, f_out=f_out, iterations=len(inner_trials),
-        oracle_calls=f.calls, trace=trace,
-        gap=None if problem.f_star is None else f_out - problem.f_star,
-        inner_trials=inner_trials,
-        extras={"V0": v0, "C": C, "stopped_adaptive": stopped},
-        checks=[] if problem.f_star is None else [
-            (row.k, row.f_value - problem.f_star, row.bound_value)
-            for row in trace if math.isfinite(row.bound_value)])
+    return rec.report(y, fy if N else f(y).value, inner_trials=inner_trials,
+                      extras={"V0": v0, "C": C, "stopped_adaptive": stopped})
 
 
 def agm_solve(problem, setup, L, N):

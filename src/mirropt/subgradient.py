@@ -15,19 +15,18 @@ import math
 import numpy as np
 
 from .geometry import FeasibleSet, euclidean_setup
-from .oracles import Counted, require_positive
-from .report import Report, RunTrace, TraceRow
+from .oracles import require_positive
+from .report import Recorder
 
 
 class _Descent:
-    """One run of the loop on ``problem``, from ``setup``'s prox center."""
+    """One run of the loop from ``setup``'s prox center, recorded in rec."""
 
-    def __init__(self, problem, setup):
-        self.problem = problem
+    def __init__(self, method, problem, setup):
+        self.rec = Recorder(method, problem.f_star)
         self.setup = setup
-        self.f = Counted(problem.objective)
+        self.f = self.rec.count(problem.objective)
         self.x = setup.prox_center()
-        self.trace = RunTrace()
         self.stopped_exact = False
 
     def steps(self, N, rule, bound_value=math.nan):
@@ -40,29 +39,23 @@ class _Descent:
         for k in range(N):
             x = self.x
             resp = self.f(x)
-            if not math.isfinite(resp.value):
-                raise RuntimeError("non-finite objective value")
+            self.rec.finite(resp.value)
             M_k = self.setup.dual_norm(resp.subgradient)
             h, p = rule(k, resp.subgradient, M_k)
-            self.trace.append(TraceRow(k, resp.value, step=h, M_k=M_k,
-                                       oracle_calls=self.f.calls,
-                                       bound_value=bound_value))
+            self.rec.row(k, resp.value, step=h, M_k=M_k,
+                         bound_value=bound_value)
             self.stopped_exact = p is None
             yield k, resp, h, M_k
             if p is None:
                 return
             self.x, spare = self.setup.mirror_step(x, p, out=spare), x
 
-    def report(self, method, x_out, f_out=None, **fields):
+    def report(self, x_out, f_out=None, **fields):
         """The run's Report; f(x_out) is evaluated unless f_out is given."""
         if f_out is None:
             f_out = self.f(x_out).value
-        f_star = self.problem.f_star
-        return Report(
-            method=method, x_out=x_out, f_out=f_out,
-            iterations=len(self.trace), oracle_calls=self.f.calls,
-            trace=self.trace, stopped_exact=self.stopped_exact,
-            gap=None if f_star is None else f_out - f_star, **fields)
+        return self.rec.report(x_out, f_out, stopped_exact=self.stopped_exact,
+                               **fields)
 
 
 def _scaled(step):
@@ -100,8 +93,8 @@ def run_shor(problem, x0, lam, N):
     distance to x_star when it is known.
     """
     require_positive(N, lam=lam)
-    run = _Descent(problem, euclidean_setup(FeasibleSet.all_space(len(x0)),
-                                            origin=x0))
+    run = _Descent("shor", problem,
+                   euclidean_setup(FeasibleSet.all_space(len(x0)), origin=x0))
     min_dist = None
 
     def rule(k, g, M_k):
@@ -109,7 +102,7 @@ def run_shor(problem, x0, lam, N):
     for _ in run.steps(N, rule):
         min_dist = _closer(min_dist, run.x, problem.x_star)
     min_dist = _closer(min_dist, run.x, problem.x_star)   # the last x
-    return run.report("shor", run.x, min_dist=min_dist)
+    return run.report(run.x, min_dist=min_dist)
 
 
 def run_fixed_md(problem, setup, R, M, N):
@@ -124,14 +117,14 @@ def run_fixed_md(problem, setup, R, M, N):
     c = 1.0 if setup.kind == "euclidean" else math.sqrt(2.0)
     h = c * R / (M * math.sqrt(N))
     bound = c * M * R / math.sqrt(N)
-    run = _Descent(problem, setup)
+    run = _Descent("fixed_md", problem, setup)
     total = np.zeros_like(run.x)
     m_obs = 0.0
     for _, _, _, M_k in run.steps(N, _scaled(lambda k, M_k: h), bound):
         m_obs = max(m_obs, M_k)
         total += run.x
-    return run.report("fixed_md", total / N, bound=bound,
-                      checks=[(N, m_obs, M * (1 + 1e-12))],
+    run.rec.checks.append((N, m_obs, M * (1 + 1e-12)))
+    return run.report(total / N, bound=bound,
                       extras={"h": h, "x_last": run.x})
 
 
@@ -139,7 +132,7 @@ def run_adaptive_md(problem, setup, eps, N):
     """Adaptive-norm Mirror Descent: h_k = eps / ||g^k||_*^2 with step-weighted
     averaging.  A zero subgradient stops the run at an exact optimum."""
     _require(N, eps=eps)
-    run = _Descent(problem, setup)
+    run = _Descent("adaptive_md", problem, setup)
     steps = []
     weighted, scratch = np.zeros_like(run.x), np.empty_like(run.x)
     rule = _scaled(lambda k, M_k: None if M_k == 0.0 else eps / M_k**2)
@@ -154,7 +147,7 @@ def run_adaptive_md(problem, setup, eps, N):
     if r_sq is None and problem.x_star is not None:
         r_sq = setup.bregman(setup.prox_center(), problem.x_star)
     return run.report(
-        "adaptive_md", weighted if run.stopped_exact else weighted / h_sum,
+        weighted if run.stopped_exact else weighted / h_sum,
         bound=None if (r_sq is None or run.stopped_exact)
         else r_sq / h_sum + eps / 2.0,
         extras={"h_sum": h_sum})
@@ -170,7 +163,7 @@ def run_normalized_md(problem, setup, R, N):
     if setup.kind != "euclidean":
         raise ValueError("normalized method requires the Euclidean setup")
     _require(N, R=R)
-    run = _Descent(problem, setup)
+    run = _Descent("normalized_md", problem, setup)
     best_x, best_f = None, math.inf
     m_obs = 0.0
     rule = _scaled(lambda k, M_k: None if M_k == 0.0
@@ -179,8 +172,7 @@ def run_normalized_md(problem, setup, R, N):
         if resp.value < best_f:
             best_f, best_x = resp.value, run.x.copy()
         m_obs = max(m_obs, M_k)
-    return run.report("normalized_md", best_x, best_f,
-                      bound=m_obs * R / math.sqrt(N),
+    return run.report(best_x, best_f, bound=m_obs * R / math.sqrt(N),
                       extras={"M_observed": m_obs})
 
 
@@ -194,7 +186,7 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None):
     if setup.kind != "euclidean":
         raise ValueError("strongly convex variant requires the Euclidean setup")
     _require(N, mu=mu, **({} if M is None else {"M": M}))
-    run = _Descent(problem, setup)
+    run = _Descent("strongly_convex_md", problem, setup)
     m_obs = 0.0
     weighted, scratch = np.zeros_like(run.x), np.empty_like(run.x)
     wsum = N * (N + 1) / 2.0
@@ -205,8 +197,6 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None):
             np.multiply(k, run.x, out=scratch)
             weighted += np.divide(scratch, wsum, out=scratch)
     weighted += N * run.x / wsum
-    return run.report("strongly_convex_md", weighted,
-                      bound=2.0 * (m_obs if M is None else M)**2
-                      / (mu * (N + 1)),
-                      checks=[] if M is None else [(N, m_obs, M * (1 + 1e-12))],
-                      extras={"M_observed": m_obs})
+    run.rec.checks += [] if M is None else [(N, m_obs, M * (1 + 1e-12))]
+    return run.report(weighted, bound=2.0 * (m_obs if M is None else M)**2
+                      / (mu * (N + 1)), extras={"M_observed": m_obs})

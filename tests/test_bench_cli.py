@@ -384,6 +384,36 @@ class TestRunExperiment:
         assert (tmp_path / "toy_trace.csv").exists()
         assert (tmp_path / "toy_summary.json").exists()
 
+    def test_one_blas_thread_for_the_run(self, monkeypatch):
+        """The build (and so the solve after it) sees one OpenBLAS thread,
+        and the old count is back after the run, also after a failed one."""
+        blas = bench._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        get, put = blas
+        build, seen = bench.PROBLEMS["abs_value"], []
+
+        def recording(raw, seed):
+            seen.append(get())
+            if raw.get("dim") == 2:
+                raise RuntimeError("build failed")
+            return build(raw, seed)
+        monkeypatch.setitem(bench.PROBLEMS, "abs_value", recording)
+        old = get()
+        put(2)
+        try:
+            before = get()
+            run_experiment(fixed_md_config())
+            assert get() == before
+            cfg = fixed_md_config()
+            cfg["problem"]["dim"] = 2
+            with pytest.raises(RuntimeError, match="build failed"):
+                run_experiment(cfg)
+            assert get() == before
+        finally:
+            put(old)
+        assert seen == [1, 1]
+
     def test_determinism(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -466,6 +496,19 @@ def test_same_bytes_in_every_process():
     assert set(METHOD_CONFIGS) == METHODS
     outputs = [_run_in_process(METHOD_CONFIGS, PYTHONHASHSEED=hash_seed)
                for hash_seed in ("1", "2")]
+    assert outputs[0] == outputs[1]
+
+
+def test_same_bytes_at_any_blas_thread_count():
+    """The runner pins OpenBLAS to one thread for the run.  Unpinned, two
+    threads split a dot product this long and sum it in another order,
+    and the hash moved."""
+    n = 30000
+    box = {"seed": 1, "problem": {"generator": "quadratic_box", "dim": n},
+           "method": {"name": "fixed_md", "R": math.sqrt(n),
+                      "M": 2.0 * math.sqrt(n), "N": 5}}
+    outputs = [_run_in_process({"box": box}, OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
 
 

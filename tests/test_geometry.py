@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -479,7 +479,9 @@ def argmax_linear(fs, t):
         return z
     if fs.kind == "box":
         return np.where(t >= 0, fs.upper, fs.lower)
-    nrm = np.linalg.norm(t)
+    # ||t|| of t / max|t_i|, so that a tiny t's squares do not underflow
+    m = float(np.abs(t).max())
+    nrm = m * np.linalg.norm(t / m) if m > 0 else 0.0
     return fs.center + (fs.radius / nrm) * t if nrm > 0 else fs.center
 
 
@@ -504,6 +506,8 @@ def random_member(fs, rng):
 class TestMaxLinear:
     @settings(max_examples=300, deadline=None)
     @given(set_and_direction())
+    @example((FeasibleSet.ball(np.zeros(1), 1.0), np.array([1.9588061e-158]),
+              0))
     def test_bounds_every_member_and_is_attained(self, case):
         fs, t, seed = case
         value = fs.max_linear(t)

@@ -1,12 +1,16 @@
 """The accelerated and descent loops allocate their n-vectors once per run:
 past its first iterations, no iteration of a run allocates an n-vector,
-and a subgradient is still checked before it is written into one."""
+and a subgradient is still checked before it is written into one.  A
+run's arrays are freed when it returns."""
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mirropt import bench
+from mirropt.constrained import solve_constrained_nonsmooth
 from mirropt.geometry import (DimensionMismatchError, FeasibleSet,
                               ProductSetup, euclidean_setup)
 from mirropt.mirrorprox import mirror_prox_solve, universal_mirror_prox_solve
@@ -88,3 +92,21 @@ def test_a_subgradient_of_another_shape_is_refused(solve):
         set=box)
     with pytest.raises(DimensionMismatchError):
         solve(problem, euclidean_setup(box))
+
+
+@pytest.mark.parametrize("solve", [*SHAPE_SOLVES.values(),
+                                   solve_constrained_nonsmooth],
+                         ids=[*SHAPE_SOLVES, "constrained_nonsmooth"])
+def test_a_run_leaves_no_reference_cycle(solve):
+    """No cycle (a loop object holding an oracle that its call counter
+    wraps around it, say) keeps a run's arrays until the collector runs."""
+    problem, _ = bench.PROBLEMS["toy_lp"]({}, 1)
+    setup = bench._make_setup(problem, {})
+    args = (0.1,) if solve is solve_constrained_nonsmooth else ()
+    gc.collect()
+    gc.disable()
+    try:
+        solve(problem, setup, *args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -10,8 +10,7 @@ import pytest
 from mirropt import bench
 from mirropt.bench import trace_csv_text
 from mirropt.geometry import FeasibleSet, euclidean_setup
-from mirropt.oracles import (Counted, FunctionOracle, OracleResponse,
-                             ProblemInstance)
+from mirropt.oracles import FunctionOracle, OracleResponse, ProblemInstance
 from mirropt.report import Report, RunTrace, TraceRow
 from mirropt.subgradient import (run_adaptive_md, run_fixed_md,
                                  run_normalized_md, run_shor,
@@ -19,6 +18,18 @@ from mirropt.subgradient import (run_adaptive_md, run_fixed_md,
 
 
 # -- the separate loops, as they were -------------------------------------
+
+class _Counted:
+    """``fn`` with a count of the calls made through it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
 
 def _maybe_dist(x, x_star):
     if x_star is None:
@@ -35,7 +46,7 @@ def reference_shor(problem, x0, lam, N):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    f = Counted(problem.objective)
+    f = _Counted(problem.objective)
     x = np.asarray(x0, dtype=float).copy()
     trace = RunTrace()
     min_dist = _maybe_dist(x, problem.x_star)
@@ -73,7 +84,7 @@ def reference_fixed_md(problem, setup, R, M, N):
     euclidean = setup.kind == "euclidean"
     h = R / (M * math.sqrt(N)) if euclidean else math.sqrt(2.0) * R / (M * math.sqrt(N))
     bound = M * R / math.sqrt(N) if euclidean else math.sqrt(2.0) * M * R / math.sqrt(N)
-    f = Counted(problem.objective)
+    f = _Counted(problem.objective)
     x = setup.prox_center()
     total = np.zeros_like(x)
     trace = RunTrace()
@@ -102,7 +113,7 @@ def reference_adaptive_md(problem, setup, eps, N):
     averaging.  A zero subgradient stops the run at an exact optimum."""
     if eps <= 0 or N < 1:
         raise ValueError("eps must be positive and N >= 1")
-    f = Counted(problem.objective)
+    f = _Counted(problem.objective)
     x = setup.prox_center()
     trace = RunTrace()
     steps = []
@@ -152,7 +163,7 @@ def reference_normalized_md(problem, setup, R, N):
         raise ValueError("normalized method requires the Euclidean setup")
     if R <= 0 or N < 1:
         raise ValueError("R must be positive and N >= 1")
-    f = Counted(problem.objective)
+    f = _Counted(problem.objective)
     x = setup.prox_center()
     trace = RunTrace()
     best_x, best_f = None, math.inf
@@ -193,7 +204,7 @@ def reference_strongly_convex_md(problem, setup, mu, N, M=None):
         raise ValueError("strongly convex variant requires the Euclidean setup")
     if mu <= 0 or N < 1:
         raise ValueError("mu must be positive and N >= 1")
-    f = Counted(problem.objective)
+    f = _Counted(problem.objective)
     x = setup.prox_center()
     trace = RunTrace()
     m_obs = 0.0

@@ -12,7 +12,7 @@ from mirropt.bench import trace_csv_text
 from mirropt.geometry import FeasibleSet, euclidean_setup
 from mirropt.mirrorprox import (MAX_INNER_TRIALS, mirror_prox_solve,
                                 saddle_gap, universal_mirror_prox_solve)
-from mirropt.oracles import Counted, FunctionOracle, ProblemInstance
+from mirropt.oracles import FunctionOracle, ProblemInstance
 from mirropt.problems import gen_matrix_game
 from mirropt.report import Report, RunTrace, TraceRow
 from mirropt.smoothing import (MAX_BACKTRACKS, agm_solve, alpha_root,
@@ -23,6 +23,34 @@ from test_bench_cli import reference_check_bounds, verdict_bits
 
 # -- the separate loops, as they were -------------------------------------
 
+class _Counted:
+    """``fn`` with a count of the calls made through it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def _agm_checks(trace, f_star):
+    """(k, f - f*, bound) of each row with a finite bound, when f* is
+    known: the checks both accelerated methods certify."""
+    if f_star is None:
+        return []
+    return [(row.k, row.f_value - f_star, row.bound_value) for row in trace
+            if math.isfinite(row.bound_value)]
+
+
+def _mp_checks(trace):
+    """Each row whose certified gap and bound are both finite: the checks
+    both Mirror Prox methods certify."""
+    return [(row.k, row.f_value, row.bound_value) for row in trace
+            if math.isfinite(row.f_value) and math.isfinite(row.bound_value)]
+
+
 def reference_agm(problem, setup, L, N):
     """Accelerated gradient method with a known Lipschitz constant.
 
@@ -30,7 +58,7 @@ def reference_agm(problem, setup, L, N):
     """
     if L <= 0 or N < 0:
         raise ValueError("L must be positive and N >= 0")
-    f = Counted(problem.objective)
+    f = _Counted(problem.objective)
     x0 = setup.prox_center()
     y = x0.copy()
     z = x0.copy()
@@ -57,7 +85,7 @@ def reference_agm(problem, setup, L, N):
         oracle_calls=f.calls, trace=trace,
         bound=None if v0 is None else 4.0 * L * v0 / (N + 1) ** 2,
         gap=None if problem.f_star is None else f_out - problem.f_star,
-        extras={"V0": v0, "C": C},
+        extras={"V0": v0, "C": C}, checks=_agm_checks(trace, problem.f_star),
     )
 
 
@@ -72,7 +100,7 @@ def reference_universal_agm(problem, setup, eps, L0, N):
     """
     if eps <= 0 or L0 <= 0 or N < 0:
         raise ValueError("eps and L0 must be positive and N >= 0")
-    f = Counted(problem.objective)
+    f = _Counted(problem.objective)
     x0 = setup.prox_center()
     y = x0.copy()
     z = x0.copy()
@@ -123,6 +151,7 @@ def reference_universal_agm(problem, setup, eps, L0, N):
         oracle_calls=f.calls, trace=trace,
         gap=None if problem.f_star is None else f_out - problem.f_star,
         inner_trials=inner_trials, extras={"V0": v0, "C": C},
+        checks=_agm_checks(trace, problem.f_star),
     )
 
 
@@ -144,7 +173,7 @@ def reference_mirror_prox(op, setup, L, N):
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    phi = Counted(op)
+    phi = _Counted(op)
     z = setup.prox_center()
     total = np.zeros_like(z)
     phi_total = np.zeros_like(z)
@@ -165,7 +194,8 @@ def reference_mirror_prox(op, setup, L, N):
     f_out = trace.rows[-1].f_value if N > 0 else float("nan")
     return Report(method="mirror_prox", x_out=w_hat, f_out=f_out,
                   iterations=N, oracle_calls=phi.calls, trace=trace,
-                  extras={"max_v": max_v, "z_last": z})
+                  extras={"max_v": max_v, "z_last": z},
+                  checks=_mp_checks(trace))
 
 
 def reference_universal_mirror_prox(op, setup, eps, M_init, N):
@@ -181,7 +211,7 @@ def reference_universal_mirror_prox(op, setup, eps, M_init, N):
     """
     if eps <= 0 or M_init <= 0:
         raise ValueError("eps and M_init must be positive")
-    phi = Counted(op)
+    phi = _Counted(op)
     z = setup.prox_center()
     d_max = setup.max_bregman_from(z)
     weighted = np.zeros_like(z)
@@ -228,7 +258,8 @@ def reference_universal_mirror_prox(op, setup, eps, M_init, N):
                   inner_trials=inner_trials,
                   extras={"max_v": d_max,
                           "stopped_adaptive": stopped_adaptive,
-                          "weight_sum": wsum, "M_init": M_init})
+                          "weight_sum": wsum, "M_init": M_init},
+                  checks=_mp_checks(trace))
 
 
 # -- what the entry points must reproduce -----------------------------------
@@ -242,12 +273,15 @@ def _bits(value):
 
 
 def assert_same_run(rep, ref):
-    """Trace CSV, output, counts, bound, gap, every extra the reference
-    reports and its trial counts are the reference's, byte for byte."""
+    """Trace CSV, output, counts, bound, gap, the checks, every extra the
+    reference reports and its trial counts are the reference's, byte for
+    byte."""
     assert trace_csv_text(rep.trace) == trace_csv_text(ref.trace)
     assert rep.x_out.tobytes() == ref.x_out.tobytes()
     for name in ("f_out", "iterations", "oracle_calls", "bound", "gap"):
         assert _bits(getattr(rep, name)) == _bits(getattr(ref, name)), name
+    assert [tuple(map(_bits, c)) for c in rep.checks] == \
+        [tuple(map(_bits, c)) for c in ref.checks]
     assert ref.extras.keys() <= rep.extras.keys()
     assert {k: _bits(rep.extras[k]) for k in ref.extras} == \
         {k: _bits(v) for k, v in ref.extras.items()}
