@@ -15,12 +15,9 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import time
-from itertools import chain, islice
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,108 +27,14 @@ from . import constrained, mirrorprox, problems, smoothing, subgradient
 from .geometry import (FeasibleSet, ProductSetup, entropy_setup,
                        euclidean_setup)
 from .oracles import FunctionOracle, ProblemInstance, SaddleOperator
-from .report import TRACE_COLUMNS, RepeatSpan
+# the runner calls this module's trace_hash, the name a profiler can wrap
+from .report import trace_csv_text, trace_hash  # noqa: F401
 
 BOUND_SLACK = 1e-9
 
 
 class ConfigError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# trace serialization
-# ---------------------------------------------------------------------------
-
-# One row template serves the whole trace: "%d" for the integer columns and
-# "%.17g" for the floats, which also prints nan, inf, -inf and -0.
-_TEMPLATE = {c: "%d" if c in ("k", "oracle_calls", "elapsed_ns") else "%.17g"
-             for c in TRACE_COLUMNS}
-_ROW = ",".join(_TEMPLATE.values()) + "\n"
-_CELLS = attrgetter(*TRACE_COLUMNS)
-_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
-# the columns of a RepeatSpan that count up from one row to the next
-_COUNTERS = ("k", "oracle_calls")
-# most rows formatted at once, so serialization memory is O(chunk)
-_CHUNK_ROWS = 1 << 16
-
-
-def _chunks(trace):
-    """Header plus every row in ASCII chunks of at most ``_CHUNK_ROWS``
-    rows, bytes or uint8 row matrices.  A list of rows is formatted by one
-    ``%`` over a flat tuple of its cells."""
-    yield _HEADER
-    for part in getattr(trace, "parts", [trace]):
-        if isinstance(part, RepeatSpan):
-            yield from _span_chunks(part)
-            continue
-        rows = iter(part)
-        while batch := list(islice(rows, _CHUNK_ROWS)):
-            cells = tuple(chain.from_iterable(map(_CELLS, batch)))
-            yield ((_ROW * len(batch)) % cells).encode("ascii")
-
-
-def _span_chunks(span):
-    """A RepeatSpan's rows: its shared cells formatted once, its counters
-    written as digits into a uint8 row matrix.  A chunk ends where either
-    counter gains a digit, so each has one row width.  ``RunTrace.repeat``
-    keeps the counters ints below 2**63, so int64 holds them."""
-    cells = {c: _TEMPLATE[c] % getattr(span.row, c) for c in TRACE_COLUMNS}
-    first = {c: getattr(span.row, c) for c in _COUNTERS}
-    step = {"k": 1, "oracle_calls": span.calls_step}
-    start = 0
-    while start < span.count:
-        low = {c: first[c] + step[c] * start for c in _COUNTERS}
-        width = {c: len(str(low[c])) for c in _COUNTERS}
-        # stop before the first row whose counter reaches 10**width
-        stop = min([span.count, start + _CHUNK_ROWS]
-                   + [start - (low[c] - 10 ** width[c]) // step[c]
-                      for c in _COUNTERS if step[c]])
-        at, pos = {}, 0
-        for c in TRACE_COLUMNS:
-            if c in _COUNTERS:
-                cells[c] = "0" * width[c]
-            at[c], pos = pos, pos + len(cells[c]) + 1
-        yield _counted_rows(",".join(cells.values()) + "\n", stop - start,
-                            [(at[c], width[c], low[c], step[c])
-                             for c in _COUNTERS])
-        start = stop
-
-
-def _counted_rows(line, n, counters):
-    """``n`` copies of ``line``, whose counter cells are zeros, as a uint8
-    row matrix whose buffer is their bytes, with row i's value low + step * i
-    of each (at, width, low, step) counter written in as ASCII digits."""
-    rows = np.empty((n, len(line)), dtype=np.uint8)
-    rows[:] = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
-    i = np.arange(n, dtype=np.int64)
-    for at, width, low, step in counters:
-        values = low + step * i
-        for col in reversed(range(at, at + width)):
-            tens = values // 10
-            rows[:, col] += (values - 10 * tens).astype(np.uint8)
-            values = tens
-    return rows
-
-
-def trace_hash(trace, path=None):
-    """SHA-256 of the CSV serialization, computed one chunk at a time, from
-    one format pass that also writes the same bytes to ``path`` when one is
-    given."""
-    digest = hashlib.sha256()
-    with contextlib.nullcontext() if path is None else open(path, "wb") as fh:
-        for chunk in _chunks(trace):
-            digest.update(chunk)
-            if fh is not None:
-                fh.write(chunk)
-            del chunk   # freed before the next chunk is formatted
-    return digest.hexdigest()
-
-
-def trace_csv_text(trace):
-    """CSV body with the fixed header; LF endings, '.' decimal, 17 digits.
-    It builds the whole text, for tests and inspection; the runner streams."""
-    return b"".join(_chunks(trace)).decode("ascii")
 
 
 def fit_rate(k, values):
@@ -487,11 +390,13 @@ def _validate(config):
 
 def _check_bounds(report):
     """One verdict per (k, error, bound) the run certifies: its headline
-    gap <= bound when both are known, then the solver's ``report.checks``."""
+    gap <= bound when both are known and ``report.checks`` does not list
+    that triple already (agm's last row does), then ``report.checks``."""
     checks = report.checks
-    gap, bound = report.gap, report.bound
-    if gap is not None and bound is not None and math.isfinite(bound):
-        checks = [(report.iterations, gap, bound), *checks]
+    headline = (report.iterations, report.gap, report.bound)
+    if None not in headline and math.isfinite(report.bound) and \
+            headline not in checks:
+        checks = [headline, *checks]
     return [{"k": k, "error": error, "bound": bound,
              "ok": error <= bound + BOUND_SLACK} for k, error, bound in checks]
 

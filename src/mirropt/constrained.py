@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import aggregate_max, require_positive
-from .report import Recorder, TraceRow
+from .report import Recorder
 
 
 class InfeasibleAtEpsError(RuntimeError):
@@ -174,11 +174,7 @@ def _switching(problem, setup, eps, max_iter, rule, hook):
         t = _stop_count(stop_sum, term, stop_target, max_iter - k)
         if t is None:
             raise RuntimeError("iteration cap reached before the stop rule")
-        per = 2 if productive else 1
-        rec.trace.repeat(TraceRow(k, f_val, g_value=g_resp.value, step=h_k,
-                                  M_k=m_k, oracle_calls=rec.calls + per),
-                         t, per)
-        rec.calls += per * t
+        rec.repeat(t, 2 if productive else 1)
         # the repeats add nothing to lam_raw: an x that its own g-step leaves
         # unmoved minimizes the convex g > eps over the set (a rounding stall
         # needs a stop sum past the cap), so no step was productive and

@@ -1,10 +1,13 @@
-"""Per-iteration traces, final solver reports and the recorder of a run."""
+"""Per-iteration traces and their CSV bytes, solver reports, run recorders."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,21 +37,19 @@ class RepeatSpan:
     count: int
     calls_step: int
 
-    def counters(self):
-        """(k, oracle_calls) of each row."""
-        return zip(itertools.count(self.row.k),
-                   itertools.islice(itertools.count(self.row.oracle_calls,
-                                                    self.calls_step),
-                                    self.count))
+    def counting(self):
+        """(column, first value, step) of each column that counts up."""
+        return (("k", self.row.k, 1),
+                ("oracle_calls", self.row.oracle_calls, self.calls_step))
 
     def __len__(self):
         return self.count
 
     def __iter__(self):
-        r = self.row
-        return (TraceRow(k, r.f_value, r.g_value, r.step, r.M_k, calls,
-                         r.elapsed_ns, r.bound_value)
-                for k, calls in self.counters())
+        counting = self.counting()
+        return (replace(self.row, **{c: first + step * i
+                                     for c, first, step in counting})
+                for i in range(self.count))
 
 
 def _counter(value, name):
@@ -121,6 +122,95 @@ class RunTrace:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
 
+# One row template serves the whole trace: "%d" for TraceRow's int columns
+# (an annotation is a string here) and "%.17g" for the floats, which also
+# prints nan, inf, -inf and -0.
+_TEMPLATE = {f.name: "%d" if f.type == "int" else "%.17g"
+             for f in fields(TraceRow)}
+_ROW = ",".join(_TEMPLATE.values()) + "\n"
+_CELLS = attrgetter(*TRACE_COLUMNS)
+_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
+# most rows formatted at once, so serialization memory is O(chunk)
+_CHUNK_ROWS = 1 << 16
+
+
+def _chunks(trace):
+    """Header plus every row in ASCII chunks of at most ``_CHUNK_ROWS``
+    rows, bytes or uint8 row matrices.  A list of rows is formatted by one
+    ``%`` over a flat tuple of its cells."""
+    yield _HEADER
+    for part in getattr(trace, "parts", [trace]):
+        if isinstance(part, RepeatSpan):
+            yield from _span_chunks(part)
+            continue
+        rows = iter(part)
+        while batch := list(itertools.islice(rows, _CHUNK_ROWS)):
+            cells = tuple(itertools.chain.from_iterable(map(_CELLS, batch)))
+            yield ((_ROW * len(batch)) % cells).encode("ascii")
+
+
+def _span_chunks(span):
+    """A RepeatSpan's rows: its shared cells formatted once, its counting
+    columns written as digits into a uint8 row matrix.  A chunk ends where
+    one of them gains a digit, so each has one row width."""
+    counting = span.counting()
+    cells = {c: _TEMPLATE[c] % getattr(span.row, c) for c in TRACE_COLUMNS}
+    start = 0
+    while start < span.count:
+        low = {c: first + step * start for c, first, step in counting}
+        width = {c: len(str(v)) for c, v in low.items()}
+        # stop before the first row whose counter reaches 10**width
+        stop = min([span.count, start + _CHUNK_ROWS]
+                   + [start - (low[c] - 10 ** width[c]) // step
+                      for c, _, step in counting if step])
+        at, pos = {}, 0
+        for c in TRACE_COLUMNS:
+            if c in low:
+                cells[c] = "0" * width[c]
+            at[c], pos = pos, pos + len(cells[c]) + 1
+        yield _counted_rows(",".join(cells.values()) + "\n", stop - start,
+                            [(at[c], width[c], low[c], step)
+                             for c, _, step in counting])
+        start = stop
+
+
+def _counted_rows(line, n, counters):
+    """``n`` copies of ``line``, whose counter cells are zeros, as a uint8
+    row matrix whose buffer is their bytes, with row i's value low + step * i
+    of each (at, width, low, step) counter written in as ASCII digits; a
+    span's counters are ints below 2**63, so int64 holds them."""
+    rows = np.empty((n, len(line)), dtype=np.uint8)
+    rows[:] = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    i = np.arange(n, dtype=np.int64)
+    for at, width, low, step in counters:
+        values = low + step * i
+        for col in reversed(range(at, at + width)):
+            tens = values // 10
+            rows[:, col] += (values - 10 * tens).astype(np.uint8)
+            values = tens
+    return rows
+
+
+def trace_hash(trace, path=None):
+    """SHA-256 of the CSV serialization, computed one chunk at a time, from
+    one format pass that also writes the same bytes to ``path`` when one is
+    given."""
+    digest = hashlib.sha256()
+    with contextlib.nullcontext() if path is None else open(path, "wb") as fh:
+        for chunk in _chunks(trace):
+            digest.update(chunk)
+            if fh is not None:
+                fh.write(chunk)
+            del chunk   # freed before the next chunk is formatted
+    return digest.hexdigest()
+
+
+def trace_csv_text(trace):
+    """CSV body with the fixed header; LF endings, '.' decimal, 17 digits.
+    It builds the whole text, for tests and inspection; the runner streams."""
+    return b"".join(_chunks(trace)).decode("ascii")
+
+
 @dataclass
 class Report:
     """What every solver returns.  For a VI, ``x_out`` is the averaged point
@@ -170,6 +260,14 @@ class Recorder:
         """Append row k, stamped with the calls made so far."""
         self.trace.append(TraceRow(k, f_value, g_value, step, M_k, self.calls,
                                    0, bound_value))
+
+    def repeat(self, count, calls_per_row):
+        """Append ``count`` copies of the row ``row`` appended last, with k
+        going up by 1 from it, and count ``calls_per_row`` calls per copy."""
+        last = self.trace.parts[-1][-1]
+        self.trace.repeat(replace(last, k=last.k + 1, oracle_calls=self.calls
+                                  + calls_per_row), count, calls_per_row)
+        self.calls += calls_per_row * count
 
     @staticmethod
     def finite(value):

@@ -28,9 +28,10 @@ class _Descent:
         self.f = self.rec.count(problem.objective)
         self.x = setup.prox_center()
         self.stopped_exact = False
+        self.m_max = 0.0        # max_k ||g^k||_* so far
 
     def steps(self, N, rule, bound_value=math.nan):
-        """Yield (k, answer, h_k, M_k) of up to N iterations, each before
+        """Yield (k, answer, h_k) of up to N iterations, each before
         its step.  ``rule(k, g, M_k)`` gives h_k for the trace and the step
         vector, or None to stop at an exact optimum.  x^k is ``self.x``, not
         yielded, and each step is written into the array of x^(k-1), so a
@@ -41,11 +42,12 @@ class _Descent:
             resp = self.f(x)
             self.rec.finite(resp.value)
             M_k = self.setup.dual_norm(resp.subgradient)
+            self.m_max = max(self.m_max, M_k)
             h, p = rule(k, resp.subgradient, M_k)
             self.rec.row(k, resp.value, step=h, M_k=M_k,
                          bound_value=bound_value)
             self.stopped_exact = p is None
-            yield k, resp, h, M_k
+            yield k, resp, h
             if p is None:
                 return
             self.x, spare = self.setup.mirror_step(x, p, out=spare), x
@@ -119,11 +121,9 @@ def run_fixed_md(problem, setup, R, M, N):
     bound = c * M * R / math.sqrt(N)
     run = _Descent("fixed_md", problem, setup)
     total = np.zeros_like(run.x)
-    m_obs = 0.0
-    for _, _, _, M_k in run.steps(N, _scaled(lambda k, M_k: h), bound):
-        m_obs = max(m_obs, M_k)
+    for _ in run.steps(N, _scaled(lambda k, M_k: h), bound):
         total += run.x
-    run.rec.checks.append((N, m_obs, M * (1 + 1e-12)))
+    run.rec.checks.append((N, run.m_max, M * (1 + 1e-12)))
     return run.report(total / N, bound=bound,
                       extras={"h": h, "x_last": run.x})
 
@@ -136,7 +136,7 @@ def run_adaptive_md(problem, setup, eps, N):
     steps = []
     weighted, scratch = np.zeros_like(run.x), np.empty_like(run.x)
     rule = _scaled(lambda k, M_k: None if M_k == 0.0 else eps / M_k**2)
-    for _, _, h, _ in run.steps(N, rule):
+    for _, _, h in run.steps(N, rule):
         if run.stopped_exact:
             weighted, steps = run.x.copy(), [1.0]
         else:
@@ -165,15 +165,13 @@ def run_normalized_md(problem, setup, R, N):
     _require(N, R=R)
     run = _Descent("normalized_md", problem, setup)
     best_x, best_f = None, math.inf
-    m_obs = 0.0
     rule = _scaled(lambda k, M_k: None if M_k == 0.0
                    else R / (M_k * math.sqrt(N)))
-    for _, resp, _, M_k in run.steps(N, rule):
+    for _, resp, _ in run.steps(N, rule):
         if resp.value < best_f:
             best_f, best_x = resp.value, run.x.copy()
-        m_obs = max(m_obs, M_k)
-    return run.report(best_x, best_f, bound=m_obs * R / math.sqrt(N),
-                      extras={"M_observed": m_obs})
+    return run.report(best_x, best_f, bound=run.m_max * R / math.sqrt(N),
+                      extras={"M_observed": run.m_max})
 
 
 def run_strongly_convex_md(problem, setup, mu, N, M=None):
@@ -187,16 +185,14 @@ def run_strongly_convex_md(problem, setup, mu, N, M=None):
         raise ValueError("strongly convex variant requires the Euclidean setup")
     _require(N, mu=mu, **({} if M is None else {"M": M}))
     run = _Descent("strongly_convex_md", problem, setup)
-    m_obs = 0.0
     weighted, scratch = np.zeros_like(run.x), np.empty_like(run.x)
     wsum = N * (N + 1) / 2.0
     rule = _scaled(lambda k, M_k: 2.0 / (mu * (k + 1)))
-    for k, _, _, M_k in run.steps(N, rule):
-        m_obs = max(m_obs, M_k)
+    for k, _, _ in run.steps(N, rule):
         if k:   # x^k, weight 2k/(N(N+1))
             np.multiply(k, run.x, out=scratch)
             weighted += np.divide(scratch, wsum, out=scratch)
     weighted += N * run.x / wsum
-    run.rec.checks += [] if M is None else [(N, m_obs, M * (1 + 1e-12))]
-    return run.report(weighted, bound=2.0 * (m_obs if M is None else M)**2
-                      / (mu * (N + 1)), extras={"M_observed": m_obs})
+    run.rec.checks += [] if M is None else [(N, run.m_max, M * (1 + 1e-12))]
+    return run.report(weighted, bound=2.0 * (run.m_max if M is None else M)**2
+                      / (mu * (N + 1)), extras={"M_observed": run.m_max})

@@ -21,7 +21,8 @@ from mirropt import (bench, constrained, oracles, problems, smoothing,
 from mirropt.bench import (BOUND_SLACK, METHODS, ConfigError, fit_rate,
                            run_experiment, trace_csv_text, trace_hash)
 from mirropt.cli import main
-from mirropt.report import TRACE_COLUMNS, RepeatSpan, RunTrace, TraceRow
+from mirropt.report import (_CHUNK_ROWS, TRACE_COLUMNS, RepeatSpan, RunTrace,
+                            TraceRow)
 
 
 def fixed_md_config(**overrides):
@@ -336,7 +337,7 @@ def trace_parts(draw):
         kind = draw(st.sampled_from(["rows", "span"]))
         count = draw(st.integers(1, 40))
         if kind == "span" and long_span:
-            count = bench._CHUNK_ROWS + draw(st.integers(1, 99))
+            count = _CHUNK_ROWS + draw(st.integers(1, 99))
             long_span = False
         step = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 10**6)))
         row = TraceRow(k, draw(cells), draw(cells), draw(cells), draw(cells),
@@ -470,6 +471,25 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="unknown problem key 'bogus'"):
             bench.PROBLEMS[name]({"bogus": 1}, 1)
 
+    def test_setup_kind_and_theta0_sq(self):
+        """A setup's kind and theta0_sq reach the run: toy_lp's box takes
+        the Euclidean setup with theta0_sq 1 by default, and a switching run
+        stops once its step sum reaches 2 theta0_sq / eps^2, so halving or
+        doubling theta0_sq about halves or doubles its iterations."""
+        def run(**setup):
+            cfg = {"seed": 1, "problem": {"generator": "toy_lp"},
+                   "setup": setup,
+                   "method": {"name": "constrained_nonsmooth", "eps": 0.1}}
+            code, summary = run_experiment(cfg, check_bounds=True)
+            assert code == 0 and summary["bounds_ok"]
+            return summary["iterations"], summary["trace_sha256"]
+
+        default = run()
+        assert default[0] == 163
+        assert run(kind="euclidean") == run(theta0_sq=1) == default
+        assert run(kind="euclidean", theta0_sq=0.5)[0] == 82
+        assert run(theta0_sq=2.0)[0] == 325
+
     def test_bound_violation_exit(self, tmp_path):
         # M below the true subgradient norm understates the guarantee
         cfg = fixed_md_config(method={"name": "fixed_md", "R": 1.0,
@@ -602,7 +622,10 @@ def reference_check_bounds(report, mname, problem, kind, eps=None, M=None):
         return verdicts
     f_star, gap, bound = problem.f_star, report.gap, report.bound
     n = report.iterations
-    if gap is not None and bound is not None and math.isfinite(bound):
+    # agm's row N checks its headline (N, gap, bound), which is checked once
+    rows_hold_headline = mname == "agm" and f_star is not None and n > 0
+    if gap is not None and bound is not None and math.isfinite(bound) \
+            and not rows_hold_headline:
         check(n, gap, bound)
     if mname in ("fixed_md", "strongly_convex_md") and M is not None:
         check(n, max(row.M_k for row in report.trace), M * (1 + 1e-12))
@@ -688,6 +711,18 @@ def test_checks_match_the_reference(monkeypatch, name):
                                                CHECKED_CONFIGS[name])
     assert verdicts == reference
     assert code == (0 if all(ok for *_, ok in verdicts) else 3)
+
+
+@pytest.mark.parametrize("N, checked", [(5, 5), (0, 1)])
+def test_agm_headline_checked_once(N, checked):
+    """agm's rows list (k, gap_k, bound_k) for k = 1..N, so row N is the
+    headline: each is checked once.  With N = 0 there are no rows and the
+    headline is the one check."""
+    cfg = {"seed": 1, "problem": {"generator": "quadratic_box", "dim": 4},
+           "method": {"name": "agm", "N": N}}
+    code, summary = run_experiment(cfg, check_bounds=True)
+    assert (code, summary["bounds_checked"]) == (0, checked)
+    assert summary["trace_rows"] == N
 
 
 # one config per kind of check whose bound is understated, so that check
@@ -898,9 +933,9 @@ class TestTraceSerialization:
     @settings(max_examples=20, deadline=None)
     @given(trace_parts())
     @example([("span", TraceRow(9_995, 0.25, oracle_calls=10**15 - 7),
-               bench._CHUNK_ROWS + 10, 3),
+               _CHUNK_ROWS + 10, 3),
               ("rows", TraceRow(10**5, -0.0, oracle_calls=10**15 + 10**6),
-               bench._CHUNK_ROWS // 2, 1)])
+               _CHUNK_ROWS // 2, 1)])
     def test_mixed_traces_match_reference(self, parts):
         trace = build_trace(parts)
         text = trace_csv_text(trace)
@@ -916,7 +951,7 @@ class TestTraceSerialization:
         problem, _ = bench.PROBLEMS["abs_value"]({"dim": 1}, cfg["seed"])
         setup = bench._make_setup(problem, bench._validate(cfg)[3])
         trace = subgradient.run_fixed_md(problem, setup, 1.0, 1.0, N).trace
-        assert len(trace) > bench._CHUNK_ROWS and len(trace.parts) == 1
+        assert len(trace) > _CHUNK_ROWS and len(trace.parts) == 1
         _, summary = run_experiment(cfg, out_dir=tmp_path, stem="long")
         written = (tmp_path / "long_trace.csv").read_bytes()
         assert written.decode("ascii") == trace_csv_text(trace) == \
@@ -1098,6 +1133,16 @@ class TestCli:
         assert main(["rates", "--trace", str(tmp_path / "cfg_trace.csv"),
                      "--column", "nonexistent"]) == 2
 
+    def test_rates_refused_column(self, tmp_path, capsys):
+        """A column fit_rate refuses (here: 4 rows, fewer than 10) exits 2
+        with fit_rate's message."""
+        main(["solve", "--config", str(self.write(tmp_path,
+                                                  fixed_md_config()))])
+        capsys.readouterr()
+        assert main(["rates", "--trace", str(tmp_path / "cfg_trace.csv"),
+                     "--column", "f_value"]) == 2
+        assert capsys.readouterr().err == "error: need at least 10 rows\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cfg, names", [
         (fixed_md_config(problem=[1]), "'problem'"),
@@ -1212,6 +1257,13 @@ class TestCli:
          "setup key 'theta0_sq'"),
         (fixed_md_config(method={"name": "fixed_md", "R": 10 ** 400,
                                  "M": 1.0, "N": 4}), "'R'"),
+        ([fixed_md_config()], "config must be a JSON object"),
+        ({"seed": 1, "problem": {"generator": "quadratic_box"},
+          "setup": {"kind": "entropy"},
+          "method": {"name": "agm", "N": 5}},
+         "entropy setup requires a simplex problem"),
+        ({"seed": 1, "problem": {"generator": "abs_value"},
+          "method": {"name": "agm", "N": 5}}, "agm needs L"),
     ], ids=["problem-not-object", "N-not-int", "N-negative",
             "adaptive-N-zero", "ttd-one-node", "origin-wrong-length",
             "M-not-float", "L-not-float", "x0-not-vector",
@@ -1229,7 +1281,8 @@ class TestCli:
             "method-key-unknown", "setup-key-unknown", "vi-setup-key-unknown",
             "top-level-key-unknown", "problem-key-unknown",
             "vi-problem-key-unknown", "game-A-string", "vi-setup-theta0_sq-0",
-            "R-huge-integer"])
+            "R-huge-integer", "config-not-object", "entropy-setup-on-box",
+            "agm-without-L"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg,
                                               names):
         """A malformed config, an empty game included, a null, bool,

@@ -213,6 +213,13 @@ class TestProductSetup:
             np.sqrt(p1.norm(b1) ** 2 + p2.norm(b2) ** 2))
         assert prod.contains(z)
 
+    def test_dual_norm_is_root_sum_of_squares(self):
+        """||(g1, g2)||_* = sqrt(||g1||_2^2 + ||g2||_inf^2) on a Euclidean
+        x entropy product: 5 and 12 give 13."""
+        prod = ProductSetup(euclidean_setup(FeasibleSet.all_space(2)),
+                            entropy_setup(3))
+        assert prod.dual_norm(np.array([3.0, -4.0, 1.0, -12.0, 2.0])) == 13.0
+
     def test_mirror_step_blocks(self):
         p1 = euclidean_setup(FeasibleSet.box(np.zeros(1), np.ones(1)))
         p2 = entropy_setup(2)
@@ -479,10 +486,13 @@ def argmax_linear(fs, t):
         return z
     if fs.kind == "box":
         return np.where(t >= 0, fs.upper, fs.lower)
-    # ||t|| of t / max|t_i|, so that a tiny t's squares do not underflow
+    # the direction t / max|t_i|, so that a tiny t's squares do not
+    # underflow and radius / ||t|| does not overflow
     m = float(np.abs(t).max())
-    nrm = m * np.linalg.norm(t / m) if m > 0 else 0.0
-    return fs.center + (fs.radius / nrm) * t if nrm > 0 else fs.center
+    if m == 0:
+        return fs.center
+    u = t / m
+    return fs.center + (fs.radius / np.linalg.norm(u)) * u
 
 
 def max_abs_member(fs):
@@ -507,6 +517,8 @@ class TestMaxLinear:
     @settings(max_examples=300, deadline=None)
     @given(set_and_direction())
     @example((FeasibleSet.ball(np.zeros(1), 1.0), np.array([1.9588061e-158]),
+              0))
+    @example((FeasibleSet.ball(np.zeros(1), 1.0), np.array([2.22507386e-309]),
               0))
     def test_bounds_every_member_and_is_attained(self, case):
         fs, t, seed = case
