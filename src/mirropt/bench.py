@@ -45,8 +45,8 @@ def fit_rate(k, values):
         raise ValueError("need at least 10 rows")
     half = k.size // 2
     k, values = k[half:], values[half:]
-    if np.any(values <= 0) or np.any(k <= 0):
-        raise ValueError("non-positive values in the fitted column")
+    if not np.all((values > 0) & np.isfinite(values)) or np.any(k <= 0):
+        raise ValueError("non-positive or non-finite value in the fitted half")
     return float(np.polyfit(np.log(k), np.log(values), 1)[0])
 
 

@@ -36,6 +36,19 @@ class GeometryDomainError(ValueError):
     """Raised when grad_d is evaluated where it is undefined."""
 
 
+def _l2(x):
+    """||x||_2 of a float vector: sqrt(x.x), the bits of ``np.linalg.norm``
+    (``np.vdot`` warns of no overflow), unless x.x < 2^-969 or overflows;
+    then from x / max|x_i|, a numpy scalar whose square overflows to inf."""
+    sq = np.vdot(x, x)
+    if not 2.0 ** -969 <= sq < math.inf:
+        big = max(x.max(initial=0.0), -x.min(initial=0.0))
+        if 0.0 < big < math.inf:        # else x is 0 or not finite
+            x = x / big
+            return big * math.sqrt(np.vdot(x, x))
+    return math.sqrt(sq)
+
+
 def _check_dim(dim, x):
     if type(x) is not np.ndarray or x.dtype is not _FLOAT:
         x = np.asarray(x, dtype=float)
@@ -93,7 +106,7 @@ class FeasibleSet:
         if self.kind == "box":
             return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
         if self.kind == "ball":
-            return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
+            return bool(_l2(x - self.center) <= self.radius + tol)
         if self.kind == "simplex":
             return bool(np.all(x >= -tol) and abs(x.sum() - self.scale) <= tol)
         raise ValueError(self.kind)
@@ -106,7 +119,7 @@ class FeasibleSet:
         if self.kind == "box":
             return float(np.sum(np.maximum(self.lower * t, self.upper * t)))
         if self.kind == "ball":
-            return float(t @ self.center + self.radius * np.linalg.norm(t))
+            return float(t @ self.center + self.radius * _l2(t))
         raise ValueError(f"cannot maximize a linear form over '{self.kind}'")
 
 
@@ -163,13 +176,13 @@ class ProxSetup:
 
     def _norm(self, x):
         if self.kind == "euclidean":
-            return math.sqrt(x.dot(x))
+            return _l2(x)
         return float(np.abs(x).sum())
 
     def dual_norm(self, p):
         p = _check_dim(self.dim, p)
         if self.kind == "euclidean":
-            return math.sqrt(p.dot(p))
+            return _l2(p)
         return float(np.abs(p).max()) if p.size else 0.0
 
     # -- prox function ----------------------------------------------------
@@ -230,7 +243,7 @@ class ProxSetup:
             y.clip(s.lower, s.upper, out=y)     # np.clip without its wrapper
         elif s.kind == "ball":
             diff = y - s.center
-            nrm = np.linalg.norm(diff)
+            nrm = _l2(diff)
             if not nrm <= s.radius:     # a NaN norm scales y too
                 np.multiply(diff, s.radius / nrm, out=y)
                 y += s.center
@@ -272,7 +285,7 @@ class ProxSetup:
                             s.upper, s.lower) - x0
             return 0.5 * float(np.dot(diff, diff))
         if s.kind == "ball":
-            return 0.5 * (np.linalg.norm(x0 - s.center) + s.radius) ** 2
+            return 0.5 * np.float64(_l2(x0 - s.center) + s.radius) ** 2
         if s.kind == "simplex":
             best = 0.0
             for i in range(s.dim):
@@ -352,8 +365,7 @@ class ProductSetup:
 # -- convenience constructors used throughout the package ------------------
 
 def euclidean_setup(feasible_set, origin=None, theta0_sq=None):
-    setup = ProxSetup(feasible_set, "euclidean", origin=origin, theta0_sq=theta0_sq)
-    return setup
+    return ProxSetup(feasible_set, "euclidean", origin=origin, theta0_sq=theta0_sq)
 
 def entropy_setup(dim, scale=1.0, theta0_sq=None):
     """Theta_0^2 defaults to ``max_d()`` on the unit simplex, else None."""

@@ -11,8 +11,6 @@ import numpy as np
 from .oracles import require_positive
 from .report import Recorder
 
-MAX_INNER_TRIALS = 64
-
 
 def _mirror_prox(method, op, setup, N, L, eps=None):
     """The extragradient loop of both methods.
@@ -21,8 +19,8 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
     M = L_k 2^(i-1).  With ``eps`` None, L_k = L is the operator's Lipschitz
     constant: one trial accepted unchecked, the w-points averaged with
     weight 1 and row bound L D / k.  Otherwise L_1 = L, a trial is accepted
-    once the smoothed Lipschitz check holds with slack eps/2 (at most
-    MAX_INNER_TRIALS + 1 trials), L_{k+1} = M_k / 2, the weights are 1/M_k,
+    once the smoothed Lipschitz check holds with slack eps/2 (M doubles until
+    it would overflow), L_{k+1} = M_k / 2, the weights are 1/M_k,
     the row bound is D / sum_i 1/M_i + eps/2, and the run stops once
     D / sum_i 1/M_i <= eps/2.  Here D = max_z V[z^0](z).  Each row's gap is
     certified by ``saddle_gap`` from the running weighted average of Phi(w),
@@ -43,8 +41,8 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
     gap = math.nan
     for k in range(1, N + 1):
         phi_z = phi(z)
-        for i in range(1, (1 if eps is None else MAX_INNER_TRIALS + 1) + 1):
-            M = L * 2.0 ** (i - 1)
+        M, i = L, 1
+        while True:
             # Phi / M is a temporary, so that mirror_step checks its shape
             setup.mirror_step(z, phi_z / M, out=w)
             phi_w = phi(w)
@@ -57,9 +55,10 @@ def _mirror_prox(method, op, setup, N, L, eps=None):
             if lhs <= 0.5 * M * (setup.norm(w - z) ** 2
                                  + setup.norm(w - z_next) ** 2) + eps / 2.0:
                 break
-        else:
-            raise RuntimeError("inner doubling exceeded the cap; operator "
-                               "likely non-Hoelder or oracle inconsistent")
+            M, i = 2.0 * M, i + 1
+            if M == math.inf:
+                raise RuntimeError("inner doubling overflowed M; operator "
+                                   "likely non-Hoelder or oracle inconsistent")
         z, z_next = z_next, z
         inner_trials.append(i)
         weight = 1.0 if eps is None else M

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .geometry import FeasibleSet, ProductSetup, entropy_setup, euclidean_setup
@@ -54,14 +55,11 @@ class TransportDualOracle:
 def _solve_transport_primal(a, b, c):
     """LP oracle: optimal value and dual prices of the balanced instance."""
     m, n = c.shape
-    # variables x_ij flattened row-major
-    A_eq = np.zeros((n + m, m * n))
-    for j in range(n):                      # column sums = a_j
-        A_eq[j, j::n] = 1.0
-    for i in range(m):                      # row sums = b_i
-        A_eq[n + i, i * n:(i + 1) * n] = 1.0
-    rhs = np.concatenate([a, b])
-    res = linprog(c.ravel(), A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
+    # variables x_ij flattened row-major; rows: column sums a_j, row sums b_i
+    A_eq = sp.vstack([sp.kron(np.ones((1, m)), sp.eye_array(n)),
+                      sp.kron(sp.eye_array(m), np.ones((1, n)))])
+    res = linprog(c.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun), np.asarray(res.eqlin.marginals, dtype=float)
@@ -104,22 +102,14 @@ def transport_dual_lp_optimum(instance):
     """Independent LP evaluation of min f over (u, v) via the epigraph form."""
     o = instance.objective
     m, n = o.m, o.n
-    dim = n + m
     # variables: u (n), v (m), t (m*n); minimize -a u - b v + V sum t
+    # subject to u_j + v_i - t_ij <= c_ij, one row per cell, row-major
     cost = np.concatenate([-o.a, -o.b, np.full(m * n, o.V)])
-    rows = []
-    rhs = []
-    for i in range(m):
-        for j in range(n):
-            r = np.zeros(dim + m * n)
-            r[j] = 1.0            # u_j
-            r[n + i] = 1.0        # v_i
-            r[dim + i * n + j] = -1.0
-            rows.append(r)
-            rhs.append(o.c[i, j])
-    bounds = [(None, None)] * dim + [(0, None)] * (m * n)
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                  method="highs")
+    A_ub = sp.hstack([sp.kron(np.ones((m, 1)), sp.eye_array(n)),
+                      sp.kron(sp.eye_array(m), np.ones((n, 1))),
+                      -sp.eye_array(m * n)])
+    res = linprog(cost, A_ub=A_ub, b_ub=o.c.ravel(), method="highs",
+                  bounds=[(None, None)] * (n + m) + [(0, None)] * (m * n))
     if not res.success:
         raise RuntimeError(f"penalized dual LP failed: {res.message}")
     return float(res.fun)

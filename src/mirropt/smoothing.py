@@ -13,8 +13,6 @@ from .geometry import _check_dim
 from .oracles import OracleResponse, require_positive
 from .report import Recorder
 
-MAX_BACKTRACKS = 64
-
 
 def alpha_root(C_k, M):
     """Largest root of M*a^2 - a - C_k = 0 via the stable quadratic formula."""
@@ -31,7 +29,7 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     Trial i of iteration k uses M = L_k 2^(i-1).  With ``eps`` None, L_k = L
     is a known Lipschitz constant and the one trial is accepted unchecked.
     Otherwise L_1 = L, a trial is accepted once the inexact descent condition
-    with slack alpha*eps/(2C) holds (at most MAX_BACKTRACKS trials) and
+    with slack alpha*eps/(2C) holds (M doubles until it would overflow) and
     L_{k+1} = max(M_k / 2, L_min); on a compact set the run stops once
     D / C_k <= eps/2, with D = max_y V[x^0](y) (Nesterov 2015).  As
     C_{k+1} = M alpha^2, sqrt(C_{k+1}) - sqrt(C_k) <= 1/sqrt(M): with
@@ -57,8 +55,8 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
     L_min = (N + 1) ** 2 * 2.0 ** -1000
     for k in range(1, N + 1):
         np.multiply(y, C, out=cy)   # C y, the same for every trial
-        for i in range(1, (1 if eps is None else MAX_BACKTRACKS) + 1):
-            M = L * 2.0 ** (i - 1)
+        M, i = L, 1
+        while True:
             alpha = alpha_root(C, M)
             C_next = C + alpha
             np.multiply(z, alpha, out=x)   # x = (alpha z + C y) / C_next
@@ -79,9 +77,10 @@ def _accelerated(method, problem, setup, N, L, eps=None, bound=None):
                     + 0.5 * M * setup.norm(tmp) ** 2 \
                     + alpha * eps / (2.0 * C_next):
                 break
-        else:
-            raise RuntimeError("backtracking failed to terminate; "
-                               "oracle likely inconsistent")
+            M, i = 2.0 * M, i + 1
+            if M == math.inf:
+                raise RuntimeError("backtracking failed to terminate; "
+                                   "oracle likely inconsistent")
         z, z_try, y, y_try, C = z_try, z, y_try, y, C_next
         if eps is not None:
             L = max(M / 2.0, L_min)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .geometry import FeasibleSet, euclidean_setup
+from .geometry import FeasibleSet, _l2, euclidean_setup
 from .oracles import require_positive
 from .report import Recorder
 
@@ -83,7 +83,7 @@ def _closer(d_min, x, x_star):
     """min(d_min, ||x - x_star||_2), or None without x_star."""
     if x_star is None:
         return None
-    d = float(np.linalg.norm(x - x_star))
+    d = float(_l2(x - x_star))
     return d if d_min is None else min(d_min, d)
 
 

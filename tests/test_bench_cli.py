@@ -373,6 +373,18 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate(np.arange(1, 101), np.zeros(100))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fitted_value_refused(self, bad):
+        """NaN <= 0 is False, so a NaN once passed as positive."""
+        values = np.full(20, 2.0)
+        values[15] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_rate(np.arange(1, 21), values)
+        values[3] = bad         # the first half is not fitted
+        values[15] = 2.0
+        assert fit_rate(np.arange(1, 21), values) == \
+            pytest.approx(0.0, abs=1e-12)
+
 
 class TestRunExperiment:
     def test_hand_worked_summary(self, tmp_path):
@@ -414,6 +426,19 @@ class TestRunExperiment:
         finally:
             put(old)
         assert seen == [1, 1]
+
+    def test_without_a_bundled_openblas(self, monkeypatch, tmp_path):
+        """Without numpy's OpenBLAS nothing is pinned, and a run gives the
+        same bytes (at any thread count for a run this small)."""
+        monkeypatch.setattr(np, "__file__",
+                            str(tmp_path / "numpy" / "__init__.py"))
+        assert bench._openblas_threads.__wrapped__() is None
+        monkeypatch.undo()
+        _, pinned = run_experiment(fixed_md_config())
+        monkeypatch.setattr(bench, "_openblas_threads", lambda: None)
+        code, summary = run_experiment(fixed_md_config())
+        assert code == 0
+        assert summary["trace_sha256"] == pinned["trace_sha256"]
 
     def test_determinism(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -1109,6 +1134,52 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == \
             "error: the run failed: non-finite objective value\n"
+
+    # a starting constant 2^100 below the one the run settles on: more
+    # doublings than the 64 (universal AGM) or 65 trials (universal Mirror
+    # Prox) that once ended such a run as "oracle likely inconsistent"
+    SMALL_START = {
+        "universal_agm": {
+            "seed": 1, "problem": {"generator": "quadratic_box", "dim": 4},
+            "method": {"name": "universal_agm", "eps": 1e-3, "L0": 1e-30,
+                       "N": 5}},
+        "universal_mirror_prox": {
+            "seed": 1, "problem": {"generator": "matrix_game", "rows": 4,
+                                   "cols": 4},
+            "method": {"name": "universal_mirror_prox", "eps": 1e-3,
+                       "M_init": 1e-30, "N": 5}}}
+
+    @pytest.mark.parametrize("method", SMALL_START)
+    def test_small_starting_constant_runs(self, tmp_path, capsys, method):
+        p = self.write(tmp_path, self.SMALL_START[method])
+        assert main(["solve", "--config", str(p), "--check-bounds"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["iterations"] == 5
+        assert out["bounds_ok"] and out["bounds_checked"] == 5
+        with open(tmp_path / "cfg_trace.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert float(first["M_k"]) > 2.0 ** 64 * 1e-30
+
+    def test_out_dir_is_a_file(self, tmp_path, capsys):
+        p = self.write(tmp_path, fixed_md_config())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["solve", "--config", str(p), "--out-dir",
+                     str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_rates_refuses_a_nan_column(self, tmp_path, capsys):
+        """A switching run's rows have no bound (NaN): no slope to fit."""
+        p = self.write(tmp_path, TTD_SWITCHING)
+        assert main(["solve", "--config", str(p)]) == 0
+        capsys.readouterr()
+        assert main(["rates", "--trace", str(tmp_path / "cfg_trace.csv"),
+                     "--column", "bound_value"]) == 2
+        assert capsys.readouterr() == ("", "error: non-positive or "
+                                       "non-finite value in the fitted "
+                                       "half\n")
 
     def test_rates_roundtrip(self, tmp_path, capsys):
         cfg = {

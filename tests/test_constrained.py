@@ -771,3 +771,37 @@ def test_non_finite_value_raises(solver, which, value):
     with pytest.raises(RuntimeError, match="^non-finite objective value$"):
         solver(problem, setup, 0.5, max_iter=50)
     assert oracle.calls == 2
+
+
+@pytest.mark.parametrize("solver", [solve_constrained_nonsmooth,
+                                    solve_constrained_general])
+def test_constant_violated_constraint_is_infeasible_at_eps(solver):
+    """g = 1 > eps everywhere has a zero subgradient, so the first
+    non-productive step has no direction."""
+    problem = toy_lp()
+    problem.constraints = ConstraintBundle([LinearOracle(np.zeros(2), 1.0)])
+    setup = euclidean_setup(problem.set, theta0_sq=0.25)
+    with pytest.raises(InfeasibleAtEpsError, match="zero constraint"):
+        solver(problem, setup, 0.1)
+
+
+@pytest.mark.parametrize("solver, reference", [
+    (solve_constrained_nonsmooth, reference_nonsmooth),
+    (solve_constrained_general, reference_general)])
+def test_iteration_cap_before_the_iterate_freezes(solver, reference):
+    # the golden instance stops moving at step 255: a cap of 100 ends the
+    # run inside the loop, before any repeat
+    problem, setup = _ttd(10, 20, 1)
+    for run in (solver, reference):
+        with pytest.raises(RuntimeError, match="^iteration cap reached"):
+            run(problem, setup, 0.1, max_iter=100)
+
+
+def test_theta0_sq_refusals():
+    problem = toy_lp()
+    with pytest.raises(ValueError, match="^setup.theta0_sq is required$"):
+        _theta0_sq(problem, euclidean_setup(problem.set), 0.1)
+    problem.constraints = None
+    with pytest.raises(ValueError, match="^problem has no constraint"):
+        _theta0_sq(problem, euclidean_setup(problem.set, theta0_sq=0.25),
+                   0.1)

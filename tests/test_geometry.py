@@ -13,6 +13,8 @@ from mirropt.geometry import (ENTROPY_CLAMP, FEASIBILITY_TOL,
                               _check_dim, _project_simplex, doubled_to_signed,
                               entropy_l1_ball_setup, entropy_setup,
                               euclidean_setup, signed_to_doubled)
+from mirropt.oracles import FunctionOracle, ProblemInstance
+from mirropt.subgradient import run_normalized_md
 
 
 def sample_setups():
@@ -58,6 +60,49 @@ class TestDualNorm:
         setup = euclidean_setup(FeasibleSet.all_space(2))
         with pytest.raises(DimensionMismatchError):
             setup.dual_norm(np.zeros(3))
+
+
+class TestNormsAtExtremeScales:
+    """Euclidean norms scale by max|x_i| where x.x would underflow to a
+    subnormal or overflow, with no RuntimeWarning (an error here)."""
+
+    def test_tiny_dual_norm(self):
+        setup = euclidean_setup(FeasibleSet.all_space(2))
+        assert setup.dual_norm([3e-170, 4e-170]) == \
+            pytest.approx(5e-170, rel=1e-15, abs=0)
+        assert setup.norm([3e-170, 4e-170]) == \
+            pytest.approx(5e-170, rel=1e-15, abs=0)
+
+    def test_tiny_gradients_do_not_stop_normalized_md(self):
+        """f = s ||x||_1 from (1, -1): at s = 1e-170, ||g|| once read 0, so
+        the run stopped at once with stopped_exact at (1, -1)."""
+        def run(scale):
+            problem = ProblemInstance(
+                FunctionOracle(lambda x: scale * float(np.abs(x).sum()),
+                               lambda x: scale * np.sign(x)),
+                FeasibleSet.all_space(2))
+            setup = euclidean_setup(problem.set, origin=np.array([1.0, -1.0]))
+            return run_normalized_md(problem, setup, 2.0, 100)
+        tiny, unit = run(1e-170), run(1.0)
+        assert tiny.iterations == unit.iterations == 100
+        assert not tiny.stopped_exact
+        assert np.allclose(tiny.x_out, unit.x_out, rtol=1e-12, atol=0)
+
+    def test_huge_dual_norm(self):
+        setup = euclidean_setup(FeasibleSet.all_space(2))
+        assert setup.dual_norm([1e200, 1e200]) == \
+            pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
+    def test_huge_max_linear_over_a_ball(self):
+        ball = FeasibleSet.ball(np.zeros(1), 1.0)
+        assert ball.max_linear([1e200]) == 1e200
+        assert ball.contains([0.5]) and not ball.contains([1e200])
+
+    def test_huge_step_projects_onto_the_ball(self):
+        """The step once scaled y by 1 / inf and returned the centre."""
+        setup = euclidean_setup(FeasibleSet.ball(np.zeros(2), 1.0))
+        assert np.array_equal(setup.mirror_step(np.zeros(2), [-1e200, 0.0]),
+                              [1.0, 0.0])
 
 
 class TestBregman:
@@ -383,7 +428,14 @@ class TestFastPaths:
     @settings(max_examples=300, deadline=None)
     @given(euclidean_and_vector())
     def test_euclidean_norms_are_linalg_norm(self, case):
+        """The bits of ``np.linalg.norm`` wherever p.p is finite and at
+        least 2^-969, or p is not finite; elsewhere, where p.p lost bits to
+        underflow or overflowed, math.hypot's value to a few ulps."""
         setup, p = case
+        if np.all(np.isfinite(p)) and not 2.0 ** -969 <= p @ p < math.inf:
+            ref = pytest.approx(math.hypot(*p), rel=1e-14, abs=1e-323)
+            assert setup.dual_norm(p) == ref and setup.norm(p) == ref
+            return
         ref = float(np.linalg.norm(p))
         assert same_bits(setup.dual_norm(p), ref)
         assert same_bits(setup.norm(p), ref)

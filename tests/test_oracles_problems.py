@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mirropt.problems import (gen_matrix_game, gen_transport_dual,
                               reconstruct_ttd_primal,
                               transport_dual_lp_optimum)
 from mirropt.subgradient import run_adaptive_md
+from scipy.optimize import linprog
 
 
 class TestAggregateMax:
@@ -49,6 +51,15 @@ class TestAggregateMax:
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError):
             ConstraintBundle([])
+
+    def test_calling_the_bundle_is_aggregate_max(self):
+        bundle = ConstraintBundle([LinearOracle(np.array([1.0]), -1.0),
+                                   LinearOracle(np.array([-1.0]), -1.0)])
+        for x, value, index in (([0.25], -0.75, 1), ([-2.0], 1.0, 2)):
+            resp = bundle(x)
+            assert (resp.value, resp.active_index) == (value, index)
+            assert resp.subgradient.tobytes() == \
+                aggregate_max(bundle, x).subgradient.tobytes()
 
     def test_list_input_matches_array_input(self):
         bundle = LinearMaxBundle([[1.0, -2.0], [0.5, 3.0]], [0.25, -1.0])
@@ -99,7 +110,81 @@ class TestAbsLinear:
         assert np.array_equal(resp.subgradient, np.zeros(2))
 
 
+def reference_transport_primal(a, b, c):
+    """The transportation LP as first built: a dense (n + m) x mn equality
+    matrix filled row by row.  Returns (optimal value, dual prices)."""
+    m, n = c.shape
+    A_eq = np.zeros((n + m, m * n))
+    for j in range(n):                      # column sums = a_j
+        A_eq[j, j::n] = 1.0
+    for i in range(m):                      # row sums = b_i
+        A_eq[n + i, i * n:(i + 1) * n] = 1.0
+    res = linprog(c.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.success
+    return float(res.fun), np.asarray(res.eqlin.marginals, dtype=float)
+
+
+def reference_transport_lp_optimum(o):
+    """min f of a ``TransportDualOracle`` from its epigraph LP as first
+    built: one dense row u_j + v_i - t_ij <= c_ij per cell."""
+    m, n = o.m, o.n
+    dim = n + m
+    cost = np.concatenate([-o.a, -o.b, np.full(m * n, o.V)])
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(n):
+            r = np.zeros(dim + m * n)
+            r[j] = 1.0
+            r[n + i] = 1.0
+            r[dim + i * n + j] = -1.0
+            rows.append(r)
+            rhs.append(o.c[i, j])
+    bounds = [(None, None)] * dim + [(0, None)] * (m * n)
+    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
+                  bounds=bounds, method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+TRANSPORT_SIZES = [(1, 1, 0), (2, 3, 9), (3, 3, 1), (5, 7, 2), (10, 1, 3),
+                   (20, 30, 4)] + [(3, 4, seed) for seed in range(5)]
+
+
 class TestTransportDual:
+    @pytest.mark.parametrize("m, n, seed", TRANSPORT_SIZES)
+    def test_sparse_lps_match_the_dense_reference(self, m, n, seed):
+        """Both LPs are built sparse and give the dense builds' bytes."""
+        prob = gen_transport_dual(m, n, seed)
+        o = prob.objective
+        primal_opt, prices = reference_transport_primal(o.a, o.b, o.c)
+        assert np.float64(prob.f_star).tobytes() == \
+            np.float64(-primal_opt).tobytes()
+        assert prob.x_star.tobytes() == prices.tobytes()
+        assert np.float64(transport_dual_lp_optimum(prob)).tobytes() == \
+            np.float64(reference_transport_lp_optimum(o)).tobytes()
+
+    def test_more_rows_than_supply(self):
+        """With m above sum(a), a_0 grows to make the total m, so every row
+        gets a supply of at least 1."""
+        prob = gen_transport_dual(10, 1, 3)
+        o = prob.objective
+        assert o.a.sum() == o.b.sum() == prob.meta["V"] == 10.0
+        assert np.all(o.b >= 1.0)
+        assert prob.f_star == transport_dual_lp_optimum(prob) == -28.0
+
+    def test_build_memory_is_not_quadratic_in_the_cells(self):
+        """The dense (m + n) x mn matrix of a 120 x 120 build alone is
+        27.6 MB; the sparse build peaks at a few MB of numpy memory."""
+        tracemalloc.start()
+        try:
+            gen_transport_dual(120, 120, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+
     def test_one_by_one(self):
         # a = b = (V), c arbitrary: f* = -primal = -V*c_00 at u+v = c
         prob = gen_transport_dual(1, 1, seed=0)

@@ -10,13 +10,14 @@ import pytest
 from mirropt import bench
 from mirropt.bench import trace_csv_text
 from mirropt.geometry import FeasibleSet, euclidean_setup
-from mirropt.mirrorprox import (MAX_INNER_TRIALS, mirror_prox_solve,
-                                saddle_gap, universal_mirror_prox_solve)
-from mirropt.oracles import FunctionOracle, ProblemInstance
+from mirropt.mirrorprox import (mirror_prox_solve, saddle_gap,
+                                universal_mirror_prox_solve)
+from mirropt.oracles import (FunctionOracle, OracleResponse, ProblemInstance,
+                             SaddleOperator)
 from mirropt.problems import gen_matrix_game
 from mirropt.report import Report, RunTrace, TraceRow
-from mirropt.smoothing import (MAX_BACKTRACKS, agm_solve, alpha_root,
-                               universal_agm, universal_conv_bound)
+from mirropt.smoothing import (agm_solve, alpha_root, universal_agm,
+                               universal_conv_bound)
 
 from test_bench_cli import reference_check_bounds, verdict_bits
 
@@ -117,7 +118,7 @@ def reference_universal_agm(problem, setup, eps, L0, N):
         while True:
             M *= 2.0
             trials += 1
-            if trials > MAX_BACKTRACKS:
+            if M == math.inf:
                 raise RuntimeError("backtracking failed to terminate; "
                                    "oracle likely inconsistent")
             alpha = alpha_root(C, M)
@@ -224,8 +225,8 @@ def reference_universal_mirror_prox(op, setup, eps, M_init, N):
     k = 0
     for k in range(1, N + 1):
         phi_z = phi(z)
-        for i_k in range(1, MAX_INNER_TRIALS + 2):
-            M = 2.0 ** (i_k - 2) * m_prev
+        M, i_k = m_prev / 2.0, 1
+        while True:
             w = setup.mirror_step(z, phi_z / M)
             phi_w = phi(w)
             z_next = setup.mirror_step(z, phi_w / M)
@@ -234,9 +235,11 @@ def reference_universal_mirror_prox(op, setup, eps, M_init, N):
                 + eps / 2.0
             if lhs <= rhs:
                 break
-        else:
-            raise RuntimeError("inner doubling exceeded the cap; operator "
-                               "likely non-Hoelder or oracle inconsistent")
+            M, i_k = 2.0 * M, i_k + 1
+            if M == math.inf:
+                raise RuntimeError("inner doubling overflowed M; operator "
+                                   "likely non-Hoelder or oracle "
+                                   "inconsistent")
         z = z_next
         m_prev = M
         inner_trials.append(i_k)
@@ -480,3 +483,66 @@ def test_entry_points_refuse_bad_inputs(solver, name, value):
     kwargs = {**SOLVERS[solver], "N": 5, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be"):
         solver(*_first_args(solver), **kwargs)
+
+
+# -- the line searches double M until it would overflow ---------------------
+
+class _Alternating:
+    """Objective values 0 and 1 in turn, with a zero subgradient: each
+    trial evaluates f twice at one point and reads 1 after 0, so no M
+    passes the descent test."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return OracleResponse(float(self.calls % 2 == 0), np.zeros(x.size))
+
+
+class _Runaway:
+    """Phi(0) = 0.5; at w = -0.5 / M, Phi(w) = -0.5 M, so the Lipschitz
+    check misses by 0.125 (M + 2) - eps/2 at every M."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return np.array([0.5 if z[0] == 0.0 else 0.25 / z[0]])
+
+
+class TestDoublingUntilOverflow:
+    def test_universal_agm_from_a_tiny_L0_matches_reference(self):
+        problem, setup = _free_quadratic()
+        rep = universal_agm(problem, setup, 0.01, 1e-30, 40)
+        assert_same_run(rep, reference_universal_agm(problem, setup, 0.01,
+                                                     1e-30, 40))
+        assert rep.inner_trials[0] > 64
+
+    def test_universal_mirror_prox_from_a_tiny_M_init_matches_reference(
+            self):
+        op = GAME_OPS["entropy-3x5"]()
+        rep = universal_mirror_prox_solve(op, op.domain, 0.01, 1e-30, 50)
+        assert_same_run(rep, reference_universal_mirror_prox(
+            op, op.domain, 0.01, 1e-30, 50))
+        assert rep.inner_trials[0] > 65
+
+    def test_inconsistent_objective_still_raises(self):
+        """M = 1, 2, ..., 2^1023 are tried, two calls each; 2^1024 would
+        overflow."""
+        f = _Alternating()
+        problem = ProblemInstance(f, FeasibleSet.all_space(2))
+        with pytest.raises(RuntimeError, match="^backtracking failed"):
+            universal_agm(problem, euclidean_setup(problem.set), 0.1, 1.0, 5)
+        assert f.calls == 2 * 1024
+
+    def test_inconsistent_operator_still_raises(self):
+        """From M_init = 2 the first trial is M = 1; Phi(z) once, then
+        Phi(w) for M = 1, ..., 2^1023."""
+        phi = _Runaway()
+        op = SaddleOperator(phi, euclidean_setup(FeasibleSet.box([-10.0],
+                                                                 [10.0])))
+        with pytest.raises(RuntimeError, match="^inner doubling overflowed"):
+            universal_mirror_prox_solve(op, op.domain, 0.01, 2.0, 5)
+        assert phi.calls == 1 + 1024
