@@ -298,8 +298,15 @@ class ProxSetup:
 
 def _project_simplex(y, scale):
     """Euclidean projection of y onto {x >= 0, sum x = scale}, written into
-    y (sort-based); returns y."""
+    y (sort-based); returns y.  Where max y dwarfs the scale, u_0 - scale
+    would round off scale's low bits (or all of them, leaving no index in
+    the support), so the projection, which is shift-invariant, is taken of
+    y - max y instead."""
     u = np.sort(y)[::-1]
+    top = u[0]
+    if abs(top) > scale * 2.0 ** 26:
+        y -= top
+        u -= top
     css = np.cumsum(u) - scale
     ks = np.arange(1, y.size + 1)
     cond = u - css / ks > 0

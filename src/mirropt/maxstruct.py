@@ -3,12 +3,14 @@
 A tournament tree over z = A y repairs the maximum and its argmax in
 O(log m) per affected row, stopping at the first node a repair leaves
 unchanged, so a sparse change of y touching s rows costs O(s log m)
-instead of O(m n).  The O(nnz) build computes z per group of equal-length
-rows with a stacked (1, k) @ (k, 1) ``matmul``: numpy runs each block
-through the same ``ddot`` as ``np.dot``, so z agrees to the bit with the
-per-row products of the repair and of ``brute_force``.  ``A @ y`` would
-not: scipy's CSR product sums in another order.
-"""
+instead of O(m n).  The tree is two flat arrays, float64 values and int64
+argmaxes, 16 B per node, read and written through ``memoryview``s as
+Python floats and ints.  The build and each update compute their z_i in
+one batched product per group of equal-length rows, a stacked
+(1, k) @ (k, 1) ``matmul``: numpy runs each block through the same
+``ddot`` as ``np.dot``, so z agrees to the bit with the per-row products
+of ``brute_force``.  ``A @ y`` would not: scipy's CSR product sums in
+another order."""
 
 from __future__ import annotations
 
@@ -140,16 +142,10 @@ class MaxStructure:
         csc = csr.tocsc()          # each column's rows in ascending order
         self._csr = indptr, indices, data
         self._csc = csc.indptr, csc.indices
+        del csr, csc               # and with them scipy's copies of the data
         for a in self._csr + self._csc:
             a.setflags(write=False)
-        self.z = np.zeros(self.m)            # empty rows: np.dot gives 0.0
-        counts = np.diff(indptr)
-        for k in np.unique(counts[counts > 0]).tolist():
-            rows = np.flatnonzero(counts == k)
-            pos = indptr[rows, None] + np.arange(k)
-            a, b = data[pos][:, None, :], y0[indices[pos]][:, :, None]
-            # 1-element np.dot is the bare product (-0.0 kept); matmul adds +0.0
-            self.z[rows] = (a * b if k == 1 else a @ b)[:, 0, 0]
+        self.z = self._products(np.arange(self.m))
         if not np.isfinite(self.z).all():
             raise ValueError("A y0 overflows")
         # complete tournament tree, built level by level; ties go left
@@ -162,8 +158,27 @@ class MaxStructure:
             take = val[lo + 1:2 * lo:2] > val[lo:2 * lo:2]
             val[size:lo] = np.where(take, val[lo + 1:2 * lo:2], val[lo:2 * lo:2])
             arg[size:lo] = np.where(take, arg[lo + 1:2 * lo:2], arg[lo:2 * lo:2])
-        # plain lists keep the hot repair path free of numpy scalar overhead
-        self.tree_val, self.tree_arg = val.tolist(), arg.tolist()
+        # memoryviews read and write Python floats and ints, 16 B per node
+        self._val, self._arg = memoryview(val), memoryview(arg)
+
+    def _products(self, rows):
+        """<a_i, y> for the given rows, bit-equal to a per-row ``np.dot``."""
+        indptr, indices, data = self._csr
+        start = indptr[rows]
+        counts = indptr[rows + 1] - start
+        z = np.zeros(rows.size)              # empty rows: np.dot gives 0.0
+        for k in np.unique(counts[counts > 0]).tolist():
+            group = np.flatnonzero(counts == k)
+            pos = start[group, None] + np.arange(k)
+            a, b = data[pos][:, None, :], self.y[indices[pos]][:, :, None]
+            # 1-element np.dot is the bare product (-0.0 kept); matmul adds +0.0
+            z[group] = (a * b if k == 1 else a @ b)[:, 0, 0]
+        return z
+
+    tree_val = property(lambda self: self._val.tolist(),
+                        doc="A snapshot of the tree's values, root at 1.")
+    tree_arg = property(lambda self: self._arg.tolist(),
+                        doc="A snapshot of the tree's 0-based argmaxes.")
 
     def row(self, i):
         """Row i (0-based) as a read-only sparse vector."""
@@ -176,11 +191,11 @@ class MaxStructure:
         ptr, rows = self._csc
         return rows[ptr[j]:ptr[j + 1]]
 
-    value = property(lambda self: self.tree_val[1])
-    argmax = property(lambda self: self.tree_arg[1] + 1)    # 1-based
+    value = property(lambda self: self._val[1])
+    argmax = property(lambda self: self._arg[1] + 1)    # 1-based
 
     def query(self):
-        return self.value, self.argmax
+        return self._val[1], self._arg[1] + 1
 
     def apply_sparse_update(self, delta):
         """y <- y + delta; returns (new_value, new_argmax, touched_count).
@@ -193,19 +208,18 @@ class MaxStructure:
             return self.value, self.argmax, 0
         if idx[0] < 0 or idx[-1] >= self.n:
             raise ValueError("delta index out of range")
-        (indptr, indices, data), (ptr, rows) = self._csr, self._csc
+        ptr, rows = self._csc
         y, old = self.y, self.y[idx]
         y[idx] = new = old + delta.values
         aff = np.unique(np.concatenate(
             [rows[ptr[j]:ptr[j + 1]] for j in idx.tolist()]))
-        zs = [float(np.dot(data[a:b], y[indices[a:b]]))
-              for a, b in zip(indptr[aff].tolist(), indptr[aff + 1].tolist())]
-        if not (np.isfinite(new).all() and all(map(math.isfinite, zs))):
+        zs = self._products(aff)
+        if not (np.isfinite(new).all() and np.isfinite(zs).all()):
             y[idx] = old
             raise ValueError("the update makes y or A y non-finite")
         self.z[aff] = zs
-        val, arg, touched = self.tree_val, self.tree_arg, 0
-        for i, v in zip(aff.tolist(), zs):
+        val, arg, touched = self._val, self._arg, 0
+        for i, v in zip(aff.tolist(), zs.tolist()):
             node, w = self.leaf_base + i, i
             while node:      # up to the root; node 0 is an unused slot
                 # stop at the first node left as it was, sign of zero too
@@ -215,14 +229,16 @@ class MaxStructure:
                         v or math.copysign(1.0, v) == math.copysign(1.0, prev)):
                     break
                 val[node], arg[node] = v, w
-                node //= 2
-                pick = 2 * node + (val[2 * node + 1] > val[2 * node])
-                v, w = val[pick], arg[pick]
+                # the parent takes the larger child; ties go left
+                vs = val[node ^ 1]
+                if (vs >= v) if node & 1 else (vs > v):
+                    v, w = vs, arg[node ^ 1]
+                node >>= 1
         return self.value, self.argmax, touched
 
     def current_subgradient(self):
         """The attaining row a_{argmax} as a read-only sparse vector."""
-        return self.row(self.tree_arg[1])
+        return self.row(self._arg[1])
 
     def brute_force(self):
         """From-scratch (value, argmax) with the same per-row summation."""

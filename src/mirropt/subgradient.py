@@ -135,7 +135,21 @@ def run_adaptive_md(problem, setup, eps, N):
     run = _Descent("adaptive_md", problem, setup)
     steps = []
     weighted, scratch = np.zeros_like(run.x), np.empty_like(run.x)
-    rule = _scaled(lambda k, M_k: None if M_k == 0.0 else eps / M_k**2)
+
+    def step(k, M_k):
+        if M_k == 0.0:
+            return None
+        try:        # M_k is a float or, from a scaled norm, a numpy scalar
+            with np.errstate(over="raise", divide="raise"):
+                h = eps / M_k**2
+            if h < math.inf:
+                return h
+        except ArithmeticError:
+            pass
+        raise RuntimeError(f"the adaptive step eps/||g||^2 = {eps!r}/"
+                           f"{float(M_k)!r}^2 is out of the float range")
+
+    rule = _scaled(step)
     for _, _, h in run.steps(N, rule):
         if run.stopped_exact:
             weighted, steps = run.x.copy(), [1.0]

@@ -1160,6 +1160,20 @@ class TestCli:
             first = next(csv.DictReader(fh))
         assert float(first["M_k"]) > 2.0 ** 64 * 1e-30
 
+    def test_euclidean_game_from_a_tiny_constant(self, tmp_path, capsys):
+        """The first trials step by Phi/M with M near 1e-17: the simplex
+        projection once raised IndexError (a traceback) there, or left the
+        simplex and failed the bound (exit 3)."""
+        p = self.write(tmp_path, {
+            "seed": 1, "problem": {"generator": "matrix_game", "rows": 3,
+                                   "cols": 5, "setup": "euclidean"},
+            "method": {"name": "universal_mirror_prox", "eps": 0.01,
+                       "M_init": 1e-20, "N": 5}})
+        assert main(["solve", "--config", str(p), "--check-bounds"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["iterations"] == 5
+        assert out["bounds_ok"] and out["bounds_checked"] == 5
+
     def test_out_dir_is_a_file(self, tmp_path, capsys):
         p = self.write(tmp_path, fixed_md_config())
         taken = tmp_path / "taken"

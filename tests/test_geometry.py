@@ -105,6 +105,51 @@ class TestNormsAtExtremeScales:
                               [1.0, 0.0])
 
 
+def reference_project_simplex(y, scale):
+    """The sort-based projection without the shift to max y = 0."""
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - scale
+    rho = int(np.nonzero(u - css / np.arange(1, y.size + 1) > 0)[0][-1])
+    return np.maximum(y - css[rho] / (rho + 1.0), 0.0)
+
+
+class TestProjectSimplex:
+    """Where max y dwarfs the scale, u_0 - scale rounded off the scale: no
+    index passed the support test (IndexError) or the point left the
+    simplex.  The projection of y - max y is taken there instead."""
+
+    @pytest.mark.parametrize("y, x", [
+        ([1e20, 0.0, 0.0], [1.0, 0.0, 0.0]),            # was IndexError
+        ([1e20, 1e20, 0.0], [0.5, 0.5, 0.0]),           # was IndexError
+        ([2.0 ** 53 + 2.0, 0.0, 0.0], [1.0, 0.0, 0.0]),  # was [2, 0, 0]
+        ([-1e20, -1e20, -1e20], [1 / 3, 1 / 3, 1 / 3]),
+        ([-1e20, 0.0, 0.0], [0.0, 0.5, 0.5]),
+    ])
+    def test_dwarfing_entries(self, y, x):
+        y = np.array(y)
+        assert _project_simplex(y, 1.0) is y
+        assert np.array_equal(y, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: vectors(n, min_value=-1e300, max_value=1e300)),
+        st.floats(0.25, 4.0), st.booleans())
+    @example(np.array([1e20, 0.0]), 1.0, False)
+    def test_shift_only_where_max_y_dwarfs_the_scale(self, y, scale, small):
+        """Up to |max y| = 2^26 scale the bits are the unshifted formula's
+        (which may miss the simplex by ~|max y| 2^-52 per entry); beyond,
+        those of the projection of y - max y, on the simplex."""
+        if small:
+            y = y / max(1.0, np.abs(y).max()) * 1e6     # |y| <= 1e6 < 2^26/4
+        got = _project_simplex(y.copy(), scale)
+        if abs(y.max()) <= scale * 2.0 ** 26:
+            assert same_bits(got, reference_project_simplex(y, scale))
+        else:
+            assert same_bits(got, reference_project_simplex(y - y.max(),
+                                                            scale))
+            assert FeasibleSet.simplex(y.size, scale).contains(got)
+
+
 class TestBregman:
     def test_euclidean_half_square(self):
         setup = euclidean_setup(FeasibleSet.all_space(2))

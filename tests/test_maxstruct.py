@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +182,48 @@ class TestStorage:
             with pytest.raises(ValueError):
                 a[0] = 9
 
+    def test_reads_are_python_scalars(self):
+        s = MaxStructure(np.array([[1.0, 2.0], [0.0, 3.0]]), np.ones(2))
+        for _ in range(2):
+            reads = (*s.query(), s.value, s.argmax)
+            assert [type(r) for r in reads] == [float, int, float, int]
+            s.apply_sparse_update({1: 1.0})
+
+    def test_tree_lists_are_snapshots(self):
+        s = MaxStructure(np.array([[1.0, 2.0], [0.0, 3.0]]), np.ones(2))
+        before = tree_bits(s), s.query()
+        val, arg = s.tree_val, s.tree_arg
+        val[1], arg[1] = 99.0, 1
+        assert (tree_bits(s), s.query()) == before
+        with pytest.raises(AttributeError):
+            s.tree_val = val
+
+    def test_build_memory_is_flat_arrays(self):
+        """The build's traced peak is what its arrays need: the CSR and
+        CSC copies, y, z and a tree of 16 B per node, plus the temporaries
+        of one batched product over all rows (four gathered arrays of 8 B
+        per nonzero, four index arrays of 8 B per row), plus 1 MiB.  A tree
+        kept as two Python lists of boxed floats and ints (about 70 B per
+        node, 9 MB here) overshoots it."""
+        m, n, k = 2 ** 16, 2 ** 14, 4
+        rng = np.random.default_rng(29)
+        cols = np.sort((np.arange(m)[:, None] + np.arange(k) * (n // k)) % n,
+                       axis=1)
+        A = sp.csr_matrix((rng.standard_normal(m * k), cols.ravel(),
+                           np.arange(0, m * k + 1, k)), shape=(m, n))
+        y0 = rng.standard_normal(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            s = MaxStructure(A, y0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.leaf_base == m and s.query() == s.brute_force()
+        arrays = sum(a.nbytes for a in s._csr + s._csc) \
+            + s.y.nbytes + s.z.nbytes + 2 * s.leaf_base * 16
+        assert peak < arrays + 4 * 8 * (m * k + m) + 2 ** 20
+
 
 class TestUpdate:
     def test_worked_example(self):
@@ -199,6 +243,30 @@ class TestUpdate:
         value, argmax, touched = s.apply_sparse_update(
             SparseVector(np.array([], dtype=np.int64), np.array([])))
         assert (value, argmax, touched) == (v0, a0, 0)
+
+    def test_delta_on_empty_columns(self):
+        """No row reads column 2: y changes, the tree does not."""
+        s = MaxStructure(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                         np.array([1.0, 2.0, 5.0]))
+        before = tree_bits(s)
+        assert s.apply_sparse_update({2: 3.0}) == (2.0, 2, 0)
+        assert list(s.y) == [1.0, 2.0, 8.0] and tree_bits(s) == before
+
+    def test_rows_of_every_length_in_one_update(self):
+        """Empty rows beside affected rows of lengths 1 (its product -0.0,
+        which a matmul would make +0.0), 2 and 3, all in one update."""
+        rows = [(np.array([], dtype=np.int64), np.array([])),
+                (np.array([0]), np.array([-2.0])),
+                (np.array([0, 1]), np.array([1.0, 1.0])),
+                (np.array([0, 1, 2]), np.array([1.0, -1.0, 1.0])),
+                (np.array([], dtype=np.int64), np.array([])),
+                (np.array([2]), np.array([0.5]))]
+        s = MaxStructure(rows, np.array([1.0, 1.0, 1.0]))
+        assert s.apply_sparse_update({0: -1.0}) == (1.0, 3, 8)
+        assert math.copysign(1.0, s.z[1]) == -1.0
+        assert list(s.z) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.5]
+        assert tree_bits(s) == tree_bits(MaxStructure(rows, s.y))
+        assert s.query() == s.brute_force() == (1.0, 3)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_refuses_non_finite_result(self):

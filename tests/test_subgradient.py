@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,21 @@ class TestAdaptiveMd:
         rep = run_adaptive_md(abs_problem(), setup, eps=0.1, N=50)
         assert rep.stopped_exact
         assert rep.gap == 0.0
+
+    @pytest.mark.parametrize("scale, norm", [(1e-170, "1.4142135623730951e-170"),
+                                             (1e160, "1.414213562373095e+160")])
+    def test_step_out_of_float_range_raises(self, scale, norm):
+        """f = s ||x||_1 from (1, -1): at s = 1e-170, ||g||^2 underflows to
+        0 and eps / ||g||^2 once overflowed after numpy's divide-by-zero
+        warning (an error here); at s = 1e160 ||g||^2 overflowed."""
+        prob = ProblemInstance(
+            FunctionOracle(lambda x: scale * float(np.abs(x).sum()),
+                           lambda x: scale * np.sign(x)),
+            FeasibleSet.all_space(2))
+        setup = euclidean_setup(prob.set, origin=np.array([1.0, -1.0]))
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"eps/||g||^2 = 0.1/{norm}^2 is out of the float range")):
+            run_adaptive_md(prob, setup, eps=0.1, N=100)
 
 
 class TestNormalizedMd:
