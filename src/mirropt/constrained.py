@@ -1,13 +1,14 @@
 """Switching Mirror Descent for problems with functional constraints.
 
-Two adaptive variants of one loop: one for Lipschitz objectives (with
-primal-dual reconstruction of approximate Lagrange multipliers) and one for
-general, possibly non-Lipschitz objectives.  Steps alternate between
-"productive" iterations driven by the objective subgradient (constraint
-satisfied at level eps) and "non-productive" iterations driven by the
-constraint subgradient; the variants differ only in their productive steps.
-Once a step leaves x unchanged, every later iteration repeats the last one,
-and the loop does the rest of the run in bulk (see ``_switching``).
+Two adaptive variants of one loop, ``_Switching.steps``: one for Lipschitz
+objectives (an h-weighted average, with approximate Lagrange multipliers)
+and one for general, possibly non-Lipschitz objectives (the best point).
+Steps alternate between "productive" iterations driven by the objective
+subgradient (constraint satisfied at level eps) and "non-productive"
+iterations driven by the constraint subgradient.  The loop yields each
+productive step, and each variant keeps its output in its loop body.  Once
+a step leaves x unchanged, every later iteration repeats the last one, and
+the loop does the rest of the run in bulk.
 """
 
 from __future__ import annotations
@@ -108,153 +109,114 @@ def _add_repeated(acc, term, count):
     return out if term.ndim else float(out)
 
 
-def _switching(problem, setup, eps, max_iter, rule, hook):
-    """The switching loop of both methods.  A productive step (g(x) <= eps)
-    takes (h_k, stop term) = ``rule(M_k)``, M_k = ||grad f(x)||_*, and ends
-    the run if M_k = 0.  ``hook(x, h_k, f_resp, M_k, t)`` sees each
-    productive step, t times in a row (t > 1 only for the bulk repeats),
-    and ``hook.output(lam_raw)`` gives x_out, f_out (None: evaluate f at
-    x_out) and further Report fields; ``hook.certifies_f`` says whether the
-    theorem bounds f_out - f* by eps.  A non-productive step takes h_k =
-    eps / M_k^2 and stop term 1/M_k^2 from M_k = ||grad g(x)||_*.  A
-    non-finite g or f value raises before any step is taken from it.
-    """
-    theta0_sq = _theta0_sq(problem, setup, eps)
-    rec = Recorder(hook.method, problem.f_star)
-    f = rec.count(problem.objective)
-    g = rec.count(lambda x: aggregate_max(problem.constraints, x))
-    x = setup.prox_center()
-    spare = np.empty_like(x)    # x and spare are the run's iterate buffers
-    stop_target = 2.0 * theta0_sq / eps**2
-    stop_sum = 0.0
-    n_prod = 0
-    lam_raw = np.zeros(len(problem.constraints))
-    k = 0
-    stationary_at = None
-    while True:
-        g_resp = g(x)
-        productive = g_resp.value <= eps
-        drive = f(x) if productive else g_resp  # steps along its subgradient
-        rec.finite(g_resp.value)
-        rec.finite(drive.value)
-        m_k = setup.dual_norm(drive.subgradient)
-        if productive:
-            h_k, term = rule(m_k)
-            hook(x, h_k, drive, m_k, 1)
-            n_prod += 1
-            f_val = drive.value
-        else:
-            if m_k == 0.0:
-                raise InfeasibleAtEpsError(
-                    "zero constraint subgradient on a non-productive step")
-            h_k = eps / m_k**2
-            term = 1.0 / m_k**2
-            lam_raw[g_resp.active_index - 1] += h_k
-            f_val = math.nan
-        rec.row(k, f_val, g_value=g_resp.value, step=h_k, M_k=m_k)
-        k += 1
-        if m_k == 0.0:      # a productive x with grad f = 0 is optimal
-            break
-        x, spare = setup.mirror_step(x, h_k * drive.subgradient,
-                                     out=spare), x
-        # compared by bytes, so -0.0 against 0.0 is a move.  Oracles are
-        # deterministic: after an unmoved x every iteration gets the same
-        # answers, M_k and step, so their bookkeeping is done in bulk below
-        moved = x.tobytes() != spare.tobytes()
-        stop_sum += term
-        if stop_sum >= stop_target:
-            break
-        if k >= max_iter:
-            raise RuntimeError("iteration cap reached before the stop rule")
-        if not moved:
-            stationary_at = k
-            break
-    if stationary_at is not None:
+class _Switching:
+    """One run of the switching loop of both methods, recorded in rec."""
+
+    def __init__(self, method, problem, setup, eps, max_iter):
+        self.theta0_sq = _theta0_sq(problem, setup, eps)
+        self.rec = Recorder(method, problem.f_star)
+        self.f = self.rec.count(problem.objective)
+        self.g = self.rec.count(lambda x: aggregate_max(problem.constraints,
+                                                        x))
+        self.setup, self.eps, self.max_iter = setup, eps, max_iter
+        self.lipschitz_g = problem.lipschitz_g
+        self.x = setup.prox_center()
+        self.lam_raw = np.zeros(len(problem.constraints))
+        self.k, self.productive, self.stationary_at = 0, 0, None
+
+    def steps(self, rule):
+        """Yield (x, h_k, f_resp, M_k, t) of each productive step (g(x) <=
+        eps), which stands for t in a row (t > 1 only for the bulk repeat):
+        (h_k, stop term) = ``rule(M_k)``, M_k = ||grad f(x)||_*; M_k = 0
+        ends the run.  A non-productive step takes h_k = eps / M_k^2, stop
+        term 1/M_k^2, from M_k = ||grad g(x)||_*, and adds h_k to lam_raw.
+        A non-finite g or f value raises before any step is taken from it.
+        x's array is reused two steps on: a caller that keeps x copies it."""
+        rec, setup, eps, x = self.rec, self.setup, self.eps, self.x
+        spare = np.empty_like(x)    # x and spare are the run's iterate buffers
+        stop_target = 2.0 * self.theta0_sq / eps**2
+        stop_sum = 0.0
+        while True:
+            g_resp = self.g(x)
+            productive = g_resp.value <= eps
+            drive = self.f(x) if productive else g_resp     # steps along it
+            rec.finite(g_resp.value)
+            rec.finite(drive.value)
+            m_k = setup.dual_norm(drive.subgradient)
+            if productive:
+                h_k, term = rule(m_k)
+                yield x, h_k, drive, m_k, 1
+                self.productive += 1
+                f_val = drive.value
+            else:
+                if m_k == 0.0:
+                    raise InfeasibleAtEpsError(
+                        "zero constraint subgradient on a non-productive step")
+                h_k = eps / m_k**2
+                term = 1.0 / m_k**2
+                self.lam_raw[g_resp.active_index - 1] += h_k
+                f_val = math.nan
+            rec.row(self.k, f_val, g_value=g_resp.value, step=h_k, M_k=m_k)
+            self.k += 1
+            if m_k == 0.0:      # a productive x with grad f = 0 is optimal
+                return
+            x, spare = setup.mirror_step(x, h_k * drive.subgradient,
+                                         out=spare), x
+            self.x = x
+            # compared by bytes, so -0.0 against 0.0 is a move.  Oracles are
+            # deterministic: after an unmoved x every iteration gets the same
+            # answers, M_k and step, so their bookkeeping is done in bulk below
+            moved = x.tobytes() != spare.tobytes()
+            stop_sum += term
+            if stop_sum >= stop_target:
+                return
+            if self.k >= self.max_iter:
+                raise RuntimeError("iteration cap reached before the stop rule")
+            if not moved:
+                break
         # the rest of the run repeats the last iteration t times
-        t = _stop_count(stop_sum, term, stop_target, max_iter - k)
+        self.stationary_at = self.k
+        t = _stop_count(stop_sum, term, stop_target, self.max_iter - self.k)
         if t is None:
             raise RuntimeError("iteration cap reached before the stop rule")
         rec.repeat(t, 2 if productive else 1)
         # the repeats add nothing to lam_raw: an x that its own g-step leaves
         # unmoved minimizes the convex g > eps over the set (a rounding stall
-        # needs a stop sum past the cap), so no step was productive and
-        # hook.output never reads lam_raw; any lam >= 0 keeps certify valid
+        # needs a stop sum past the cap), so no step was productive and no
+        # output reads lam_raw; any lam >= 0 keeps certify valid
         if productive:
-            hook(x, h_k, drive, m_k, t)
-            n_prod += t
-        k += t
-    if n_prod == 0:     # never feasible at level eps: no output value
-        x_out, f_out, g_out, fields = x, math.nan, math.nan, {"extras": {}}
-    else:
-        x_out, f_out, fields = hook.output(lam_raw)
-        # g first: after a stretch without BLAS calls (the repeats) the
-        # first one pays a warm-up of tens of us, which also serves f's dot
-        g_out = g(x_out).value
-        if f_out is None:
-            f_out = f(x_out).value
-    fields["extras"]["stationary_at"] = stationary_at
-    n_bound = _iteration_bound(hook.lipschitz_f, problem.lipschitz_g,
-                               theta0_sq, eps)
-    # the theorem: f_out - f* <= eps if the hook certifies f, g(x_out) <= eps
-    # and k <= the iteration bound
-    if hook.certifies_f and rec.f_star is not None and math.isfinite(f_out):
-        rec.checks.append((k, rec.gap(f_out), eps))
-    if math.isfinite(g_out):
-        rec.checks.append((k, g_out, eps))
-    if n_bound is not None:
-        rec.checks.append((k, float(k), float(n_bound)))
-    return rec.report(x_out, f_out, g_bar=g_out, productive=n_prod, **fields,
-                      iteration_bound=n_bound)
+            yield x, h_k, drive, m_k, t
+            self.productive += t
+        self.k += t
 
-
-class _Average:
-    """constrained_nonsmooth's output: the h-weighted average of the
-    productive points; sum h also scales the multipliers."""
-
-    method = "constrained_nonsmooth"
-    certifies_f = True      # f_out - f* <= eps
-
-    def __init__(self, lipschitz_f):
-        self.lipschitz_f = lipschitz_f
-        self.weighted = self.h_sum = 0.0    # weighted: an array after step 1
-
-    def __call__(self, x, h_k, f_resp, m_k, t):
-        if t == 1:
-            self.weighted += h_k * x
-            self.h_sum += h_k
+    def report(self, x_out, f_out, lipschitz_f, certifies_f, **fields):
+        """The run's Report of x_out; f(x_out) is evaluated unless f_out is
+        given.  ``certifies_f`` says whether the theorem bounds f_out - f*
+        by eps.  A run with no productive step was never feasible at level
+        eps: x_out is its last x, f_out and g_bar nan, with no fields."""
+        rec, k, eps = self.rec, self.k, self.eps
+        if self.productive:
+            # g first: after a stretch without BLAS calls (the repeats) the
+            # first one pays a warm-up of tens of us, which also serves f's dot
+            g_out = self.g(x_out).value
+            if f_out is None:
+                f_out = self.f(x_out).value
         else:
-            self.weighted = _add_repeated(self.weighted, h_k * x, t)
-            self.h_sum = _add_repeated(self.h_sum, h_k, t)
-
-    def output(self, lam_raw):
-        return (self.weighted / self.h_sum, None,
-                {"lambda_bar": lam_raw / self.h_sum,
-                 "extras": {"h_prod_sum": self.h_sum}})
-
-
-class _Best:
-    """constrained_general's output: the best productive point.  A repeat
-    is the last productive point again and changes nothing."""
-
-    method = "constrained_general"
-    certifies_f = False
-    lipschitz_f = 1.0   # the step eps/||grad f||_* is eps along a unit vector
-
-    def __init__(self, x_star):
-        self.x_star = x_star
-        self.best_f, self.best_x, self.min_vf = math.inf, None, None
-
-    def __call__(self, x, h_k, f_resp, m_k, t):
-        if f_resp.value < self.best_f:
-            self.best_f, self.best_x = f_resp.value, x.copy()
-        if self.x_star is not None:
-            merit = _merit(f_resp.subgradient, m_k, x, self.x_star)
-            self.min_vf = merit if self.min_vf is None \
-                else min(self.min_vf, merit)
-
-    def output(self, lam_raw):
-        extras = {} if self.min_vf is None else {"min_vf": self.min_vf}
-        return self.best_x, self.best_f, {"extras": extras}
+            x_out, f_out, g_out, fields = self.x, math.nan, math.nan, {}
+        fields.setdefault("extras", {})["stationary_at"] = self.stationary_at
+        n_bound = _iteration_bound(lipschitz_f, self.lipschitz_g,
+                                   self.theta0_sq, eps)
+        # the theorem: f_out - f* <= eps if the method certifies f,
+        # g(x_out) <= eps and k <= the iteration bound
+        if certifies_f and rec.f_star is not None and math.isfinite(f_out):
+            rec.checks.append((k, rec.gap(f_out), eps))
+        if math.isfinite(g_out):
+            rec.checks.append((k, g_out, eps))
+        if n_bound is not None:
+            rec.checks.append((k, float(k), float(n_bound)))
+        return rec.report(x_out, f_out, g_bar=g_out,
+                          productive=self.productive, **fields,
+                          iteration_bound=n_bound)
 
 
 def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7):
@@ -265,9 +227,22 @@ def solve_constrained_nonsmooth(problem, setup, eps, max_iter=10**7):
     the productive-step average and the approximate dual multipliers grouped
     by active constraint index.
     """
-    return _switching(problem, setup, eps, max_iter,
-                      lambda m: (eps / m**2, 1.0 / m**2) if m else (1.0, 0.0),
-                      _Average(problem.lipschitz_f))
+    run = _Switching("constrained_nonsmooth", problem, setup, eps, max_iter)
+    weighted = h_sum = 0.0      # weighted: an array after step 1
+    for x, h_k, _, _, t in run.steps(
+            lambda m: (eps / m**2, 1.0 / m**2) if m else (1.0, 0.0)):
+        if t == 1:
+            weighted += h_k * x
+            h_sum += h_k
+        else:
+            weighted = _add_repeated(weighted, h_k * x, t)
+            h_sum = _add_repeated(h_sum, h_k, t)
+    if not run.productive:      # no average: the report has no output point
+        return run.report(None, None, problem.lipschitz_f, True)
+    # f_out - f* <= eps; sum h also scales the multipliers
+    return run.report(weighted / h_sum, None, problem.lipschitz_f, True,
+                      lambda_bar=run.lam_raw / h_sum,
+                      extras={"h_prod_sum": h_sum})
 
 
 def solve_constrained_general(problem, setup, eps, max_iter=10**7):
@@ -279,9 +254,19 @@ def solve_constrained_general(problem, setup, eps, max_iter=10**7):
     known x_star, ``extras["min_vf"]`` is the least ``directional_merit`` at
     x_star over the productive points, from the answers the run already has.
     """
-    return _switching(problem, setup, eps, max_iter,
-                      lambda m: (eps / m, 1.0) if m else (math.inf, 1.0),
-                      _Best(problem.x_star))
+    run = _Switching("constrained_general", problem, setup, eps, max_iter)
+    best_f, best_x, min_vf = math.inf, None, None
+    # a repeat is the last productive point again and changes nothing
+    for x, _, f_resp, m_k, _ in run.steps(
+            lambda m: (eps / m, 1.0) if m else (math.inf, 1.0)):
+        if f_resp.value < best_f:
+            best_f, best_x = f_resp.value, x.copy()
+        if problem.x_star is not None:
+            merit = _merit(f_resp.subgradient, m_k, x, problem.x_star)
+            min_vf = merit if min_vf is None else min(min_vf, merit)
+    # L_f = 1: the step eps/||grad f||_* is eps along a unit vector
+    return run.report(best_x, best_f, 1.0, False,
+                      extras={} if min_vf is None else {"min_vf": min_vf})
 
 
 def _merit(subgradient, nrm, x, y):

@@ -298,13 +298,17 @@ class ProxSetup:
 
 def _project_simplex(y, scale):
     """Euclidean projection of y onto {x >= 0, sum x = scale}, written into
-    y (sort-based); returns y.  Where max y dwarfs the scale, u_0 - scale
-    would round off scale's low bits (or all of them, leaving no index in
-    the support), so the projection, which is shift-invariant, is taken of
-    y - max y instead."""
+    y (sort-based); returns y.  Entries more than 2 scale below max y (or
+    below it, if max y - 2 scale rounds to it) are 0 in the projection and
+    are raised to there, so none overflows a sum.  The projection of y - max
+    y is taken where u_0 - scale would round off scale's low bits, and where
+    the n entries' rounding, |max y| 2^-52 each, could miss FEASIBILITY_TOL."""
     u = np.sort(y)[::-1]
     top = u[0]
-    if abs(top) > scale * 2.0 ** 26:
+    lo = min(top - 2.0 * scale, np.nextafter(top, -np.inf))
+    np.maximum(y, lo, out=y)
+    np.maximum(u, lo, out=u)
+    if abs(top) > min(scale * 2.0 ** 26, 2.0 ** 20 / y.size):
         y -= top
         u -= top
     css = np.cumsum(u) - scale

@@ -5,8 +5,9 @@ O(log m) per affected row, stopping at the first node a repair leaves
 unchanged, so a sparse change of y touching s rows costs O(s log m)
 instead of O(m n).  The tree is two flat arrays, float64 values and int64
 argmaxes, 16 B per node, read and written through ``memoryview``s as
-Python floats and ints.  The build and each update compute their z_i in
-one batched product per group of equal-length rows, a stacked
+Python floats and ints.  The build (in blocks of 2^14 rows, so its
+gathered temporaries stay small) and each update compute their z_i in one
+batched product per group of equal-length rows, a stacked
 (1, k) @ (k, 1) ``matmul``: numpy runs each block through the same
 ``ddot`` as ``np.dot``, so z agrees to the bit with the per-row products
 of ``brute_force``.  ``A @ y`` would not: scipy's CSR product sums in
@@ -19,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+
+_BUILD_ROWS = 1 << 14     # rows per product block of the build
 
 
 def _int_indices(indices):
@@ -145,7 +149,10 @@ class MaxStructure:
         del csr, csc               # and with them scipy's copies of the data
         for a in self._csr + self._csc:
             a.setflags(write=False)
-        self.z = self._products(np.arange(self.m))
+        self.z = np.empty(self.m)
+        for lo in range(0, self.m, _BUILD_ROWS):   # caps the gathered arrays
+            rows = np.arange(lo, min(lo + _BUILD_ROWS, self.m))
+            self.z[lo:lo + rows.size] = self._products(rows)
         if not np.isfinite(self.z).all():
             raise ValueError("A y0 overflows")
         # complete tournament tree, built level by level; ties go left

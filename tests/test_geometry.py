@@ -113,6 +113,13 @@ def reference_project_simplex(y, scale):
     return np.maximum(y - css[rho] / (rho + 1.0), 0.0)
 
 
+def shifted(y, scale):
+    """Whether _project_simplex projects y - max y: where max y dwarfs the
+    scale, or the n entries' rounding could miss it by FEASIBILITY_TOL."""
+    top = abs(y.max())
+    return top > min(scale * 2.0 ** 26, 2.0 ** 20 / y.size)
+
+
 class TestProjectSimplex:
     """Where max y dwarfs the scale, u_0 - scale rounded off the scale: no
     index passed the support test (IndexError) or the point left the
@@ -124,11 +131,33 @@ class TestProjectSimplex:
         ([2.0 ** 53 + 2.0, 0.0, 0.0], [1.0, 0.0, 0.0]),  # was [2, 0, 0]
         ([-1e20, -1e20, -1e20], [1 / 3, 1 / 3, 1 / 3]),
         ([-1e20, 0.0, 0.0], [0.0, 0.5, 0.5]),
+        ([1e308, -1e308, 0.0], [1.0, 0.0, 0.0]),    # y - max y overflowed
+        ([0.0, -1e308, -1e308], [1.0, 0.0, 0.0]),   # was [inf, inf, inf]
     ])
     def test_dwarfing_entries(self, y, x):
         y = np.array(y)
         assert _project_simplex(y, 1.0) is y
         assert np.array_equal(y, x)
+
+    @pytest.mark.parametrize("y, scale", [
+        (np.full(9, 1e7), 1.0),         # the sum was off by 7.5e-9
+        (np.full(64, 1e6), 1.1832),     # and by 1.7e-9
+    ])
+    def test_many_large_equal_entries_stay_on_the_simplex(self, y, scale):
+        got = _project_simplex(y.copy(), scale)
+        assert FeasibleSet.simplex(y.size, scale).contains(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64).flatmap(
+        lambda n: vectors(n, min_value=-1e300, max_value=1e300)),
+        st.floats(0.1, 10.0), st.booleans())
+    @example(np.array([1e308, -1e308, 0.0]), 1.0, False)
+    def test_on_the_simplex_without_a_warning(self, y, scale, small):
+        """RuntimeWarnings are errors under the test config."""
+        if small:
+            y = y / max(1.0, np.abs(y).max()) * 1e4
+        got = _project_simplex(y.copy(), scale)
+        assert FeasibleSet.simplex(y.size, scale).contains(got)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(
@@ -136,13 +165,13 @@ class TestProjectSimplex:
         st.floats(0.25, 4.0), st.booleans())
     @example(np.array([1e20, 0.0]), 1.0, False)
     def test_shift_only_where_max_y_dwarfs_the_scale(self, y, scale, small):
-        """Up to |max y| = 2^26 scale the bits are the unshifted formula's
-        (which may miss the simplex by ~|max y| 2^-52 per entry); beyond,
-        those of the projection of y - max y, on the simplex."""
+        """Unshifted, the bits are the unshifted formula's (which may miss
+        the simplex by ~|max y| 2^-52 per entry); shifted, those of the
+        projection of y - max y, on the simplex."""
         if small:
             y = y / max(1.0, np.abs(y).max()) * 1e6     # |y| <= 1e6 < 2^26/4
         got = _project_simplex(y.copy(), scale)
-        if abs(y.max()) <= scale * 2.0 ** 26:
+        if not shifted(y, scale):
             assert same_bits(got, reference_project_simplex(y, scale))
         else:
             assert same_bits(got, reference_project_simplex(y - y.max(),

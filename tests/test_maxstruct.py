@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirropt.maxstruct import MaxStructure, SparseVector
+from mirropt.maxstruct import _BUILD_ROWS, MaxStructure, SparseVector
 from mirropt.problems import gen_ttd_dual
 
 
@@ -201,10 +201,11 @@ class TestStorage:
     def test_build_memory_is_flat_arrays(self):
         """The build's traced peak is what its arrays need: the CSR and
         CSC copies, y, z and a tree of 16 B per node, plus the temporaries
-        of one batched product over all rows (four gathered arrays of 8 B
-        per nonzero, four index arrays of 8 B per row), plus 1 MiB.  A tree
-        kept as two Python lists of boxed floats and ints (about 70 B per
-        node, 9 MB here) overshoots it."""
+        of one batched product over one block of rows (four gathered arrays
+        of 8 B per nonzero, four index arrays of 8 B per row), plus 1 MiB.
+        A tree kept as two Python lists of boxed floats and ints (about
+        70 B per node, 9 MB here) overshoots it, and so does one product
+        over all rows (5.5 MB more here)."""
         m, n, k = 2 ** 16, 2 ** 14, 4
         rng = np.random.default_rng(29)
         cols = np.sort((np.arange(m)[:, None] + np.arange(k) * (n // k)) % n,
@@ -222,7 +223,8 @@ class TestStorage:
         assert s.leaf_base == m and s.query() == s.brute_force()
         arrays = sum(a.nbytes for a in s._csr + s._csc) \
             + s.y.nbytes + s.z.nbytes + 2 * s.leaf_base * 16
-        assert peak < arrays + 4 * 8 * (m * k + m) + 2 ** 20
+        block = min(m, _BUILD_ROWS)
+        assert peak < arrays + 4 * 8 * (block * k + block) + 2 ** 20
 
 
 class TestUpdate:

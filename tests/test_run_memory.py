@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mirropt import bench
-from mirropt.constrained import solve_constrained_nonsmooth
+from mirropt.constrained import (solve_constrained_general,
+                                 solve_constrained_nonsmooth)
 from mirropt.geometry import (DimensionMismatchError, FeasibleSet,
                               ProductSetup, euclidean_setup)
 from mirropt.mirrorprox import mirror_prox_solve, universal_mirror_prox_solve
@@ -94,15 +95,18 @@ def test_a_subgradient_of_another_shape_is_refused(solve):
         solve(problem, euclidean_setup(box))
 
 
-@pytest.mark.parametrize("solve", [*SHAPE_SOLVES.values(),
-                                   solve_constrained_nonsmooth],
-                         ids=[*SHAPE_SOLVES, "constrained_nonsmooth"])
+SWITCHING = (solve_constrained_nonsmooth, solve_constrained_general)
+
+
+@pytest.mark.parametrize("solve", [*SHAPE_SOLVES.values(), *SWITCHING],
+                         ids=[*SHAPE_SOLVES, "constrained_nonsmooth",
+                              "constrained_general"])
 def test_a_run_leaves_no_reference_cycle(solve):
     """No cycle (a loop object holding an oracle that its call counter
     wraps around it, say) keeps a run's arrays until the collector runs."""
     problem, _ = bench.PROBLEMS["toy_lp"]({}, 1)
     setup = bench._make_setup(problem, {})
-    args = (0.1,) if solve is solve_constrained_nonsmooth else ()
+    args = (0.1,) if solve in SWITCHING else ()
     gc.collect()
     gc.disable()
     try:
