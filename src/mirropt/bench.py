@@ -28,7 +28,7 @@ from .geometry import (FeasibleSet, ProductSetup, entropy_setup,
                        euclidean_setup)
 from .oracles import FunctionOracle, ProblemInstance, SaddleOperator
 # the runner calls this module's trace_hash, the name a profiler can wrap
-from .report import trace_csv_text, trace_hash  # noqa: F401
+from .report import overwrite, trace_csv_text, trace_hash  # noqa: F401
 
 BOUND_SLACK = 1e-9
 
@@ -491,9 +491,9 @@ def run_experiment(config, out_dir=None, check_bounds=False, stem="experiment"):
                for k, v in summary.items()}
 
     if out is not None:
-        (out / f"{stem}_summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
-            + "\n", newline="\n")
+        with overwrite(out / f"{stem}_summary.json") as fh:
+            fh.write((json.dumps(summary, sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n").encode("ascii"))
 
     code = 0 if all_ok else 3
     return code, summary

@@ -64,21 +64,36 @@ def _cmd_solve(args):
     return code
 
 
+def _column(rows, name):
+    """Column ``name`` of the trace's rows as floats; a missing or
+    non-numeric cell raises ValueError naming its row."""
+    values = []
+    for i, row in enumerate(rows, 1):
+        try:
+            values.append(float(row[name]))
+        except (TypeError, ValueError):     # float(None): a short row
+            raise ValueError(f"row {i} of the trace has no number in column "
+                             f"'{name}'") from None
+    return np.array(values)
+
+
 def _cmd_rates(args):
     try:
-        with open(args.trace, newline="") as fh:
+        with open(args.trace, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not rows or args.column not in rows[0]:
-        print(f"error: column '{args.column}' not in trace; available: "
-              + ", ".join(TRACE_COLUMNS), file=sys.stderr)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        print(f"error: malformed trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for name in ("k", args.column):
+        if not rows or name not in rows[0]:
+            print(f"error: column '{name}' not in trace; available: "
+                  + ", ".join(TRACE_COLUMNS), file=sys.stderr)
+            return EXIT_CONFIG
     try:
-        k = np.array([float(r["k"]) for r in rows])
-        vals = np.array([float(r[args.column]) for r in rows])
-        slope = fit_rate(k, vals)
+        slope = fit_rate(_column(rows, "k"), _column(rows, args.column))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -302,9 +302,13 @@ def _project_simplex(y, scale):
     below it, if max y - 2 scale rounds to it) are 0 in the projection and
     are raised to there, so none overflows a sum.  The projection of y - max
     y is taken where u_0 - scale would round off scale's low bits, and where
-    the n entries' rounding, |max y| 2^-52 each, could miss FEASIBILITY_TOL."""
+    the n entries' rounding, |max y| 2^-52 each, could miss FEASIBILITY_TOL.
+    A NaN or +inf entry (NaN sorts to the front) raises RuntimeError, as the
+    solver loops do on a non-finite value."""
     u = np.sort(y)[::-1]
     top = u[0]
+    if not math.isfinite(top):
+        raise RuntimeError("non-finite point to project onto the simplex")
     lo = min(top - 2.0 * scale, np.nextafter(top, -np.inf))
     np.maximum(y, lo, out=y)
     np.maximum(u, lo, out=u)

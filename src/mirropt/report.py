@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -191,12 +192,27 @@ def _counted_rows(line, n, counters):
     return rows
 
 
+@contextlib.contextmanager
+def overwrite(path):
+    """A binary handle that writes ``path`` from its first byte without
+    truncating it on open; on exit, after success or an exception, the file
+    is cut at the written position.  Rewriting a file's blocks in place is
+    cheap where freeing them is slow (ext4 mounted with ``discard``), and
+    neither a shorter rerun nor a failed write leaves the old tail after the
+    new bytes; a process killed mid-write can."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def trace_hash(trace, path=None):
     """SHA-256 of the CSV serialization, computed one chunk at a time, from
     one format pass that also writes the same bytes to ``path`` when one is
-    given."""
+    given, overwriting it in place."""
     digest = hashlib.sha256()
-    with contextlib.nullcontext() if path is None else open(path, "wb") as fh:
+    with contextlib.nullcontext() if path is None else overwrite(path) as fh:
         for chunk in _chunks(trace):
             digest.update(chunk)
             if fh is not None:

@@ -728,6 +728,69 @@ def test_written_trace_is_the_hashed_bytes(tmp_path, name):
     assert summary["bounds_ok"] is (True if certifies else None)
 
 
+class TestOverwriteInPlace:
+    """A run writes its trace CSV and summary JSON over any files already
+    there, in place: the old bytes past the new end are cut off."""
+
+    JUNK = bytes(range(256)) * 4096     # 1 MiB, longer than either file
+
+    @staticmethod
+    def outputs(out_dir):
+        return out_dir / "cfg_trace.csv", out_dir / "cfg_summary.json"
+
+    def test_junk_is_replaced_by_a_fresh_runs_bytes(self, tmp_path,
+                                                    monkeypatch):
+        # a constant clock, so the two summaries' elapsed_ns agree
+        monkeypatch.setattr(bench.time, "perf_counter_ns", lambda: 0)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        reused.mkdir()
+        for path in self.outputs(reused):
+            path.write_bytes(self.JUNK)
+        cfg = CHECKED_CONFIGS["ttd_switching"]
+        run_experiment(cfg, out_dir=fresh, stem="cfg")
+        _, summary = run_experiment(cfg, out_dir=reused, stem="cfg")
+        for want, got in zip(self.outputs(fresh), self.outputs(reused)):
+            assert got.read_bytes() == want.read_bytes()
+        trace, written = self.outputs(reused)
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+            summary["trace_sha256"]
+        assert written.read_bytes() == (json.dumps(
+            summary, sort_keys=True, indent=2) + "\n").encode("ascii")
+
+    def test_a_failed_write_leaves_only_what_it_wrote(self, tmp_path):
+        """The second part's row cannot be formatted (k is None): the file
+        holds the header and the first part's row, and nothing of the old
+        bytes."""
+        path = tmp_path / "cfg_trace.csv"
+        path.write_bytes(self.JUNK)
+        good = TraceRow(1, 0.5)
+        trace = RunTrace()
+        trace.parts = [[good], [TraceRow(None, 0.25)]]
+        with pytest.raises(TypeError):
+            trace_hash(trace, path)
+        assert path.read_bytes() == trace_csv_text([good]).encode("ascii")
+
+    def test_reruns_rewrite_the_files(self, tmp_path, monkeypatch):
+        """A rerun keeps each file's inode and opens it without O_TRUNC, so
+        the old blocks are rewritten, not freed first."""
+        flags = {}
+        os_open = os.open
+
+        def spy(path, flag, *args):
+            if Path(path).name.startswith("cfg_"):
+                flags[Path(path).name] = flag
+            return os_open(path, flag, *args)
+
+        monkeypatch.setattr(os, "open", spy)
+        inodes = []
+        for _ in range(2):
+            run_experiment(fixed_md_config(), out_dir=tmp_path, stem="cfg")
+            inodes.append([p.stat().st_ino for p in self.outputs(tmp_path)])
+        assert inodes[0] == inodes[1]
+        assert sorted(flags) == ["cfg_summary.json", "cfg_trace.csv"]
+        assert not any(f & os.O_TRUNC for f in flags.values())
+
+
 @pytest.mark.parametrize("name", CHECKED_CONFIGS)
 def test_checks_match_the_reference(monkeypatch, name):
     """The runner checks what each solver's Report lists, and that is what
@@ -1438,3 +1501,22 @@ class TestCli:
     def test_rates_missing_file(self, tmp_path):
         assert main(["rates", "--trace", str(tmp_path / "none.csv"),
                      "--column", "f_value"]) == 1
+
+    @pytest.mark.parametrize("body, err", [
+        # no k column: KeyError
+        (b"f_value\n1\n0.5\n", "error: column 'k' not in trace"),
+        # a short row: float(None)
+        (b"k,f_value\n1,1\n2\n",
+         "error: row 2 of the trace has no number in column 'f_value'\n"),
+        # a byte that is not UTF-8: UnicodeDecodeError
+        (b"k,f_value\n1,1\xff\n", "error: malformed trace: "),
+    ], ids=["no-k-column", "short-row", "not-utf8"])
+    def test_rates_malformed_trace(self, tmp_path, capsys, body, err):
+        """A malformed trace exits 2 with one error line, not a traceback."""
+        trace = tmp_path / "bad_trace.csv"
+        trace.write_bytes(body)
+        assert main(["rates", "--trace", str(trace),
+                     "--column", "f_value"]) == 2
+        out, got = capsys.readouterr()
+        assert out == "" and len(got.splitlines()) == 1
+        assert got.startswith(err)

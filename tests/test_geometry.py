@@ -139,6 +139,19 @@ class TestProjectSimplex:
         assert _project_simplex(y, 1.0) is y
         assert np.array_equal(y, x)
 
+    @pytest.mark.parametrize("p", [[math.nan, 0.0, 0.0],
+                                   [0.0, 0.0, math.nan],
+                                   [-math.inf, 0.0, 0.0]])
+    def test_non_finite_target_raises_runtime_error(self, p):
+        """x - p with a NaN or +inf entry raised IndexError."""
+        setup = euclidean_setup(FeasibleSet.simplex(3))
+        with pytest.raises(RuntimeError, match="^non-finite"):
+            setup.mirror_step(setup.prox_center(), np.array(p))
+
+    def test_minus_inf_target_entry_still_projects(self):
+        y = np.array([-math.inf, 0.0, 0.0])
+        assert np.array_equal(_project_simplex(y, 1.0), [0.0, 0.5, 0.5])
+
     @pytest.mark.parametrize("y, scale", [
         (np.full(9, 1e7), 1.0),         # the sum was off by 7.5e-9
         (np.full(64, 1e6), 1.1832),     # and by 1.7e-9

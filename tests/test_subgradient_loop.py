@@ -441,3 +441,19 @@ def test_non_finite_objective_raises(solver, value):
         _call(solver, problem, euclidean_setup(problem.set),
               {**VALID[solver], "N": 5})
     assert oracle.calls == 2
+
+
+@pytest.mark.parametrize("solver", [run_fixed_md, run_normalized_md,
+                                    run_strongly_convex_md],
+                         ids=lambda s: s.__name__)
+def test_nan_subgradient_on_a_simplex_raises(solver):
+    """A NaN subgradient reached the Euclidean simplex projection, which
+    raised IndexError; the run now ends with a RuntimeError, as on a
+    non-finite objective value.  (Shor's step does not project, and adaptive
+    MD refuses the NaN step size first.)"""
+    problem = ProblemInstance(
+        FunctionOracle(lambda x: 1.0, lambda x: [math.nan, 0.0, 0.0]),
+        FeasibleSet.simplex(3))
+    with pytest.raises(RuntimeError, match="^non-finite"):
+        _call(solver, problem, euclidean_setup(problem.set),
+              {**VALID[solver], "N": 5})
